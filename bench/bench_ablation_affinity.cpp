@@ -25,18 +25,18 @@ syrwatch::workload::ScenarioConfig no_affinity_config() {
   return config;
 }
 
-double metacafe_share_on_sg48(const analysis::Dataset& full) {
+double metacafe_share_on_sg48(const analysis::LogSource& full) {
   std::uint64_t total = 0, on_sg48 = 0;
-  for (const auto& row : full.rows()) {
-    if (!util::host_matches_domain(full.host(row), "metacafe.com")) continue;
-    if (workload::sg42_only_day(row.time)) continue;
+  analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+    if (!util::host_matches_domain(r.host, "metacafe.com")) return;
+    if (workload::sg42_only_day(r.time)) return;
     ++total;
-    if (row.proxy_index == 6) ++on_sg48;
-  }
+    if (r.proxy_index == 6) ++on_sg48;
+  });
   return total == 0 ? 0.0 : double(on_sg48) / double(total);
 }
 
-void print_matrix(const char* title, const analysis::Dataset& full) {
+void print_matrix(const char* title, const analysis::LogSource& full) {
   const auto sim = analysis::censored_domain_similarity(
       full, {{workload::at(8, 1), workload::at(8, 7)}});
   TextTable table{{"", "SG-42", "SG-43", "SG-44", "SG-45", "SG-46", "SG-47",

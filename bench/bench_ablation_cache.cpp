@@ -23,12 +23,13 @@ syrwatch::workload::ScenarioConfig no_cache_config() {
   return config;
 }
 
-std::uint64_t proxied_on_censored_domains(const analysis::Dataset& full) {
+std::uint64_t proxied_on_censored_domains(const analysis::LogSource& full) {
   std::uint64_t count = 0;
-  for (const auto& row : full.rows()) {
-    if (row.result != proxy::FilterResult::kProxied) continue;
-    if (proxy::is_policy_exception(row.exception)) ++count;
-  }
+  analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+    if (r.result == proxy::FilterResult::kProxied &&
+        proxy::is_policy_exception(r.exception))
+      ++count;
+  });
   return count;
 }
 

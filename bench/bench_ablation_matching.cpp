@@ -43,8 +43,8 @@ void print_reproduction() {
   std::array<std::uint64_t, 5> per_keyword_token{};
   const auto& keywords = policy::censored_keywords();
 
-  for (const auto& row : full.rows()) {
-    const std::string text = util::to_lower(full.filter_text(row));
+  analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+    const std::string text = util::to_lower(r.filter_text());
     bool any_substring = false, any_token = false;
     for (std::size_t k = 0; k < keywords.size(); ++k) {
       if (text.find(keywords[k]) != std::string::npos) {
@@ -59,7 +59,7 @@ void print_reproduction() {
     substring_hits += any_substring;
     token_hits += any_token;
     if (text.find("/tbproxy/") != std::string::npos) ++tbproxy;
-  }
+  });
 
   TextTable table{{"Keyword", "Substring matches", "Token matches",
                    "Collateral spared by token matching"}};
@@ -89,19 +89,19 @@ void BM_SubstringScreen(benchmark::State& state) {
   const auto& keywords = policy::censored_keywords();
   for (auto _ : state) {
     std::uint64_t hits = 0;
-    for (const auto& row : full.rows()) {
-      const std::string text = full.filter_text(row);
+    analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+      const std::string text = r.filter_text();
       for (const auto& keyword : keywords) {
         if (util::icontains(text, keyword)) {
           ++hits;
           break;
         }
       }
-    }
+    });
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_SubstringScreen)->Unit(benchmark::kMillisecond);
 
@@ -110,19 +110,19 @@ void BM_TokenScreen(benchmark::State& state) {
   const auto& keywords = policy::censored_keywords();
   for (auto _ : state) {
     std::uint64_t hits = 0;
-    for (const auto& row : full.rows()) {
-      const std::string text = util::to_lower(full.filter_text(row));
+    analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+      const std::string text = util::to_lower(r.filter_text());
       for (const auto& keyword : keywords) {
         if (token_match(text, keyword)) {
           ++hits;
           break;
         }
       }
-    }
+    });
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_TokenScreen)->Unit(benchmark::kMillisecond);
 

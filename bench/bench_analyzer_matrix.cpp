@@ -1,10 +1,8 @@
-// Analyzer scan matrix: every class of newly container-native analyzer
-// timed on both LogSource backends (in-memory row Dataset, mmap'd SYRCOL1
-// container) at 1 and 8 threads, against the to_dataset_compat bridge the
-// scan layer retired from the hot path. Not a paper experiment — this
-// bench guards the scan-layer refactor: running an analyzer directly on
-// the container must beat materializing rows first by the margins
-// EXPERIMENTS records (>= 5x at 8 threads for the headline analyzers).
+// Analyzer scan matrix: every class of container-native analyzer timed on
+// both LogSource backends (in-memory row Dataset, mmap'd SYRCOL1
+// container) at 1 and 8 threads. Not a paper experiment — this bench
+// guards the scan layer: the same analyzer must run source-agnostic, and
+// the matrix shows what each backend and thread count costs.
 
 #include <chrono>
 #include <cstdint>
@@ -15,7 +13,6 @@
 
 #include "analysis/agents.h"
 #include "analysis/columnar.h"
-#include "analysis/testing/compat.h"
 #include "analysis/dataset.h"
 #include "analysis/https_audit.h"
 #include "analysis/port_dist.h"
@@ -43,7 +40,6 @@ enum Mode : int {
   kRow8 = 1,   // Dataset, 8 threads
   kCol1 = 2,   // container, 1 thread
   kCol8 = 3,   // container, 8 threads
-  kBridge = 4  // to_dataset_compat(container) + row analyzer (pre-PR path)
 };
 
 struct MatrixFixture {
@@ -73,7 +69,6 @@ const MatrixFixture& fixture() {
       col.add(record);
     });
     col.finish();
-    built.dataset->finalize();
     built.columnar = std::make_unique<analysis::ColumnarLog>(
         colfmt::Reader::open(built.col_path));
     return built;
@@ -82,9 +77,7 @@ const MatrixFixture& fixture() {
 }
 
 /// Runs `analyze(source, threads)` per iteration with the cell's backend
-/// and thread count. The bridge cell pays what every analyzer paid before
-/// the scan layer: materialize the whole container into a Dataset, then
-/// run the row path single-threaded.
+/// and thread count.
 template <typename Analyze>
 void run_matrix(benchmark::State& state, Analyze&& analyze) {
   const auto& fx = fixture();
@@ -103,12 +96,6 @@ void run_matrix(benchmark::State& state, Analyze&& analyze) {
       case kCol8:
         analyze(analysis::LogSource{*fx.columnar}, 8);
         break;
-      case kBridge: {
-        const auto bridged =
-            analysis::to_dataset_compat(colfmt::Reader::open(fx.col_path));
-        analyze(analysis::LogSource{bridged}, 1);
-        break;
-      }
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -121,7 +108,6 @@ void run_matrix(benchmark::State& state, Analyze&& analyze) {
       ->Arg(kRow8)                                       \
       ->Arg(kCol1)                                       \
       ->Arg(kCol8)                                       \
-      ->Arg(kBridge)                                     \
       ->Unit(benchmark::kMillisecond)
 
 void BM_TrafficStats(benchmark::State& state) {
@@ -206,10 +192,9 @@ double seconds_of(const std::function<void()>& work) {
 }
 
 void print_reproduction() {
-  print_banner("Analyzer scan matrix — container-native vs bridge",
-               "refactor guard, not a paper table: analyzers must run "
-               "source-agnostic on the SYRCOL1 container without the "
-               "to_dataset materialization the scan layer retired");
+  print_banner("Analyzer scan matrix — row Dataset vs SYRCOL1 container",
+               "scan-layer guard, not a paper table: analyzers must run "
+               "source-agnostic on both backends");
   const auto& fx = fixture();
 
   struct NamedAnalyzer {
@@ -244,27 +229,22 @@ void print_reproduction() {
        }},
   };
 
-  TextTable table{{"Analyzer", "Bridge (to_dataset, 1T)", "Container 1T",
-                   "Container 8T", "Speedup @8T"}};
+  TextTable table{{"Analyzer", "Rows 1T", "Rows 8T", "Container 1T",
+                   "Container 8T"}};
+  const auto ms = [](double seconds) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.1f ms", seconds * 1e3);
+    return std::string{text};
+  };
   for (const auto& analyzer : analyzers) {
-    const double bridge = seconds_of([&] {
-      const auto bridged =
-          analysis::to_dataset_compat(colfmt::Reader::open(fx.col_path));
-      analyzer.run(analysis::LogSource{bridged}, 1);
-    });
-    const double col1 = seconds_of(
-        [&] { analyzer.run(analysis::LogSource{*fx.columnar}, 1); });
-    const double col8 = seconds_of(
-        [&] { analyzer.run(analysis::LogSource{*fx.columnar}, 8); });
-    char bridge_text[32], col1_text[32], col8_text[32], speedup[32];
-    std::snprintf(bridge_text, sizeof bridge_text, "%.1f ms", bridge * 1e3);
-    std::snprintf(col1_text, sizeof col1_text, "%.1f ms", col1 * 1e3);
-    std::snprintf(col8_text, sizeof col8_text, "%.1f ms", col8 * 1e3);
-    std::snprintf(speedup, sizeof speedup, "%.1fx", bridge / col8);
-    table.add_row({analyzer.name, bridge_text, col1_text, col8_text,
-                   speedup});
+    std::vector<std::string> row{analyzer.name};
+    for (const analysis::LogSource source :
+         {analysis::LogSource{*fx.dataset}, analysis::LogSource{*fx.columnar}})
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{8}})
+        row.push_back(ms(seconds_of([&] { analyzer.run(source, threads); })));
+    table.add_row(std::move(row));
   }
-  print_block("Container-native scan vs retired bridge path (" +
+  print_block("Analyzer scan time by backend and thread count (" +
                   with_commas(fx.rows) + " records)",
               table);
 }

@@ -77,7 +77,6 @@ analysis::Dataset load_csv(const ScanFixture& fx) {
   const auto log = proxy::read_log_lenient(in);
   analysis::Dataset dataset;
   for (const auto& record : log.records) dataset.add(record);
-  dataset.finalize();
   return dataset;
 }
 

@@ -36,28 +36,28 @@ void print_reproduction() {
   // Count Tor rows that the escalated SG-44-equivalent would censor.
   std::uint64_t tor_rows = 0, would_censor = 0, http_killed = 0;
   util::Rng rng{9};
-  for (const auto& row : full.rows()) {
-    const auto ip = net::Ipv4Addr::parse(full.host(row));
-    if (!ip || !relays.contains(*ip, row.port)) continue;
-    const auto cls = full.cls(row);
-    if (cls != proxy::TrafficClass::kAllowed &&
-        cls != proxy::TrafficClass::kCensored)
-      continue;
+  analysis::scan_increment(full, 0, [&](const analysis::Record& r) {
+    if (!r.host_is_ip) return;
+    const net::Ipv4Addr ip{r.host_ip};
+    if (!relays.contains(ip, r.port)) return;
+    if (r.cls != proxy::TrafficClass::kAllowed &&
+        r.cls != proxy::TrafficClass::kCensored)
+      return;
     ++tor_rows;
     net::Url url;
-    url.scheme = row.scheme;
-    url.host = std::string(full.host(row));
-    url.port = row.port;
-    url.path = std::string(full.path(row));
+    url.scheme = r.scheme;
+    url.host = std::string(r.host);
+    url.port = r.port;
+    url.path = std::string(r.path);
     policy::FilterRequest request;
     request.url = &url;
-    request.dest_ip = *ip;
-    request.time = row.time;
+    request.dest_ip = ip;
+    request.time = r.time;
     if (escalated.proxies[0].engine.evaluate(request, rng).censored()) {
       ++would_censor;
       if (tor::is_directory_path(url.path)) ++http_killed;
     }
-  }
+  });
 
   TextTable table{{"Metric", "Summer 2011 (leak)", "Dec 2012 (escalated)"}};
   table.add_row({"Rules per proxy policy",
@@ -109,7 +109,7 @@ void BM_EscalatedRescreen(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       state.iterations() *
-      static_cast<std::int64_t>(study.datasets().full.size()));
+      static_cast<std::int64_t>(study.datasets().full.rows()));
 }
 BENCHMARK(BM_EscalatedRescreen)->Unit(benchmark::kMillisecond);
 

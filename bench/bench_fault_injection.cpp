@@ -108,7 +108,7 @@ void BM_FaultedPipeline(benchmark::State& state) {
   for (auto _ : state) {
     core::Study study{config};
     study.run();
-    benchmark::DoNotOptimize(study.datasets().full.size());
+    benchmark::DoNotOptimize(study.datasets().full.rows());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(config.total_requests));

@@ -13,7 +13,7 @@ void print_reproduction() {
                "Ports 80 and 443 carry most censored content; 9001 (Tor) "
                "ranks third among blocked connections");
 
-  auto print_ports = [](const char* title, const analysis::Dataset& full) {
+  auto print_ports = [](const char* title, const analysis::LogSource& full) {
     const auto ports = analysis::port_distribution(full, 10);
     std::uint64_t allowed_total = 0, censored_total = 0;
     for (const auto& entry : analysis::port_distribution(full)) {
@@ -45,7 +45,7 @@ void BM_PortDistribution(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::port_distribution(full));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_PortDistribution)->Unit(benchmark::kMillisecond);
 

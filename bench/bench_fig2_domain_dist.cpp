@@ -48,7 +48,7 @@ void BM_DomainDistribution(benchmark::State& state) {
         analysis::domain_distribution(full, proxy::TrafficClass::kAllowed));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_DomainDistribution)->Unit(benchmark::kMillisecond);
 

@@ -59,7 +59,7 @@ void BM_UserStats(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::user_stats(user));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(user.size()));
+                          static_cast<std::int64_t>(user.rows()));
 }
 BENCHMARK(BM_UserStats)->Unit(benchmark::kMillisecond);
 

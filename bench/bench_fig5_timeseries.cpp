@@ -57,7 +57,7 @@ void BM_TimeSeries(benchmark::State& state) {
                   {workload::at(8, 1), workload::at(8, 7)}, {300}}));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_TimeSeries)->Unit(benchmark::kMillisecond);
 

@@ -95,7 +95,7 @@ void BM_TorStats(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::tor_stats(full, relays));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_TorStats)->Unit(benchmark::kMillisecond);
 

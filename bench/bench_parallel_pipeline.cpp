@@ -105,7 +105,7 @@ void BM_StudyPipeline(benchmark::State& state) {
   for (auto _ : state) {
     core::Study study{config};
     study.run();
-    benchmark::DoNotOptimize(study.datasets().full.size());
+    benchmark::DoNotOptimize(study.datasets().full.rows());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(config.total_requests));
@@ -129,7 +129,7 @@ void BM_StudyPipelineMetrics(benchmark::State& state) {
     core::Study study{config};
     study.set_obs(&context);
     study.run();
-    benchmark::DoNotOptimize(study.datasets().full.size());
+    benchmark::DoNotOptimize(study.datasets().full.rows());
     benchmark::DoNotOptimize(registry.snapshot().counters.size());
   }
   state.SetItemsProcessed(state.iterations() *

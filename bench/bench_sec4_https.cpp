@@ -49,11 +49,12 @@ void print_reproduction() {
   // With interception, page-level censorship reaches HTTPS Facebook.
   const auto pages = analysis::blocked_facebook_pages(mitm.datasets().full);
   std::uint64_t https_page_hits = 0;
-  for (const auto& row : mitm.datasets().full.rows()) {
-    if (row.scheme != net::Scheme::kHttps) continue;
-    if (row.exception == proxy::ExceptionId::kPolicyRedirect)
-      ++https_page_hits;
-  }
+  analysis::scan_increment(
+      mitm.datasets().full, 0, [&](const analysis::Record& r) {
+        if (r.scheme == net::Scheme::kHttps &&
+            r.exception == proxy::ExceptionId::kPolicyRedirect)
+          ++https_page_hits;
+      });
   TextTable table{{"Metric", "Value"}};
   table.add_row({"Blocked-page redirects on HTTPS tunnels",
                  with_commas(https_page_hits)});
@@ -70,7 +71,7 @@ void BM_HttpsStats(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::https_stats(full));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_HttpsStats)->Unit(benchmark::kMillisecond);
 

@@ -65,7 +65,6 @@ const StreamFixture& fixture() {
       built->dataset.add(record);
     });
     built->spool_bytes = csv.commit().bytes;
-    built->dataset.finalize();
     return built;
   }();
   return fx;

@@ -48,7 +48,7 @@ void BM_CountryCensorship(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::country_censorship(full, geoip));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_CountryCensorship)->Unit(benchmark::kMillisecond);
 

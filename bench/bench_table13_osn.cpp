@@ -45,7 +45,7 @@ void BM_OsnCensorship(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::osn_censorship(full));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_OsnCensorship)->Unit(benchmark::kMillisecond);
 

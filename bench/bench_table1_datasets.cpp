@@ -13,44 +13,31 @@ void print_reproduction() {
                "Full 751,295,830 | Sample 32,310,958 (4%) | "
                "User 6,374,333 | Denied 47,452,194");
 
-  const auto& bundle = default_study().datasets();
-  const double full = static_cast<double>(bundle.full.size());
+  const auto& datasets = default_study().datasets();
+  const double full = static_cast<double>(datasets.full.rows());
 
   TextTable table{{"Dataset", "# Requests", "% of Dfull", "Paper %"}};
-  table.add_row({"Full", with_commas(bundle.full.size()), "100.00%",
+  table.add_row({"Full", with_commas(datasets.full.rows()), "100.00%",
                  "100.00%"});
-  table.add_row({"Sample (4%)", with_commas(bundle.sample.size()),
-                 percent(bundle.sample.size() / full), "4.30%"});
-  table.add_row({"User", with_commas(bundle.user.size()),
-                 percent(bundle.user.size() / full), "0.85%"});
-  table.add_row({"Denied", with_commas(bundle.denied.size()),
-                 percent(bundle.denied.size() / full), "6.32%"});
+  table.add_row({"Sample (4%)", with_commas(datasets.sample.rows()),
+                 percent(datasets.sample.rows() / full), "4.30%"});
+  table.add_row({"User", with_commas(datasets.user.rows()),
+                 percent(datasets.user.rows() / full), "0.85%"});
+  table.add_row({"Denied", with_commas(datasets.denied.rows()),
+                 percent(datasets.denied.rows() / full), "6.32%"});
   print_block("Datasets (Table 1) — scale ~1:600", table);
 }
 
-void BM_BuildDatasets(benchmark::State& state) {
-  const auto& bundle = default_study().datasets();
+void BM_DeriveSources(benchmark::State& state) {
+  const auto& full = default_study().datasets().full;
   for (auto _ : state) {
-    analysis::Dataset copy = bundle.full.filter([](const analysis::Row&) {
-      return true;
-    });
-    benchmark::DoNotOptimize(copy.size());
+    const auto derived = analysis::derive_sources(full, 7);
+    benchmark::DoNotOptimize(derived.sample.rows());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bundle.full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
-BENCHMARK(BM_BuildDatasets)->Unit(benchmark::kMillisecond);
-
-void BM_DeriveBundle(benchmark::State& state) {
-  const auto& bundle = default_study().datasets();
-  for (auto _ : state) {
-    auto full = bundle.full.filter([](const analysis::Row&) { return true; });
-    full.finalize();
-    auto derived = analysis::DatasetBundle::derive(std::move(full), 7);
-    benchmark::DoNotOptimize(derived.sample.size());
-  }
-}
-BENCHMARK(BM_DeriveBundle)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DeriveSources)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -23,7 +23,7 @@ constexpr PaperShare kPaperShares[] = {
     {proxy::ExceptionId::kPolicyRedirect, "0.00%"},
 };
 
-void print_one(const char* name, const analysis::Dataset& dataset) {
+void print_one(const char* name, const analysis::LogSource& dataset) {
   const auto stats = analysis::traffic_stats(dataset);
   TextTable table{{"Class", "# Requests", "Measured %", "Paper % (Dfull)"}};
   table.add_row({"OBSERVED (allowed)", with_commas(stats.observed),
@@ -46,13 +46,13 @@ void print_reproduction() {
   print_banner("Table 3 — decision/exception statistics",
                "93.25% allowed, 0.47% proxied, 6.28% denied of which "
                "15.5+% is policy censorship");
-  const auto& bundle = default_study().datasets();
-  print_one("Dfull", bundle.full);
-  print_one("Dsample", bundle.sample);
-  print_one("Duser", bundle.user);
+  const auto& datasets = default_study().datasets();
+  print_one("Dfull", datasets.full);
+  print_one("Dsample", datasets.sample);
+  print_one("Duser", datasets.user);
 
   // Within-Ddenied composition, as the paper's last column.
-  const auto denied = analysis::traffic_stats(bundle.denied);
+  const auto denied = analysis::traffic_stats(datasets.denied);
   TextTable table{{"Exception", "Share of Ddenied", "Paper"}};
   const double total = static_cast<double>(denied.total);
   auto share_of = [&](proxy::ExceptionId id) {
@@ -75,7 +75,7 @@ void BM_TrafficStats(benchmark::State& state) {
     benchmark::DoNotOptimize(analysis::traffic_stats(full).censored());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_TrafficStats)->Unit(benchmark::kMillisecond);
 

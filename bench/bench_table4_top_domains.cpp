@@ -54,7 +54,7 @@ void BM_TopDomains(benchmark::State& state) {
         full, analysis::TopDomainsOptions{proxy::TrafficClass::kAllowed}));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_TopDomains)->Unit(benchmark::kMillisecond);
 

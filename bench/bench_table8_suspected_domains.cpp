@@ -67,7 +67,7 @@ void BM_StringDiscovery(benchmark::State& state) {
         analysis::discover_censored_strings(full, options));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(full.size()));
+                          static_cast<std::int64_t>(full.rows()));
 }
 BENCHMARK(BM_StringDiscovery)->Unit(benchmark::kMillisecond);
 

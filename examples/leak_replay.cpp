@@ -49,8 +49,6 @@ int main(int argc, char** argv) {
   analysis::Dataset original, reloaded;
   for (const auto& record : records) original.add(record);
   for (const auto& record : replayed) reloaded.add(record);
-  original.finalize();
-  reloaded.finalize();
 
   const auto before = analysis::traffic_stats(original);
   const auto after = analysis::traffic_stats(reloaded);

@@ -1,7 +1,5 @@
 #include "analysis/columnar.h"
 
-#include "analysis/testing/compat.h"
-
 #include <utility>
 
 #include "net/domain.h"
@@ -33,17 +31,6 @@ ColumnarLog::ColumnarLog(colfmt::Reader reader, std::size_t threads)
       }
     }
   });
-}
-
-Dataset to_dataset_compat(const colfmt::Reader& reader) {
-  Dataset dataset;
-  for (std::size_t i = 0; i < reader.block_count(); ++i) {
-    const colfmt::DecodedBlock block = reader.decode(i);
-    for (std::size_t r = 0; r < block.rows; ++r)
-      dataset.add(reader.record(block, r));
-  }
-  dataset.finalize();
-  return dataset;
 }
 
 }  // namespace syrwatch::analysis

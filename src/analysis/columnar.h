@@ -13,7 +13,7 @@ namespace syrwatch::analysis {
 /// A colfmt::Reader plus the per-dictionary-id derived values the
 /// analyzers need: registrable domain of every string and its IPv4 parse.
 /// Both are resolved once per *dictionary entry* instead of once per row —
-/// the columnar counterpart of Dataset's domain cache, but immutable after
+/// the columnar counterpart of Dataset's per-host table, immutable after
 /// construction and therefore freely shared across scan threads. This is
 /// the columnar backend of analysis::LogSource (scan.h); the analyzers
 /// themselves are written once against the LogSource cursor.

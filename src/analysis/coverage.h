@@ -70,8 +70,8 @@ struct CoverageReport {
 /// was one) so a torn final record — a partially written artifact — is
 /// surfaced as a coverage degradation rather than silently shortening the
 /// window. Row order is irrelevant: the window is the source's true time
-/// bounds and every tally is order-independent, so emission-order
-/// containers bin identically to the time-sorted row path.
+/// bounds and every tally is order-independent, so any record order bins
+/// identically.
 CoverageReport request_coverage(const LogSource& source,
                                 const CoverageOptions& options = {},
                                 std::size_t threads = 1);

@@ -1,25 +1,18 @@
 #include "analysis/dataset.h"
 
-#include <algorithm>
-#include <array>
-
 #include "net/domain.h"
-#include "util/parallel.h"
-#include "util/rng.h"
-#include "util/simtime.h"
+#include "net/ipv4.h"
 
 namespace syrwatch::analysis {
 
-Dataset::Dataset() : pool_(std::make_shared<util::StringPool>()) {}
-
-Dataset::Dataset(std::shared_ptr<util::StringPool> pool)
-    : pool_(std::move(pool)) {}
+Dataset::Dataset() : pool_(std::make_unique<util::StringPool>()) {}
 
 void Dataset::add(const proxy::LogRecord& record) {
   Row row;
   row.time = record.time;
   row.user_hash = record.user_hash;
   row.host = pool_->intern(record.url.host);
+  resolve_host(row.host);
   row.path = pool_->intern(record.url.path);
   row.query = pool_->intern(record.url.query);
   row.agent = pool_->intern(record.user_agent);
@@ -35,113 +28,24 @@ void Dataset::add(const proxy::LogRecord& record) {
   row.scheme = record.url.scheme;
   row.result = record.filter_result;
   row.exception = record.exception;
+  if (rows_.empty() || row.time < first_time_) first_time_ = row.time;
+  if (rows_.empty() || row.time > last_time_) last_time_ = row.time;
   rows_.push_back(row);
 }
 
-void Dataset::finalize() {
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [](const Row& a, const Row& b) { return a.time < b.time; });
-}
-
-std::string_view Dataset::domain(const Row& row) const {
-  if (row.host >= domain_cache_.size())
-    domain_cache_.resize(pool_->size(), util::StringPool::kNotFound);
-  util::StringPool::Id& cached = domain_cache_[row.host];
-  if (cached == util::StringPool::kNotFound)
-    cached = pool_->intern(net::registrable_domain(pool_->view(row.host)));
-  return pool_->view(cached);
-}
-
-namespace {
-
-/// The ip_state_ codes of the lazy per-host IPv4 cache.
-constexpr std::uint8_t kIpUnknown = 0;
-constexpr std::uint8_t kIpNo = 1;
-constexpr std::uint8_t kIpYes = 2;
-
-}  // namespace
-
-bool Dataset::host_is_ip(const Row& row) const {
-  if (row.host >= ip_state_.size()) {
-    ip_state_.resize(pool_->size(), kIpUnknown);
-    ip_cache_.resize(pool_->size(), 0);
+void Dataset::resolve_host(util::StringPool::Id host) {
+  if (host < hosts_.size() &&
+      hosts_[host].domain != util::StringPool::kNotFound)
+    return;  // seen before
+  const std::string_view text = pool_->view(host);
+  HostInfo info;
+  info.domain = pool_->intern(net::registrable_domain(text));
+  if (const auto ip = net::Ipv4Addr::parse(text)) {
+    info.ip = ip->value();
+    info.is_ip = true;
   }
-  std::uint8_t& state = ip_state_[row.host];
-  if (state == kIpUnknown) {
-    if (const auto ip = net::Ipv4Addr::parse(pool_->view(row.host))) {
-      state = kIpYes;
-      ip_cache_[row.host] = ip->value();
-    } else {
-      state = kIpNo;
-    }
-  }
-  return state == kIpYes;
-}
-
-std::uint32_t Dataset::host_ip(const Row& row) const {
-  return host_is_ip(row) ? ip_cache_[row.host] : 0;
-}
-
-void Dataset::warm_domain_cache() const {
-  for (const Row& row : rows_) {
-    (void)domain(row);
-    (void)host_is_ip(row);
-  }
-  warmed_ = true;
-}
-
-std::string Dataset::filter_text(const Row& row) const {
-  std::string text{host(row)};
-  text += path(row);
-  const auto q = query(row);
-  if (!q.empty()) {
-    text += '?';
-    text += q;
-  }
-  return text;
-}
-
-Dataset Dataset::filter(
-    const std::function<bool(const Row&)>& predicate) const {
-  Dataset out{pool_};
-  for (const Row& row : rows_) {
-    if (predicate(row)) out.rows_.push_back(row);
-  }
-  return out;
-}
-
-DatasetBundle DatasetBundle::derive(Dataset full, std::uint64_t sample_seed,
-                                    double sample_rate, std::size_t threads) {
-  DatasetBundle bundle{std::move(full), Dataset{nullptr}, Dataset{nullptr},
-                       Dataset{nullptr}};
-  // Warm the full dataset first and alone: this interns every registrable
-  // domain into the shared pool, so the derived datasets' warms below are
-  // pure lookups and safe to run concurrently.
-  bundle.full.warm_domain_cache();
-  const auto derivations = std::array<std::function<void()>, 3>{
-      [&] {
-        util::Rng rng{util::mix64(sample_seed ^ 0x5A3D1E)};
-        bundle.sample = bundle.full.filter(
-            [&](const Row&) { return rng.bernoulli(sample_rate); });
-        bundle.sample.warm_domain_cache();
-      },
-      [&] {
-        bundle.user = bundle.full.filter([](const Row& row) {
-          if (row.proxy_index != 0 || row.user_hash == 0) return false;
-          const auto c = util::to_civil(row.time);
-          return c.month == 7 && (c.day == 22 || c.day == 23);
-        });
-        bundle.user.warm_domain_cache();
-      },
-      [&] {
-        bundle.denied = bundle.full.filter([](const Row& row) {
-          return row.exception != proxy::ExceptionId::kNone;
-        });
-        bundle.denied.warm_domain_cache();
-      }};
-  util::parallel_for(derivations.size(), threads,
-                     [&](std::size_t i) { derivations[i](); });
-  return bundle;
+  if (hosts_.size() < pool_->size()) hosts_.resize(pool_->size());
+  hosts_[host] = info;
 }
 
 }  // namespace syrwatch::analysis

@@ -1,13 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
 
-#include "net/ipv4.h"
 #include "net/url.h"
 #include "proxy/log_record.h"
 #include "util/string_pool.h"
@@ -15,7 +12,7 @@
 namespace syrwatch::analysis {
 
 /// One log record in columnar/interned form (~56 bytes). Host, path,
-/// query, agent, category and method strings live in the dataset's shared
+/// query, agent, category and method strings live in the dataset's
 /// StringPool, so millions of records fit comfortably in memory.
 struct Row {
   std::int64_t time = 0;
@@ -36,24 +33,22 @@ struct Row {
   bool has_dest_ip = false;
 };
 
-/// An analyzable log collection — the in-memory analogue of one of the
-/// paper's datasets (Table 1). Datasets derived from the same source share
-/// one string pool, so Dsample/Duser/Ddenied cost only their row vectors.
+/// The in-memory log: an append-only Row vector over one StringPool, kept
+/// in arrival order. CSV loads, Study runs and spool tails all fill one.
+/// The paper's derived datasets (Table 1) are analysis::derive_sources
+/// views over it, not copies.
+///
+/// Per-host derived values (registrable domain, IPv4 parse) are resolved
+/// at add(), once per distinct host, so every accessor is a pure read and
+/// concurrent scans need no warm-up. add() and reads must not overlap.
 class Dataset {
  public:
   Dataset();
-  explicit Dataset(std::shared_ptr<util::StringPool> pool);
 
   void add(const proxy::LogRecord& record);
 
-  /// Sorts rows by time. Call once after the last add().
-  void finalize();
-
   std::size_t size() const noexcept { return rows_.size(); }
   const std::vector<Row>& rows() const noexcept { return rows_; }
-  const std::shared_ptr<util::StringPool>& pool() const noexcept {
-    return pool_;
-  }
 
   std::string_view view(util::StringPool::Id id) const {
     return pool_->view(id);
@@ -62,25 +57,20 @@ class Dataset {
   std::string_view path(const Row& row) const { return view(row.path); }
   std::string_view query(const Row& row) const { return view(row.query); }
 
-  /// Registrable domain of the row's host (cached per host id). The cache
-  /// fills lazily, so the *first* call for a host mutates shared state:
-  /// call warm_domain_cache() before handing the dataset to concurrent
-  /// readers (DatasetBundle::derive does this for all four datasets).
-  std::string_view domain(const Row& row) const;
+  /// Registrable domain of the row's host (eTLD+1).
+  std::string_view domain(const Row& row) const {
+    return view(hosts_[row.host].domain);
+  }
 
-  /// Dotted-quad parse of the row's host (cached per host id, same lazy
-  /// contract as domain()). The columnar backend precomputes the identical
-  /// values per dictionary id, so the scan layer sees one surface.
-  bool host_is_ip(const Row& row) const;
-  std::uint32_t host_ip(const Row& row) const;
-
-  /// Pre-resolves the registrable domain and IPv4 parse of every row so
-  /// that subsequent domain()/host_is_ip()/host_ip() calls are pure reads,
-  /// making the dataset safe to share across analyzer threads. Idempotent;
-  /// warmed() reports whether it already ran (the scan layer checks it
-  /// before fanning a parallel scan out over the rows).
-  void warm_domain_cache() const;
-  bool warmed() const noexcept { return warmed_; }
+  /// Dotted-quad parse of the row's host. The columnar backend
+  /// precomputes the identical values per dictionary id, so the scan
+  /// layer sees one surface.
+  bool host_is_ip(const Row& row) const noexcept {
+    return hosts_[row.host].is_ip;
+  }
+  std::uint32_t host_ip(const Row& row) const noexcept {
+    return hosts_[row.host].ip;
+  }
 
   /// §3.3 class of the row.
   proxy::TrafficClass cls(const Row& row) const noexcept {
@@ -89,38 +79,27 @@ class Dataset {
     return proxy::classify_by_exception(row.result, row.exception);
   }
 
-  /// host + path + "?query" — the text the keyword filter scanned.
-  std::string filter_text(const Row& row) const;
-
-  /// New dataset (sharing this pool) with the rows matching the predicate.
-  Dataset filter(const std::function<bool(const Row&)>& predicate) const;
+  /// Min/max timestamps over every row added so far (arrival order is
+  /// only approximately time-sorted). Meaningless while empty.
+  std::int64_t first_time() const noexcept { return first_time_; }
+  std::int64_t last_time() const noexcept { return last_time_; }
 
  private:
-  std::shared_ptr<util::StringPool> pool_;
+  /// Derived values of one host string.
+  struct HostInfo {
+    util::StringPool::Id domain = util::StringPool::kNotFound;
+    std::uint32_t ip = 0;
+    bool is_ip = false;
+  };
+
+  void resolve_host(util::StringPool::Id host);
+
+  std::unique_ptr<util::StringPool> pool_;
   std::vector<Row> rows_;
-  // host pool id -> registrable-domain pool id, filled lazily.
-  mutable std::vector<util::StringPool::Id> domain_cache_;
-  // host pool id -> IPv4 parse, filled lazily (0 = unknown, 1 = not an
-  // ip, 2 = ip with the value in ip_cache_).
-  mutable std::vector<std::uint8_t> ip_state_;
-  mutable std::vector<std::uint32_t> ip_cache_;
-  mutable bool warmed_ = false;
-};
-
-/// The paper's four datasets (Table 1), derived from one generated log.
-struct DatasetBundle {
-  Dataset full;    // Dfull: everything the leak contains
-  Dataset sample;  // Dsample: 4% uniform sample of Dfull
-  Dataset user;    // Duser: SG-42, July 22-23, hashed client ids
-  Dataset denied;  // Ddenied: x-exception-id != '-'
-
-  /// Derives sample/user/denied from a finalized `full` and warms every
-  /// dataset's domain cache so the bundle is safe for concurrent
-  /// analyzers. `threads` parallelizes the three derivations (the result
-  /// is identical for any value).
-  static DatasetBundle derive(Dataset full, std::uint64_t sample_seed,
-                              double sample_rate = 0.04,
-                              std::size_t threads = 1);
+  /// Indexed by pool id; only ids that occur as a host are resolved.
+  std::vector<HostInfo> hosts_;
+  std::int64_t first_time_ = 0;
+  std::int64_t last_time_ = 0;
 };
 
 }  // namespace syrwatch::analysis

@@ -63,8 +63,9 @@ std::uint64_t redirect_followups(const LogSource& source,
                                  const RedirectFollowupOptions& options,
                                  std::size_t threads) {
   const std::int64_t window_seconds = options.window_seconds;
-  // Records are time-sorted, so "a same-user request to a different host
-  // within the window" is a forward scan. Each partition resolves what it
+  // Records arrive in emission order — time-sorted up to jitter inside one
+  // generation slot — so "a same-user request to a different host within
+  // the window" is a forward scan. Each partition resolves what it
   // can locally; redirects whose window crosses the partition end become
   // pendings, and each partition also keeps its head rows (time within
   // window_seconds of its first row) — since times are non-decreasing, any

@@ -2,17 +2,19 @@
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <optional>
 #include <utility>
+
+#include "util/rng.h"
+#include "util/simtime.h"
 
 namespace syrwatch::analysis {
 
 LogSource::TimeBounds LogSource::time_bounds(std::size_t threads) const {
   if (mask_) return {first_time_, last_time_};
-  if (stream_ != nullptr)
-    return {stream_->first_time(), stream_->last_time()};
   if (columnar_ == nullptr)
-    return {dataset_->rows().front().time, dataset_->rows().back().time};
+    return {dataset_->first_time(), dataset_->last_time()};
   struct Bounds {
     std::int64_t first = 0, last = 0;
     bool any = false;
@@ -62,6 +64,9 @@ struct ViewStats {
 LogSource LogSource::masked(
     std::shared_ptr<const std::vector<std::uint8_t>> mask,
     std::size_t threads) const {
+  if (!mask || mask->size() != base_rows())
+    throw std::invalid_argument(
+        "LogSource::masked: mask must hold one entry per base row");
   LogSource out = *this;
   if (mask_) {
     // Compose with the existing selection: a view of a view keeps the
@@ -75,7 +80,6 @@ LogSource LogSource::masked(
     out.mask_ = std::move(mask);
   }
 
-  prepare(threads);
   std::vector<ViewStats> partials(out.partitions());
   util::parallel_for(out.partitions(), threads, [&](std::size_t p) {
     out.scan_partition(p, [&](const Record& r) {
@@ -113,7 +117,6 @@ LogSource LogSource::filtered(const std::function<bool(const Record&)>& keep,
                               std::size_t threads) const {
   auto mask = std::make_shared<std::vector<std::uint8_t>>(
       static_cast<std::size_t>(base_rows()), std::uint8_t{0});
-  prepare(threads);
   // Each worker sets bits only at its own partition's ordinals, so the
   // writes never alias and the resulting mask is thread-count invariant.
   util::parallel_for(partitions(), threads, [&](std::size_t p) {
@@ -123,6 +126,43 @@ LogSource LogSource::filtered(const std::function<bool(const Record&)>& keep,
     });
   });
   return masked(std::move(mask), threads);
+}
+
+DerivedSources derive_sources(const LogSource& full, std::uint64_t seed,
+                              std::size_t threads) {
+  if (full.rows() != full.base_rows())
+    throw std::invalid_argument("derive_sources: full must be unmasked");
+  std::vector<std::int64_t> times(static_cast<std::size_t>(full.rows()));
+  util::parallel_for(full.partitions(), threads, [&](std::size_t p) {
+    full.scan_partition(p, [&](const Record& r) {
+      times[static_cast<std::size_t>(r.ordinal)] = r.time;
+    });
+  });
+  std::vector<std::uint64_t> order(times.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint64_t a, std::uint64_t b) {
+                     return times[a] < times[b];
+                   });
+  auto sample = std::make_shared<std::vector<std::uint8_t>>(times.size(), 0);
+  util::Rng rng{util::mix64(seed ^ 0x5A3D1E)};
+  for (const std::uint64_t ordinal : order)
+    (*sample)[ordinal] = rng.bernoulli(0.04) ? 1 : 0;
+
+  return DerivedSources{
+      full, full.masked(std::move(sample), threads),
+      full.filtered(
+          [](const Record& r) {
+            if (r.proxy_index != 0 || r.user_hash == 0) return false;
+            const auto c = util::to_civil(r.time);
+            return c.month == 7 && (c.day == 22 || c.day == 23);
+          },
+          threads),
+      full.filtered(
+          [](const Record& r) {
+            return r.exception != proxy::ExceptionId::kNone;
+          },
+          threads)};
 }
 
 std::string_view to_string(SourceOpenErrorCode code) noexcept {
@@ -227,7 +267,6 @@ void open_csv(const std::string& path, const SourceOptions& options,
     auto log = proxy::read_log_lenient(in);
     read_stats = log.stats;
     for (const auto& record : log.records) dataset->add(record);
-    dataset->finalize();
     return;
   }
   // Strict: typed refusals instead of read_log's untyped throw. Writers
@@ -260,7 +299,6 @@ void open_csv(const std::string& path, const SourceOptions& options,
   }
   if (line_no == 0)
     refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
-  dataset->finalize();
 }
 
 }  // namespace

@@ -11,20 +11,19 @@
 
 #include "analysis/columnar.h"
 #include "analysis/dataset.h"
-#include "analysis/stream_buffer.h"
 #include "proxy/log_io.h"
 #include "util/parallel.h"
 
 namespace syrwatch::analysis {
 
 /// The unified scan layer (DESIGN.md §4.11). Every analyzer is written
-/// once against LogSource — a record cursor with three backends, the row
-/// Dataset, the mmap'd SYRCOL1 container (ColumnarLog), and the streaming
-/// StreamBuffer (§4.12) — and runs as a partitioned parallel scan: each
-/// worker fills a private Partial from one partition's records in row
-/// order, and the analyzer's fold merges the partials in partition order.
-/// Because folds are required to be partition-layout independent
-/// (columnar partitions are container blocks, dataset and stream
+/// once against LogSource — a record cursor with two backends, the
+/// in-memory row Dataset (CSV loads, Study runs and spool tails alike) and
+/// the mmap'd SYRCOL1 container (ColumnarLog) — and runs as a partitioned
+/// parallel scan: each worker fills a private Partial from one partition's
+/// records in row order, and the analyzer's fold merges the partials in
+/// partition order. Because folds are required to be partition-layout
+/// independent (columnar partitions are container blocks, dataset
 /// partitions are fixed row ranges) and to reproduce the sequential row
 /// scan's observable state, every analyzer's output is byte-identical
 /// across backends and thread counts.
@@ -55,8 +54,7 @@ struct Record {
   bool has_dest_ip = false;
   bool host_is_ip = false;
 
-  /// host + path + "?query" — the text the keyword filter scanned
-  /// (Dataset::filter_text).
+  /// host + path + "?query" — the text the keyword filter scanned.
   std::string filter_text() const {
     std::string text{host};
     text += path;
@@ -86,29 +84,23 @@ class LogSource {
       : dataset_(&dataset), rows_(dataset.size()) {}
   LogSource(const ColumnarLog& log)  // NOLINT(google-explicit-constructor)
       : columnar_(&log), rows_(log.rows()) {}
-  LogSource(const StreamBuffer& buf)  // NOLINT(google-explicit-constructor)
-      : stream_(&buf), rows_(buf.size()) {}
 
   /// Records this source yields (after any mask).
   std::uint64_t rows() const noexcept { return rows_; }
 
   /// Records of the *underlying backend*, before any mask — the ordinal
   /// space Record::ordinal and masks index, and scan_increment's
-  /// high-water domain. For the streaming backend this is live (the
-  /// buffer may have grown since this view was constructed).
+  /// high-water domain. For the Dataset backend this is live (a spool
+  /// tail may have grown it since this view was constructed).
   std::uint64_t base_rows() const noexcept {
-    if (columnar_ != nullptr) return columnar_->rows();
-    if (stream_ != nullptr) return stream_->size();
-    return dataset_->size();
+    return columnar_ != nullptr ? columnar_->rows() : dataset_->size();
   }
 
   /// Scan partitions. Contiguous, in row order; a masked source keeps its
   /// base's partition layout and simply yields fewer records.
   std::size_t partitions() const noexcept {
     if (columnar_ != nullptr) return columnar_->block_count();
-    const std::size_t n =
-        stream_ != nullptr ? stream_->size() : dataset_->size();
-    return (n + kRowsPerPartition - 1) / kRowsPerPartition;
+    return (dataset_->size() + kRowsPerPartition - 1) / kRowsPerPartition;
   }
 
   /// One past the last base ordinal partition `p` covers — the bound
@@ -122,44 +114,39 @@ class LogSource {
     return std::min<std::uint64_t>(end, base_rows());
   }
 
-  /// True min/max record timestamps. Precondition: rows() > 0. The
-  /// Dataset backend answers from its sorted rows; containers preserve
-  /// emission order — which is only approximately time-sorted — so the
-  /// columnar backend computes the bounds with one parallel scan
-  /// (identical result for any `threads`); masked views resolved theirs
-  /// at construction.
+  /// True min/max record timestamps. Precondition: rows() > 0. Both
+  /// backends keep emission order, which is only approximately
+  /// time-sorted: the Dataset tracks its bounds at add(), the columnar
+  /// backend computes them with one parallel scan (identical result for
+  /// any `threads`), and masked views resolved theirs at construction.
   struct TimeBounds {
     std::int64_t first = 0;
     std::int64_t last = 0;
   };
   TimeBounds time_bounds(std::size_t threads = 1) const;
 
-  /// Derived source yielding only the records `keep` accepts — the scan
-  /// layer's replacement for materializing Dataset::filter copies. The
-  /// mask is resolved eagerly (deterministically, for any `threads`), so
+  /// Derived source yielding only the records `keep` accepts. The mask is
+  /// resolved eagerly (deterministically, for any `threads`), so
   /// scanning the view afterwards is pure reads.
   LogSource filtered(const std::function<bool(const Record&)>& keep,
                      std::size_t threads = 1) const;
 
   /// Derived source selecting records by base ordinal (mask[ordinal] != 0)
   /// — the hook for selections that are not per-record predicates, e.g.
-  /// Dsample's sequential Bernoulli draw. `threads` parallelizes the
-  /// view's row-count/time-bounds resolution (identical for any value).
+  /// Dsample's sequential Bernoulli draw. The mask must hold exactly
+  /// base_rows() entries (std::invalid_argument otherwise). `threads`
+  /// parallelizes the view's row-count/time-bounds resolution (identical
+  /// for any value).
   LogSource masked(std::shared_ptr<const std::vector<std::uint8_t>> mask,
                    std::size_t threads = 1) const;
 
-  /// Makes a subsequent multi-threaded scan safe: warms the Dataset
-  /// backend's lazy caches (no-op when already warm, or columnar /
-  /// stream — their per-id tables are resolved eagerly).
-  void prepare(std::size_t threads) const {
-    if (threads > 1 && dataset_ != nullptr && !dataset_->warmed())
-      dataset_->warm_domain_cache();
-  }
+  /// No-op: both backends resolve their per-host tables eagerly, so every
+  /// scan is safe at any thread count. Kept for callers written against
+  /// the old lazy-cache contract.
+  void prepare(std::size_t /*threads*/) const {}
 
   /// Invokes `fn(const Record&)` for every record of partition `p`, in row
-  /// order. Thread-safe after prepare() (or single-threaded anyway: the
-  /// Dataset backend's lazy caches then fill exactly as the old row
-  /// analyzers did).
+  /// order. Thread-safe: scans only read.
   template <typename Fn>
   void scan_partition(std::size_t p, Fn&& fn) const {
     if (columnar_ != nullptr) {
@@ -170,17 +157,6 @@ class LogSource {
         if (mask_ && (*mask_)[static_cast<std::size_t>(ordinal)] == 0)
           continue;
         fn(from_block(block, r, ordinal));
-      }
-      return;
-    }
-    if (stream_ != nullptr) {
-      const auto& rows = stream_->rows();
-      const std::size_t begin = p * kRowsPerPartition;
-      const std::size_t end =
-          std::min(rows.size(), begin + kRowsPerPartition);
-      for (std::size_t i = begin; i < end; ++i) {
-        if (mask_ && (*mask_)[i] == 0) continue;
-        fn(from_stream_row(rows[i], i));
       }
       return;
     }
@@ -254,38 +230,8 @@ class LogSource {
     return r;
   }
 
-  Record from_stream_row(const Row& row, std::uint64_t ordinal) const {
-    const StreamBuffer& s = *stream_;
-    Record r;
-    r.ordinal = ordinal;
-    r.time = row.time;
-    r.user_hash = row.user_hash;
-    r.method = s.view(row.method);
-    r.host = s.view(row.host);
-    r.path = s.view(row.path);
-    r.query = s.view(row.query);
-    r.agent = s.view(row.agent);
-    r.categories = s.view(row.categories);
-    r.domain = s.domain(row);
-    r.host_id = row.host;
-    r.agent_id = row.agent;
-    r.dest_ip = row.dest_ip;
-    r.host_is_ip = s.host_is_ip(row);
-    r.host_ip = r.host_is_ip ? s.host_ip(row) : 0;
-    r.port = row.port;
-    r.status = row.status;
-    r.proxy_index = row.proxy_index;
-    r.scheme = row.scheme;
-    r.result = row.result;
-    r.exception = row.exception;
-    r.cls = s.cls(row);
-    r.has_dest_ip = row.has_dest_ip;
-    return r;
-  }
-
   const Dataset* dataset_ = nullptr;
   const ColumnarLog* columnar_ = nullptr;
-  const StreamBuffer* stream_ = nullptr;
   /// Base-ordinal keep mask of a derived view; null = all records.
   std::shared_ptr<const std::vector<std::uint8_t>> mask_;
   std::uint64_t rows_ = 0;
@@ -303,7 +249,6 @@ class LogSource {
 template <typename Partial, typename Scan>
 std::vector<Partial> scan_partials(const LogSource& source,
                                    std::size_t threads, const Scan& scan) {
-  source.prepare(threads);
   std::vector<Partial> partials(source.partitions());
   util::parallel_for(source.partitions(), threads, [&](std::size_t p) {
     source.scan_partition(p,
@@ -326,7 +271,7 @@ auto parallel_scan(const LogSource& source, std::size_t threads,
 /// The incremental-emission API beside scan_partials (DESIGN.md §4.12):
 /// invokes `fn(const Record&)` for every record whose *base ordinal* is
 /// in [from, base_rows()), in row order, and returns the new high-water
-/// mark. Feeding a growing source (the streaming backend between polls,
+/// mark. Feeding a growing source (a spool tail's Dataset between polls,
 /// or any backend being replayed into a streaming analyzer) is then
 ///
 ///   hw = scan_increment(source, hw, [&](const Record& r) { ... });
@@ -349,6 +294,23 @@ std::uint64_t scan_increment(const LogSource& source, std::uint64_t from,
   }
   return end;
 }
+
+/// The paper's four datasets (Table 1) as views over one log.
+struct DerivedSources {
+  LogSource full;    ///< Dfull: everything the leak contains
+  LogSource sample;  ///< Dsample: 4% uniform sample of Dfull
+  LogSource user;    ///< Duser: SG-42, July 22-23, hashed client ids
+  LogSource denied;  ///< Ddenied: x-exception-id != '-'
+};
+
+/// Carves Dsample/Duser/Ddenied out of an unmasked `full` as masked views
+/// — the one derivation Study and `syrwatchctl report` share. Dsample
+/// draws one Bernoulli(0.04) per record from `seed`, in stable time order
+/// of base ordinals: that order does not depend on the backend, so a
+/// log's CSV and SYRCOL1 copies select the same records. Identical for
+/// any `threads`.
+DerivedSources derive_sources(const LogSource& full, std::uint64_t seed,
+                              std::size_t threads = 1);
 
 /// Why open_source refused an input.
 enum class SourceOpenErrorCode : std::uint8_t {

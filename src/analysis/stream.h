@@ -5,7 +5,6 @@
 #include <string>
 
 #include "analysis/scan.h"
-#include "analysis/stream_buffer.h"
 #include "proxy/log_io.h"
 #include "util/vfs.h"
 
@@ -82,30 +81,30 @@ class SpoolTail {
   bool expect_header_ = true;  // next complete line may be the header
 };
 
-/// SpoolTail + StreamBuffer glued together: the streaming LogSource
-/// backend. Each poll() drains newly committed spool records into the
-/// buffer; source() is a fresh LogSource view over everything ingested so
-/// far, and scan_increment(source(), hw, fn) feeds analyzers only the
-/// records new since their last high-water mark.
+/// SpoolTail + Dataset glued together: the streaming source. Each poll()
+/// drains newly committed spool records into the dataset, in WAL order;
+/// source() is a fresh LogSource view over everything ingested so far,
+/// and scan_increment(source(), hw, fn) feeds analyzers only the records
+/// new since their last high-water mark. poll() and scans must not
+/// overlap (one poll loop: drain, then scan).
 class StreamSource {
  public:
   explicit StreamSource(std::string spool_path, util::Vfs* vfs = nullptr)
       : tail_(std::move(spool_path), vfs) {}
 
-  /// Drains the tail. Returns records appended to the buffer.
+  /// Drains the tail. Returns records appended to the dataset.
   std::size_t poll() {
     return tail_.poll(
-        [this](const proxy::LogRecord& record) { buffer_.add(record); });
+        [this](const proxy::LogRecord& record) { log_.add(record); });
   }
 
-  LogSource source() const { return LogSource{buffer_}; }
-  const StreamBuffer& buffer() const noexcept { return buffer_; }
+  LogSource source() const { return LogSource{log_}; }
   SpoolTail& tail() noexcept { return tail_; }
   const SpoolTail& tail() const noexcept { return tail_; }
 
  private:
   SpoolTail tail_;
-  StreamBuffer buffer_;
+  Dataset log_;
 };
 
 }  // namespace syrwatch::analysis

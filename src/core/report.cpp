@@ -355,15 +355,15 @@ std::string full_report_blocks(const ReportSources& s, bool degraded,
   return out;
 }
 
-/// The Study wrappers' sources: Dataset-backed views of the bundle plus
-/// the scenario's resources, analyzers single-threaded (the wrappers
+/// The Study wrappers' sources: the study's derived views plus the
+/// scenario's resources, analyzers single-threaded (the wrappers
 /// parallelize across blocks instead, as the pre-scan-layer report did).
 ReportSources study_sources(const Study& study) {
-  const auto& bundle = study.datasets();
-  return ReportSources{bundle.full,
-                       bundle.sample,
-                       bundle.user,
-                       bundle.denied,
+  const auto& datasets = study.datasets();
+  return ReportSources{datasets.full,
+                       datasets.sample,
+                       datasets.user,
+                       datasets.denied,
                        &study.scenario().geoip(),
                        &study.scenario().relays(),
                        &study.scenario().torrents(),

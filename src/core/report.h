@@ -36,8 +36,8 @@ std::string render_overview(const ReportSources& sources);
 /// than render_overview (runs string discovery, Tor matching, etc.).
 std::string render_full_report(const ReportSources& sources);
 
-/// Study-backed wrappers: same bytes as rendering the study's dataset
-/// bundle through the source API, plus the coverage/failover blocks when
+/// Study-backed wrappers: same bytes as rendering the study's derived
+/// views through the source API, plus the coverage/failover blocks when
 /// the scenario carried a fault schedule.
 std::string render_overview(const Study& study);
 std::string render_full_report(const Study& study);

@@ -31,7 +31,7 @@ SimulateStatus Study::simulate(const SimulateOptions& options) {
   scenario_->set_obs(obs_);
   metrics_ = RunMetrics{};
   datasets_.reset();
-  pending_.reset();
+  log_.reset();
 
   auto full = std::make_unique<analysis::Dataset>();
   const auto sink = [&full](const proxy::LogRecord& record) {
@@ -61,30 +61,25 @@ SimulateStatus Study::simulate(const SimulateOptions& options) {
     metrics_.phases.push_back({"simulate", seconds, full->size()});
     return SimulateStatus::kInterrupted;
   }
-  full->finalize();
   metrics_.log_records = full->size();
   metrics_.phases.push_back({"simulate", seconds, metrics_.log_records});
-  pending_ = std::move(full);
+  log_ = std::move(full);
   return SimulateStatus::kComplete;
 }
 
 StudyResult Study::build_datasets() {
-  if (!pending_)
+  if (!log_ || datasets_)
     throw std::logic_error("Study::build_datasets: simulate() first");
   const std::uint64_t start = obs::monotonic_nanos();
   {
     const obs::Span span{obs_, "study.build_datasets"};
-    datasets_ = std::make_unique<analysis::DatasetBundle>(
-        analysis::DatasetBundle::derive(
-            std::move(*pending_), config_.seed, 0.04,
-            util::resolve_threads(config_.threads)));
+    datasets_ = analysis::derive_sources(
+        *log_, config_.seed, util::resolve_threads(config_.threads));
   }
-  pending_.reset();
   const double seconds =
       static_cast<double>(obs::monotonic_nanos() - start) * 1e-9;
   metrics_.phases.push_back(
-      {"build_datasets", seconds,
-       static_cast<std::uint64_t>(datasets_->full.size())});
+      {"build_datasets", seconds, datasets_->full.rows()});
   return StudyResult{*datasets_, metrics_};
 }
 
@@ -93,7 +88,7 @@ StudyResult Study::run() {
   return build_datasets();
 }
 
-const analysis::DatasetBundle& Study::datasets() const {
+const analysis::DerivedSources& Study::datasets() const {
   if (!datasets_) throw std::logic_error("Study::datasets: run() first");
   return *datasets_;
 }

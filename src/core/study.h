@@ -3,10 +3,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/dataset.h"
+#include "analysis/scan.h"
 #include "obs/context.h"
 #include "obs/export.h"
 #include "util/cancel.h"
@@ -25,10 +26,11 @@ struct RunMetrics {
   double total_seconds() const noexcept;
 };
 
-/// What a completed run hands back: the derived datasets (owned by the
-/// Study, valid until the next simulate()/run()) plus the run's metrics.
+/// What a completed run hands back: the paper's four datasets as views
+/// over the Study's log (valid until the next simulate()/run()) plus the
+/// run's metrics.
 struct StudyResult {
-  const analysis::DatasetBundle& datasets;
+  const analysis::DerivedSources& datasets;
   RunMetrics metrics;
 };
 
@@ -70,7 +72,7 @@ enum class SimulateStatus {
 /// paper-style report.
 ///
 /// The run is structured as two explicit phases — simulate() generates the
-/// log, build_datasets() derives the Table 1 bundle — with run() as the
+/// log, build_datasets() derives the Table 1 views — with run() as the
 /// do-both convenience. Each phase records a PhaseTiming into metrics();
 /// attach an obs::Context beforehand for stage-level detail underneath.
 class Study {
@@ -89,37 +91,38 @@ class Study {
   /// Phase 1: rebuilds the scenario (so repeated runs start from identical
   /// generator state — the farm's caches and PRNGs advance during a run)
   /// and streams the "leaked" log into a pending dataset. Invalidates any
-  /// previously derived bundle.
+  /// previously derived views.
   void simulate();
 
   /// Controlled phase 1: cancellation, checkpointing, and resume per
   /// `options`. Only a kComplete run arms build_datasets().
   SimulateStatus simulate(const SimulateOptions& options);
 
-  /// Phase 2: derives the four datasets from the pending log. Throws
+  /// Phase 2: derives the four datasets from the pending log
+  /// (analysis::derive_sources at the scenario seed). Throws
   /// std::logic_error unless simulate() ran since the last derivation.
   StudyResult build_datasets();
 
   /// Both phases back to back. Idempotent: re-running regenerates from
-  /// scratch with the same seed, yielding the identical bundle.
+  /// scratch with the same seed, yielding identical datasets.
   StudyResult run();
 
-  bool has_run() const noexcept { return datasets_ != nullptr; }
+  bool has_run() const noexcept { return datasets_.has_value(); }
   const workload::SyriaScenario& scenario() const noexcept {
     return *scenario_;
   }
   workload::SyriaScenario& scenario() noexcept { return *scenario_; }
-  const analysis::DatasetBundle& datasets() const;
+  const analysis::DerivedSources& datasets() const;
   /// Phase timings of the most recent simulate()/build_datasets() pair.
   const RunMetrics& metrics() const noexcept { return metrics_; }
 
  private:
   workload::ScenarioConfig config_;
   std::unique_ptr<workload::SyriaScenario> scenario_;
-  /// The finalized log awaiting derivation; set by simulate(), consumed
-  /// by build_datasets().
-  std::unique_ptr<analysis::Dataset> pending_;
-  std::unique_ptr<analysis::DatasetBundle> datasets_;
+  /// The log of the last complete simulate(), and the views
+  /// build_datasets() derived from it (empty until then).
+  std::unique_ptr<analysis::Dataset> log_;
+  std::optional<analysis::DerivedSources> datasets_;
   RunMetrics metrics_;
   obs::Context* obs_ = nullptr;
 };

@@ -1,10 +1,12 @@
 #include "durable/manifest.h"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -55,7 +57,10 @@ struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
   Kind kind = Kind::kNull;
   bool boolean = false;
-  std::int64_t integer = 0;  // numbers we emit are integers
+  // Numbers we emit are integers: kept as sign + 64-bit magnitude, so
+  // every uint64_t (e.g. a seed >= 2^63) round-trips.
+  std::uint64_t magnitude = 0;
+  bool negative = false;
   std::string string;
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
@@ -188,13 +193,14 @@ class JsonParser {
     const std::string token{text_.substr(start, cursor_ - start)};
     JsonValue value;
     value.kind = JsonValue::Kind::kNumber;
-    try {
-      std::size_t consumed = 0;
-      value.integer = std::stoll(token, &consumed);
-      if (consumed != token.size()) fail("non-integer number " + token);
-    } catch (const std::exception&) {
-      fail("bad number " + token);
-    }
+    const char* first = token.data() + (token.front() == '-' ? 1 : 0);
+    const char* last = token.data() + token.size();
+    const auto [end, error] = std::from_chars(first, last, value.magnitude);
+    if (error == std::errc::result_out_of_range)
+      fail("number out of range " + token);
+    if (error != std::errc{}) fail("bad number " + token);
+    if (end != last) fail("non-integer number " + token);
+    value.negative = token.front() == '-' && value.magnitude != 0;
     return value;
   }
 
@@ -263,10 +269,10 @@ std::string get_string(const JsonValue& object, const std::string& name) {
 
 std::uint64_t get_u64(const JsonValue& object, const std::string& name) {
   const JsonValue& value = field(object, name);
-  if (value.kind != JsonValue::Kind::kNumber || value.integer < 0)
+  if (value.kind != JsonValue::Kind::kNumber || value.negative)
     throw std::runtime_error("manifest: field \"" + name +
                              "\" is not a non-negative integer");
-  return static_cast<std::uint64_t>(value.integer);
+  return value.magnitude;
 }
 
 std::int64_t get_i64(const JsonValue& object, const std::string& name) {
@@ -274,7 +280,13 @@ std::int64_t get_i64(const JsonValue& object, const std::string& name) {
   if (value.kind != JsonValue::Kind::kNumber)
     throw std::runtime_error("manifest: field \"" + name +
                              "\" is not an integer");
-  return value.integer;
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (value.magnitude > kMax + (value.negative ? 1 : 0))
+    throw std::runtime_error("manifest: field \"" + name +
+                             "\" is out of range");
+  return value.negative ? static_cast<std::int64_t>(0 - value.magnitude)
+                        : static_cast<std::int64_t>(value.magnitude);
 }
 
 bool get_bool(const JsonValue& object, const std::string& name) {

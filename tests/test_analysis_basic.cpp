@@ -46,7 +46,6 @@ TEST(TrafficStats, CountsEveryBucket) {
   dataset.add(rec("http://d.com/", proxy::ExceptionId::kTcpError));
   dataset.add(rec("http://e.com/", proxy::ExceptionId::kNone,
                   proxy::FilterResult::kProxied));
-  dataset.finalize();
 
   const auto stats = traffic_stats(dataset);
   EXPECT_EQ(stats.total, 6u);
@@ -65,7 +64,6 @@ TEST(TopDomains, RanksByCountAndAggregatesSubdomains) {
   for (int i = 0; i < 3; ++i) dataset.add(rec("http://cdn.a.com/x"));
   for (int i = 0; i < 4; ++i) dataset.add(rec("http://b.com/"));
   dataset.add(rec("http://x.com/", proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
 
   const auto top =
       top_domains(dataset, TopDomainsOptions{proxy::TrafficClass::kAllowed});
@@ -87,7 +85,6 @@ TEST(TopDomains, WindowRestricts) {
                   proxy::FilterResult::kObserved, 1, kT0));
   dataset.add(rec("http://late.com/", proxy::ExceptionId::kNone,
                   proxy::FilterResult::kObserved, 1, kT0 + 7200));
-  dataset.finalize();
   const auto top = top_domains(
       dataset, TopDomainsOptions{proxy::TrafficClass::kAllowed, 10,
                                  TimeRange{kT0, kT0 + 3600}});
@@ -99,7 +96,6 @@ TEST(TopDomains, KLimitsOutput) {
   Dataset dataset;
   for (int i = 0; i < 30; ++i)
     dataset.add(rec(("http://d" + std::to_string(i) + ".com/").c_str()));
-  dataset.finalize();
   EXPECT_EQ(
       top_domains(dataset, TopDomainsOptions{proxy::TrafficClass::kAllowed})
           .size(),
@@ -115,7 +111,6 @@ TEST(DomainClassCounts, SuffixMatchingIncludesTld) {
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://www.facebook.com/q", proxy::ExceptionId::kNone,
                   proxy::FilterResult::kProxied));
-  dataset.finalize();
 
   const std::vector<std::string> domains{".il", "facebook.com"};
   const auto counts = domain_class_counts(dataset, domains);
@@ -134,7 +129,6 @@ TEST(PortDistribution, SplitsAllowedAndCensored) {
   dataset.add(rec("tcp://1.2.3.4:9001",
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://d.com/", proxy::ExceptionId::kTcpError));  // error
-  dataset.finalize();
 
   const auto ports = port_distribution(dataset);
   ASSERT_GE(ports.size(), 3u);
@@ -155,7 +149,6 @@ TEST(DomainDistribution, FrequencyOfFrequencies) {
   dataset.add(rec("http://one1.com/"));
   dataset.add(rec("http://one2.com/"));
   dataset.add(rec("http://one3.com/"));
-  dataset.finalize();
 
   const auto dist =
       domain_distribution(dataset, proxy::TrafficClass::kAllowed);
@@ -177,7 +170,6 @@ TEST(CategoryDistribution, RanksCensoredCategories) {
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://unknown.net/", proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://skype.com/"));  // allowed: not counted here
-  dataset.finalize();
 
   const auto dist = category_distribution(dataset, categorizer,
                                           proxy::TrafficClass::kCensored);
@@ -198,7 +190,6 @@ TEST(CategorizeDomains, Table9Shape) {
   for (int i = 0; i < 4; ++i)
     dataset.add(rec("http://skype.com/", proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://aawsat.com/", proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
 
   const std::vector<std::string> domains{"skype.com", "live.com",
                                          "aawsat.com", "mystery.info"};
@@ -227,7 +218,6 @@ TEST(UserStats, SeparatesCensoredUsers) {
   // Suppressed identity rows are ignored.
   dataset.add(rec("http://a.com/", proxy::ExceptionId::kNone,
                   proxy::FilterResult::kObserved, 0));
-  dataset.finalize();
 
   const auto stats = user_stats(dataset);
   EXPECT_EQ(stats.total_users, 2u);
@@ -246,7 +236,6 @@ TEST(UserStats, AgentDistinguishesUsers) {
   b.user_agent = "MSIE";
   dataset.add(a);
   dataset.add(b);
-  dataset.finalize();
   EXPECT_EQ(user_stats(dataset).total_users, 2u);
 }
 

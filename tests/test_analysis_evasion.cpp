@@ -51,7 +51,6 @@ TEST(IpCensorship, CountryRatiosRanked) {
   dataset.add(rec("http://facebook.com/"));
   // Errors are neither allowed nor censored.
   dataset.add(rec("http://84.229.1.1/", proxy::ExceptionId::kTcpError));
-  dataset.finalize();
 
   const auto countries = country_censorship(dataset, geoip);
   ASSERT_EQ(countries.size(), 2u);
@@ -69,7 +68,6 @@ TEST(IpCensorship, SubnetTable12Shape) {
   dataset.add(rec("http://212.150.7.33/", proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://212.150.130.1/"));
   dataset.add(rec("http://212.150.130.2/"));
-  dataset.finalize();
 
   const std::vector<net::Ipv4Subnet> subnets{
       *net::Ipv4Subnet::parse("84.229.0.0/16"),
@@ -88,7 +86,6 @@ TEST(IpCensorship, DirectIpCount) {
   Dataset dataset;
   dataset.add(rec("http://84.229.1.1/"));
   dataset.add(rec("http://facebook.com/"));
-  dataset.finalize();
   EXPECT_EQ(direct_ip_requests(dataset), 1u);
 }
 
@@ -111,7 +108,6 @@ TEST(Osn, RanksByCensored) {
   dataset.add(rec("http://www.twitter.com/"));
   dataset.add(rec("http://www.twitter.com/api/ads/proxy",
                   proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
 
   const auto osns = osn_censorship(dataset);
   ASSERT_GE(osns.size(), 2u);
@@ -137,7 +133,6 @@ TEST(Facebook, BlockedPagesDetectedByCustomCategory) {
   auto sister = rec("http://www.facebook.com/Syrian.Revolution.Army");
   sister.categories = "unavailable";
   dataset.add(sister);
-  dataset.finalize();
 
   const auto pages = blocked_facebook_pages(dataset);
   ASSERT_EQ(pages.size(), 1u);
@@ -156,7 +151,6 @@ TEST(SocialPlugins, Table15Shares) {
   dataset.add(rec("http://www.facebook.com/SomePage",
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://www.facebook.com/home.php"));
-  dataset.finalize();
 
   const auto stats = social_plugin_stats(dataset);
   EXPECT_EQ(stats.facebook_censored, 6u);
@@ -206,7 +200,6 @@ TEST_F(TorAnalysisTest, StatsSplitHttpAndOnion) {
   dataset.add(tor_rec(with_dir, false, proxy::ExceptionId::kTcpError, 0,
                       kT0));
   dataset.add(rec("http://facebook.com/"));  // not Tor
-  dataset.finalize();
 
   const auto stats = tor_stats(dataset, relays_);
   EXPECT_EQ(stats.requests, 12u);
@@ -228,7 +221,6 @@ TEST_F(TorAnalysisTest, HourlySeriesCountsTorOnly) {
   dataset.add(tor_rec(r, false, proxy::ExceptionId::kNone, 0, kT0 + 3700));
   dataset.add(rec("http://facebook.com/", proxy::ExceptionId::kNone, 0,
                   kT0 + 120));
-  dataset.finalize();
   const auto series =
       tor_hourly_series(dataset, relays_, TorHourlyOptions{{kT0, kT0 + 7200}});
   ASSERT_EQ(series.bin_count(), 2u);
@@ -246,7 +238,6 @@ TEST_F(TorAnalysisTest, RfilterSemantics) {
                       kT0 + 100));
   dataset.add(tor_rec(a, false, proxy::ExceptionId::kNone, 2, kT0 + 3700));
   dataset.add(tor_rec(b, false, proxy::ExceptionId::kNone, 2, kT0 + 7300));
-  dataset.finalize();
 
   const auto series = rfilter_series(dataset, relays_, 2, kT0, kT0 + 3 * 3600);
   ASSERT_EQ(series.rfilter.size(), 3u);
@@ -268,7 +259,6 @@ TEST_F(TorAnalysisTest, ProxyCensoredSeries) {
   // Bin 1: 1 censored, none on SG-44.
   dataset.add(rec("http://skype.com/", proxy::ExceptionId::kPolicyDenied, 1,
                   kT0 + 3700));
-  dataset.finalize();
 
   const auto series = analysis::proxy_censored_series(
       dataset, relays_, 2, kT0, kT0 + 7200, 3600);
@@ -295,7 +285,6 @@ TEST(Anonymizers, SplitsFilteredAndClean) {
   for (int i = 0; i < 4; ++i) dataset.add(rec("http://vpn1.net/"));
   dataset.add(rec("http://vpn2.net/"));
   dataset.add(rec("http://facebook.com/"));  // not anonymizer
-  dataset.finalize();
 
   const auto stats = anonymizer_stats(dataset, categorizer);
   EXPECT_EQ(stats.hosts, 3u);
@@ -330,7 +319,6 @@ TEST(BitTorrent, AnnounceAccounting) {
            proxy::ExceptionId::kPolicyDenied);
   dataset.add(rec("http://tracker.example.com/announce"));  // no info_hash
   dataset.add(rec("http://facebook.com/"));
-  dataset.finalize();
 
   const auto stats = bittorrent_stats(dataset, registry);
   EXPECT_EQ(stats.announces, 4u);
@@ -357,7 +345,6 @@ TEST(GoogleCache, DetectsCensoredSitesServed) {
                   "www.webproxy.net/p",
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://facebook.com/"));
-  dataset.finalize();
 
   const std::vector<std::string> censored_sites{".il", "aawsat.com"};
   const auto stats = google_cache_stats(dataset, censored_sites);

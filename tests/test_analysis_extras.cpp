@@ -58,7 +58,6 @@ TEST(HttpsAudit, CountsAndShares) {
   censored_host.filter_result = proxy::FilterResult::kDenied;
   censored_host.exception = proxy::ExceptionId::kPolicyDenied;
   dataset.add(censored_host);
-  dataset.finalize();
 
   const auto stats = https_stats(dataset);
   EXPECT_EQ(stats.total, 3u);
@@ -75,7 +74,6 @@ TEST(HttpsAudit, DetectsInterception) {
                     "CONNECT");
   record.url.path = "/Syrian.Revolution";  // path visible => MITM signature
   dataset.add(record);
-  dataset.finalize();
   const auto stats = https_stats(dataset);
   EXPECT_EQ(stats.with_uri_fields, 1u);
   EXPECT_TRUE(stats.interception_evidence());
@@ -120,7 +118,6 @@ TEST(PolicyImpact, CountsDeltas) {
   dataset.add(rec("http://other.org/"));                            // allowed
   dataset.add(rec("http://blocked.net/", proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://error.net/", proxy::ExceptionId::kTcpError));
-  dataset.finalize();
 
   // Hypothetical policy: block news-site.net, unblock everything else.
   policy::PolicyEngine engine;
@@ -141,7 +138,6 @@ TEST(PolicyImpact, CountsDeltas) {
 TEST(PolicyImpact, EmptyPolicyUnblocksEverything) {
   Dataset dataset;
   dataset.add(rec("http://blocked.net/", proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
   policy::PolicyEngine engine;
   policy::CustomCategoryList custom;
   const auto impact = policy_impact(dataset, engine, custom);
@@ -155,7 +151,6 @@ TEST(PolicyImpact, UsesDestIpForSubnetRules) {
   auto record = rec("http://84.229.9.9/");
   record.dest_ip = net::Ipv4Addr{84, 229, 9, 9};
   dataset.add(record);
-  dataset.finalize();
   policy::PolicyEngine engine;
   engine.add({policy::SubnetRule{*net::Ipv4Subnet::parse("84.229.0.0/16")},
               policy::PolicyAction::kDeny, "s"});
@@ -175,9 +170,8 @@ TEST(SamplingAudit, CoversTrueProportions) {
                        proxy::ExceptionId::kPolicyDenied)
                  : rec("http://ok.net/"));
   }
-  full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 9);
-  const auto checks = sampling_audit(bundle.full, bundle.sample);
+  const auto derived = derive_sources(full, 9);
+  const auto checks = sampling_audit(derived.full, derived.sample);
   ASSERT_EQ(checks.size(), 5u);
   for (const auto& check : checks) {
     EXPECT_TRUE(check.covered) << check.metric << ": full "
@@ -190,14 +184,13 @@ TEST(SamplingAudit, CoversTrueProportions) {
 TEST(SamplingAudit, IntervalWidthScalesWithSampleSize) {
   Dataset full;
   for (int i = 0; i < 40'000; ++i) full.add(rec("http://ok.net/"));
-  full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 9);
-  const auto checks = sampling_audit(bundle.full, bundle.sample);
+  const auto derived = derive_sources(full, 9);
+  const auto checks = sampling_audit(derived.full, derived.sample);
   // With ~1,600 sampled rows, the 95% half-width for p~0 is tiny but the
   // general bound 1.96*sqrt(0.25/n) holds for all metrics.
   for (const auto& check : checks) {
     EXPECT_LE(check.interval.half_width,
-              1.96 * std::sqrt(0.25 / double(bundle.sample.size())) + 1e-9);
+              1.96 * std::sqrt(0.25 / double(derived.sample.rows())) + 1e-9);
   }
 }
 
@@ -367,7 +360,6 @@ TEST(Agents, RanksByCensoredAndFiltersRareAgents) {
   add_with_agent("Mozilla/5.0", false, 100);
   add_with_agent("Mozilla/5.0", true, 2);
   add_with_agent("RareBot", true, 3);  // below min_requests
-  dataset.finalize();
 
   const auto agents = analysis::agent_stats(dataset, 10);
   ASSERT_EQ(agents.size(), 2u);
@@ -395,7 +387,6 @@ TEST(Weather, TracksPerBinIntensity) {
   add_at("http://a.com/x/proxy.php", kT0 + 3700, true);
   add_at("http://c.com/PROXY/frame", kT0 + 3800, false);
   add_at("http://a.com/clean", kT0 + 7300, false);
-  dataset.finalize();
 
   const std::vector<std::string> keywords{"proxy"};
   const auto reports =
@@ -420,7 +411,6 @@ TEST(Weather, ErrorsAndProxiedExcluded) {
   auto proxied = rec("http://a.com/proxy");
   proxied.filter_result = proxy::FilterResult::kProxied;
   dataset.add(proxied);
-  dataset.finalize();
   const std::vector<std::string> keywords{"proxy"};
   const auto reports =
       analysis::keyword_weather(dataset, keywords, {{kT0, kT0 + 3600}});

@@ -39,7 +39,6 @@ TEST(TimeSeries, BinsAndNormalizes) {
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://a.com/", kT0 + 700));
   dataset.add(rec("http://e.com/", kT0 + 50, proxy::ExceptionId::kTcpError));
-  dataset.finalize();
 
   const auto series =
       traffic_time_series(dataset, TrafficSeriesOptions{{kT0, kT0 + 900}});
@@ -69,7 +68,6 @@ TEST(Rcv, PerBinCensoredFraction) {
                   proxy::ExceptionId::kPolicyDenied));
   dataset.add(rec("http://y.com/", kT0 + 620,
                   proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
 
   const auto series = rcv_series(dataset, RcvOptions{{kT0, kT0 + 900}});
   ASSERT_EQ(series.rcv.size(), 3u);
@@ -90,7 +88,6 @@ TEST(WindowedTop, Table5Shape) {
   for (int i = 0; i < 4; ++i)
     dataset.add(rec("http://www.facebook.com/p", kT0 + 10 * 3600 + i,
                     proxy::ExceptionId::kPolicyDenied));
-  dataset.finalize();
 
   const WindowedTopOptions options{
       {
@@ -113,7 +110,6 @@ TEST(ProxyLoad, SharesSumToOne) {
   }
   dataset.add(rec("http://x.com/", kT0 + 100,
                   proxy::ExceptionId::kPolicyDenied, 6));
-  dataset.finalize();
 
   const auto series = proxy_load_series(dataset, ProxyLoadOptions{{kT0, kT0 + 3600}, {3600}});
   ASSERT_EQ(series.bin_count(), 1u);
@@ -140,7 +136,6 @@ TEST(ProxySimilarity, IdentProfilesSimilarDisjointNot) {
                   0));
   dataset.add(rec("http://skype.com/", kT0, proxy::ExceptionId::kPolicyDenied,
                   1));
-  dataset.finalize();
 
   const auto similarity =
       censored_domain_similarity(dataset, SimilarityOptions{{kT0, kT0 + 3600}});
@@ -162,7 +157,6 @@ TEST(CategoryLabels, PerProxyCounts) {
   dataset.add(a);
   dataset.add(a);
   dataset.add(b);
-  dataset.finalize();
 
   const auto labels = proxy_category_labels(dataset);
   ASSERT_EQ(labels.labels[0].size(), 1u);
@@ -183,7 +177,6 @@ TEST(Redirects, RanksHostsBySeparateHostname) {
                   kT0 + 9, proxy::ExceptionId::kPolicyRedirect));
   dataset.add(rec("http://upload.youtube.com/u", kT0 + 10,
                   proxy::ExceptionId::kPolicyDenied));  // not a redirect
-  dataset.finalize();
 
   const auto hosts = redirect_hosts(dataset);
   ASSERT_EQ(hosts.size(), 3u);
@@ -201,7 +194,6 @@ TEST(Redirects, NoFollowupsWhenTargetBypassesProxies) {
                   proxy::ExceptionId::kPolicyRedirect, 0, 5));
   // Same user's next request is 10 seconds later: outside the window.
   dataset.add(rec("http://other.com/", kT0 + 10, {}, 0, 5));
-  dataset.finalize();
   EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 0u);
 }
 
@@ -210,7 +202,6 @@ TEST(Redirects, DetectsFollowupInsideWindow) {
   dataset.add(rec("http://upload.youtube.com/u", kT0,
                   proxy::ExceptionId::kPolicyRedirect, 0, 5));
   dataset.add(rec("http://landing.sy/", kT0 + 1, {}, 0, 5));
-  dataset.finalize();
   EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 1u);
 }
 

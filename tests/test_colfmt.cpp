@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "analysis/columnar.h"
-#include "analysis/testing/compat.h"
 #include "analysis/coverage.h"
 #include "analysis/dataset.h"
 #include "analysis/proxy_compare.h"
@@ -386,7 +385,6 @@ struct AnalysisFixture {
   explicit AnalysisFixture(TempDir& dir, std::size_t n = 4000) {
     records = varied_records(n, relays);
     for (const auto& record : records) dataset.add(record);
-    dataset.finalize();
     start = records.front().time;
     end = records.back().time + 1;
     write_container(dir.file("log.col"), records, 512);
@@ -498,23 +496,10 @@ TEST(ColumnarAnalysis, ThreadCountIsInvisible) {
                 .matrix);
 }
 
-TEST(ColumnarAnalysis, ToDatasetCompatMatchesDirectDataset) {
-  TempDir dir{"todataset"};
-  AnalysisFixture fx{dir, 1000};
-  const auto dataset =
-      analysis::to_dataset_compat(colfmt::Reader::open(dir.file("log.col")));
-  ASSERT_EQ(dataset.size(), fx.dataset.size());
-  const analysis::TopDomainsOptions options{proxy::TrafficClass::kCensored,
-                                            50, std::nullopt};
-  expect_same_top(analysis::top_domains(fx.dataset, options),
-                  analysis::top_domains(dataset, options));
-}
-
 TEST(ColumnarAnalysis, CoverageToleratesEmissionOrderContainer) {
-  // Containers preserve emission order, which is only approximately
+  // Both backends preserve emission order, which is only approximately
   // time-sorted; coverage computes true time bounds and bins
-  // order-independently, so an out-of-order container matches the sorted
-  // row path exactly.
+  // order-independently, so an out-of-order log matches on both.
   TempDir dir{"unordered"};
   std::vector<proxy::LogRecord> records;
   const std::int64_t base = util::to_unix_seconds({2011, 8, 1, 0, 0, 0});
@@ -529,7 +514,6 @@ TEST(ColumnarAnalysis, CoverageToleratesEmissionOrderContainer) {
 
   analysis::Dataset dataset;
   for (const auto& record : records) dataset.add(record);
-  dataset.finalize();
 
   const auto from_col = analysis::request_coverage(log);
   const auto from_rows = analysis::request_coverage(dataset);

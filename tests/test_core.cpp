@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 
 #include "analysis/export.h"
+#include "analysis/scan.h"
+#include "colfmt/container.h"
 #include "core/report.h"
 #include "core/study.h"
+#include "proxy/log_io.h"
 
 namespace {
 
@@ -31,23 +35,19 @@ TEST(Study, RunBuildsAllDatasets) {
   core::Study study{tiny_config()};
   study.run();
   EXPECT_TRUE(study.has_run());
-  const auto& bundle = study.datasets();
-  EXPECT_GT(bundle.full.size(), 20'000u);
-  EXPECT_GT(bundle.sample.size(), 0u);
-  EXPECT_GT(bundle.user.size(), 0u);
-  EXPECT_GT(bundle.denied.size(), 0u);
-  // Time-sorted after finalize.
-  const auto& rows = bundle.full.rows();
-  for (std::size_t i = 1; i < rows.size(); ++i)
-    ASSERT_LE(rows[i - 1].time, rows[i].time);
+  const auto& datasets = study.datasets();
+  EXPECT_GT(datasets.full.rows(), 20'000u);
+  EXPECT_GT(datasets.sample.rows(), 0u);
+  EXPECT_GT(datasets.user.rows(), 0u);
+  EXPECT_GT(datasets.denied.rows(), 0u);
 }
 
 TEST(Study, RerunIsDeterministic) {
   core::Study study{tiny_config()};
   study.run();
-  const auto size_first = study.datasets().full.size();
+  const auto size_first = study.datasets().full.rows();
   study.run();
-  EXPECT_EQ(study.datasets().full.size(), size_first);
+  EXPECT_EQ(study.datasets().full.rows(), size_first);
 }
 
 TEST(Study, BuildDatasetsRequiresSimulate) {
@@ -66,7 +66,7 @@ TEST(Study, PhasedRunMatchesWrapperAndRecordsMetrics) {
   phased.simulate();
   const auto result = phased.build_datasets();
   EXPECT_EQ(&result.datasets, &phased.datasets());
-  EXPECT_EQ(result.metrics.log_records, result.datasets.full.size());
+  EXPECT_EQ(result.metrics.log_records, result.datasets.full.rows());
 
   ASSERT_EQ(result.metrics.phases.size(), 2u);
   EXPECT_EQ(result.metrics.phases[0].name, "simulate");
@@ -78,7 +78,7 @@ TEST(Study, PhasedRunMatchesWrapperAndRecordsMetrics) {
 
   core::Study wrapped{tiny_config()};
   const auto wrapped_result = wrapped.run();
-  EXPECT_EQ(wrapped_result.datasets.full.size(), result.datasets.full.size());
+  EXPECT_EQ(wrapped_result.datasets.full.rows(), result.datasets.full.rows());
   EXPECT_EQ(wrapped.metrics().phases.size(), 2u);
 }
 
@@ -115,6 +115,56 @@ TEST(Report, FullReportCoversEveryAnalysis) {
     ++pos;
   }
   EXPECT_GE(covered, 3u);
+}
+
+TEST(Report, StudyReportEqualsFileReport) {
+  // The same run rendered two ways: from the Study's in-memory log, and
+  // from the log written to disk as CSV and as SYRCOL1, reopened with
+  // open_source and derived with derive_sources — the `syrwatchctl
+  // report` path. Every rendering must match byte for byte.
+  const auto config = tiny_config();
+  core::Study study{config};
+  study.run();
+  const std::string expected = core::render_full_report(study);
+  ASSERT_FALSE(expected.empty());
+
+  const auto directory =
+      std::filesystem::temp_directory_path() / "syrwatch_report_identity";
+  std::filesystem::remove_all(directory);
+  std::filesystem::create_directories(directory);
+  const std::string csv_path = (directory / "log.csv").string();
+  const std::string col_path = (directory / "log.col").string();
+  {
+    workload::SyriaScenario scenario{config};
+    std::ofstream csv{csv_path};
+    csv << proxy::log_csv_header() << '\n';
+    colfmt::Writer col{col_path};
+    scenario.run([&](const proxy::LogRecord& record) {
+      csv << proxy::to_csv(record) << '\n';
+      col.add(record);
+    });
+    col.finish();
+  }
+
+  const auto& scenario = study.scenario();
+  for (const std::string& path : {csv_path, col_path}) {
+    const analysis::OpenedSource opened = analysis::open_source(path);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const auto derived =
+          analysis::derive_sources(opened.source(), config.seed, threads);
+      const core::ReportSources sources{derived.full,
+                                        derived.sample,
+                                        derived.user,
+                                        derived.denied,
+                                        &scenario.geoip(),
+                                        &scenario.relays(),
+                                        &scenario.torrents(),
+                                        threads};
+      EXPECT_EQ(core::render_full_report(sources), expected)
+          << path << " @ " << threads << " threads";
+    }
+  }
+  std::filesystem::remove_all(directory);
 }
 
 TEST(Export, WritesAllFigureFiles) {

@@ -1,8 +1,15 @@
-// Dataset store: interning, classification, filtering, bundle derivation.
+// Dataset store: interning, classification, arrival order, and the
+// derived Table 1 views (derive_sources, masked views).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
+#include <vector>
+
 #include "analysis/dataset.h"
+#include "analysis/scan.h"
 #include "util/simtime.h"
 
 namespace {
@@ -45,36 +52,52 @@ TEST(Dataset, InternsRepeatedStrings) {
   EXPECT_EQ(dataset.path(first), "/home.php");
 }
 
-TEST(Dataset, FinalizeSortsByTime) {
+TEST(Dataset, KeepsArrivalOrderAndTracksTimeBounds) {
   Dataset dataset;
-  dataset.add(make_record("http://b.com/", at(8, 3),
-                          proxy::FilterResult::kObserved,
-                          proxy::ExceptionId::kNone));
-  dataset.add(make_record("http://a.com/", at(8, 1),
-                          proxy::FilterResult::kObserved,
-                          proxy::ExceptionId::kNone));
-  dataset.finalize();
-  EXPECT_EQ(dataset.host(dataset.rows()[0]), "a.com");
-  EXPECT_EQ(dataset.host(dataset.rows()[1]), "b.com");
+  for (const auto& [host, day] :
+       {std::pair{"http://b.com/", 3}, {"http://a.com/", 1},
+        {"http://c.com/", 2}}) {
+    dataset.add(make_record(host, at(8, day), proxy::FilterResult::kObserved,
+                            proxy::ExceptionId::kNone));
+  }
+  EXPECT_EQ(dataset.host(dataset.rows()[0]), "b.com");
+  EXPECT_EQ(dataset.host(dataset.rows()[1]), "a.com");
+  EXPECT_EQ(dataset.first_time(), at(8, 1));
+  EXPECT_EQ(dataset.last_time(), at(8, 3));
+  const auto bounds = LogSource{dataset}.time_bounds();
+  EXPECT_EQ(bounds.first, at(8, 1));
+  EXPECT_EQ(bounds.last, at(8, 3));
 }
 
-TEST(Dataset, DomainCached) {
+TEST(Dataset, HostValuesResolvedAtAdd) {
   Dataset dataset;
   dataset.add(make_record("http://ar-ar.facebook.com/x", at(8, 1),
                           proxy::FilterResult::kObserved,
                           proxy::ExceptionId::kNone));
-  const Row& row = dataset.rows().front();
-  EXPECT_EQ(dataset.domain(row), "facebook.com");
-  EXPECT_EQ(dataset.domain(row), "facebook.com");  // cached path
+  // A query string equal to a later host must not pre-empt that host's
+  // entry: only host ids are resolved.
+  dataset.add(make_record("http://a.com/x?10.0.0.1", at(8, 1),
+                          proxy::FilterResult::kObserved,
+                          proxy::ExceptionId::kNone));
+  dataset.add(make_record("http://10.0.0.1/", at(8, 1),
+                          proxy::FilterResult::kObserved,
+                          proxy::ExceptionId::kNone));
+  const auto& rows = dataset.rows();
+  EXPECT_EQ(dataset.domain(rows[0]), "facebook.com");
+  EXPECT_FALSE(dataset.host_is_ip(rows[0]));
+  EXPECT_TRUE(dataset.host_is_ip(rows[2]));
+  EXPECT_EQ(dataset.host_ip(rows[2]), net::Ipv4Addr(10, 0, 0, 1).value());
 }
 
-TEST(Dataset, FilterTextIncludesQuery) {
+TEST(Dataset, RecordFilterTextIncludesQuery) {
   Dataset dataset;
   dataset.add(make_record("http://g.com/tbproxy/af/query?q=1", at(8, 1),
                           proxy::FilterResult::kObserved,
                           proxy::ExceptionId::kNone));
-  EXPECT_EQ(dataset.filter_text(dataset.rows().front()),
-            "g.com/tbproxy/af/query?q=1");
+  std::string text;
+  scan_increment(LogSource{dataset}, 0,
+                 [&](const Record& r) { text = r.filter_text(); });
+  EXPECT_EQ(text, "g.com/tbproxy/af/query?q=1");
 }
 
 TEST(Dataset, ClassMatchesSection33) {
@@ -97,23 +120,28 @@ TEST(Dataset, ClassMatchesSection33) {
   EXPECT_EQ(dataset.cls(dataset.rows()[3]), proxy::TrafficClass::kProxied);
 }
 
-TEST(Dataset, FilterSharesPool) {
+TEST(Masked, RejectsMaskOfWrongLength) {
   Dataset dataset;
-  dataset.add(make_record("http://a.com/", at(8, 1),
-                          proxy::FilterResult::kObserved,
-                          proxy::ExceptionId::kNone));
-  dataset.add(make_record("http://b.com/", at(8, 1),
-                          proxy::FilterResult::kDenied,
-                          proxy::ExceptionId::kPolicyDenied));
-  const Dataset censored = dataset.filter([&](const Row& row) {
-    return dataset.cls(row) == proxy::TrafficClass::kCensored;
-  });
-  ASSERT_EQ(censored.size(), 1u);
-  EXPECT_EQ(censored.pool().get(), dataset.pool().get());
-  EXPECT_EQ(censored.host(censored.rows().front()), "b.com");
+  for (int i = 0; i < 3; ++i) {
+    dataset.add(make_record("http://a.com/", at(8, 1),
+                            proxy::FilterResult::kObserved,
+                            proxy::ExceptionId::kNone));
+  }
+  const LogSource source{dataset};
+  for (const std::size_t size : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_THROW(source.masked(std::make_shared<std::vector<std::uint8_t>>(
+                     size, std::uint8_t{1})),
+                 std::invalid_argument)
+        << size;
+  }
+  EXPECT_THROW(source.masked(nullptr), std::invalid_argument);
+  const auto view = source.masked(
+      std::make_shared<std::vector<std::uint8_t>>(
+          std::vector<std::uint8_t>{1, 0, 1}));
+  EXPECT_EQ(view.rows(), 2u);
 }
 
-TEST(DatasetBundle, DeriveSplitsCorrectly) {
+TEST(DeriveSources, SplitsCorrectly) {
   Dataset full;
   // SG-42 on July 22 with hash (Duser material).
   full.add(make_record("http://a.com/", at(7, 22),
@@ -131,40 +159,69 @@ TEST(DatasetBundle, DeriveSplitsCorrectly) {
   full.add(make_record("http://c.com/", at(8, 4),
                        proxy::FilterResult::kDenied,
                        proxy::ExceptionId::kTcpError, 3, 0));
-  full.finalize();
 
-  const auto bundle = DatasetBundle::derive(std::move(full), 1);
-  EXPECT_EQ(bundle.full.size(), 4u);
-  EXPECT_EQ(bundle.user.size(), 1u);
-  EXPECT_EQ(bundle.user.host(bundle.user.rows().front()), "a.com");
-  EXPECT_EQ(bundle.denied.size(), 2u);
-  EXPECT_LE(bundle.sample.size(), bundle.full.size());
+  const auto derived = derive_sources(full, 1);
+  EXPECT_EQ(derived.full.rows(), 4u);
+  ASSERT_EQ(derived.user.rows(), 1u);
+  scan_increment(derived.user, 0,
+                 [](const Record& r) { EXPECT_EQ(r.host, "a.com"); });
+  EXPECT_EQ(derived.denied.rows(), 2u);
+  EXPECT_LE(derived.sample.rows(), derived.full.rows());
+  // Views are only defined over an unmasked Dfull.
+  EXPECT_THROW(derive_sources(derived.denied, 1), std::invalid_argument);
 }
 
-TEST(DatasetBundle, SampleRateApproximatelyHonored) {
+Dataset uniform_log(int rows) {
   Dataset full;
-  for (int i = 0; i < 50'000; ++i) {
+  for (int i = 0; i < rows; ++i) {
     full.add(make_record("http://a.com/", at(8, 1) + i,
                          proxy::FilterResult::kObserved,
                          proxy::ExceptionId::kNone));
   }
-  full.finalize();
-  const auto bundle = DatasetBundle::derive(std::move(full), 3);
-  EXPECT_NEAR(bundle.sample.size() / 50'000.0, 0.04, 0.005);
+  return full;
 }
 
-TEST(DatasetBundle, SampleIsDeterministic) {
-  auto build = [] {
-    Dataset full;
-    for (int i = 0; i < 5000; ++i) {
-      full.add(make_record("http://a.com/", at(8, 1) + i,
-                           proxy::FilterResult::kObserved,
-                           proxy::ExceptionId::kNone));
-    }
-    full.finalize();
-    return DatasetBundle::derive(std::move(full), 77);
+TEST(DeriveSources, SampleRateApproximatelyHonored) {
+  const Dataset full = uniform_log(50'000);
+  const auto derived = derive_sources(full, 3);
+  EXPECT_NEAR(derived.sample.rows() / 50'000.0, 0.04, 0.005);
+}
+
+TEST(DeriveSources, SampleIsDeterministicAndThreadInvariant) {
+  const Dataset full = uniform_log(5000);
+  const auto members = [&](std::size_t threads) {
+    std::vector<std::uint64_t> ordinals;
+    scan_increment(derive_sources(full, 77, threads).sample, 0,
+                   [&](const Record& r) { ordinals.push_back(r.ordinal); });
+    return ordinals;
   };
-  EXPECT_EQ(build().sample.size(), build().sample.size());
+  const auto reference = members(1);
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(members(1), reference);
+  EXPECT_EQ(members(4), reference);
+}
+
+TEST(DeriveSources, SampleDrawFollowsTimeOrderNotArrivalOrder) {
+  // The same records in two arrival orders: the Bernoulli draw walks
+  // them in stable time order, so the sampled set is identical.
+  Dataset forward, backward;
+  constexpr int kRows = 3000;
+  for (int i = 0; i < kRows; ++i) {
+    forward.add(make_record("http://a.com/", at(8, 1) + i,
+                            proxy::FilterResult::kObserved,
+                            proxy::ExceptionId::kNone));
+    backward.add(make_record("http://a.com/", at(8, 1) + (kRows - 1 - i),
+                             proxy::FilterResult::kObserved,
+                             proxy::ExceptionId::kNone));
+  }
+  const auto sampled_times = [](const Dataset& dataset) {
+    std::vector<std::int64_t> times;
+    scan_increment(derive_sources(dataset, 5).sample, 0,
+                   [&](const Record& r) { times.push_back(r.time); });
+    std::sort(times.begin(), times.end());
+    return times;
+  };
+  EXPECT_EQ(sampled_times(forward), sampled_times(backward));
 }
 
 }  // namespace

@@ -52,7 +52,6 @@ TEST_F(DiscoveryTest, FindsKeywordAcrossDomains) {
   add_censored("http://www.facebook.com/pp/proxy.php?x=2", 60);
   add_allowed("http://google.com/search?aquery=news", 200);
   add_allowed("http://www.facebook.com/home.php", 200);
-  dataset_.finalize();
 
   // 'proxy' is the most frequent clean token (60 facebook rows); its
   // substring removal also wipes the /tbproxy/ rows, so one keyword
@@ -70,7 +69,6 @@ TEST_F(DiscoveryTest, RejectsTokenPresentInAllowedSet) {
   add_censored("http://bad.example/download/tool.exe", 40);
   add_allowed("http://ok.example/download/setup.exe", 40);
   add_allowed("http://bad2.example/other", 5);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   for (const auto& kw : result.keywords) EXPECT_NE(kw.text, "download");
@@ -81,7 +79,6 @@ TEST_F(DiscoveryTest, FindsDomainViaAnchorRequests) {
   add_censored("http://new-syria.com/", 30);
   add_censored("http://new-syria.com/articles/x.html", 20);
   add_allowed("http://aljazeera.net/", 100);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -95,7 +92,6 @@ TEST_F(DiscoveryTest, DomainWithAllowedTrafficRejected) {
   // the whole domain as suspected.
   add_censored("http://www.facebook.com/", 30);
   add_allowed("http://www.facebook.com/home.php", 100);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   for (const auto& domain : result.domains)
@@ -108,7 +104,6 @@ TEST_F(DiscoveryTest, SingleHostTokenBecomesDomainEntry) {
   add_censored("http://messenger.live.com/gateway/gateway.dll?Action=poll",
                60);
   add_allowed("http://mail.live.com/inbox", 100);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -126,7 +121,6 @@ TEST_F(DiscoveryTest, IterativeRemovalPreventsShadowKeywords) {
   add_censored("http://apps.zynga.com/poker/fb_proxy.php?u=1", 60);
   add_allowed("http://www.facebook.com/home.php", 100);
   add_allowed("http://apps.zynga.com/poker/lobby.php", 40);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.keywords.size(), 1u);
@@ -139,7 +133,6 @@ TEST_F(DiscoveryTest, CollapsesIlDomainsIntoTld) {
   add_censored("http://walla.co.il/", 30);
   add_censored("http://ynet.co.il/", 30);
   add_allowed("http://facebook.com/", 50);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -150,7 +143,6 @@ TEST_F(DiscoveryTest, CollapsesIlDomainsIntoTld) {
 TEST_F(DiscoveryTest, FewIlDomainsStayIndividual) {
   add_censored("http://www.panet.co.il/", 30);
   add_allowed("http://facebook.com/", 50);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -160,7 +152,6 @@ TEST_F(DiscoveryTest, FewIlDomainsStayIndividual) {
 TEST_F(DiscoveryTest, IpLiteralHostsIgnored) {
   add_censored("http://84.229.1.2/", 50);
   add_allowed("http://facebook.com/", 50);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   EXPECT_TRUE(result.domains.empty());
@@ -174,7 +165,6 @@ TEST_F(DiscoveryTest, ProxiedRequestsCountedSeparately) {
     dataset_.add(rec("http://metacafe.com/", proxy::ExceptionId::kPolicyDenied,
                      proxy::FilterResult::kProxied));
   add_allowed("http://facebook.com/", 50);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -187,7 +177,6 @@ TEST_F(DiscoveryTest, ThresholdSuppressesRareStrings) {
   add_censored("http://rare-site.net/", 5);  // below the floor of 20
   add_censored("http://common-site.net/", 50);
   add_allowed("http://facebook.com/", 100);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.domains.size(), 1u);
@@ -202,7 +191,6 @@ TEST_F(DiscoveryTest, MaxStringsCapsTheLoop) {
                  30);
   }
   add_allowed("http://ok.net/", 50);
-  dataset_.finalize();
 
   DiscoveryOptions options = low_threshold();
   options.max_strings = 3;
@@ -218,7 +206,6 @@ TEST_F(DiscoveryTest, OrderedByFrequency) {
   add_censored("http://metacafe.com/", 120);
   add_allowed("http://google.com/search", 100);
   add_allowed("http://news.net/q?s=sports", 30);
-  dataset_.finalize();
 
   const auto result = discover_censored_strings(dataset_, low_threshold());
   ASSERT_EQ(result.keywords.size(), 2u);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -266,6 +267,59 @@ TEST(Manifest, ParseRejectsDamage) {
   EXPECT_THROW(durable::RunManifest::parse(bad_state), std::runtime_error);
 }
 
+/// `manifest` with the first `"field": <value>` replaced by `text`.
+std::string with_number(std::string json, const std::string& field,
+                        const std::string& text) {
+  const auto at = json.find("\"" + field + "\": ");
+  EXPECT_NE(at, std::string::npos) << field;
+  const auto begin = at + field.size() + 4;
+  const auto end = json.find_first_of(",\n}", begin);
+  return json.replace(begin, end - begin, text);
+}
+
+std::string parse_error(const std::string& json) {
+  try {
+    durable::RunManifest::parse(json);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Manifest, NumbersCoverTheFullUnsignedRange) {
+  auto manifest = sample_manifest();
+  for (const std::uint64_t seed :
+       {(std::uint64_t{1} << 63) + 5, ~std::uint64_t{0}}) {
+    manifest.seed = seed;
+    EXPECT_EQ(durable::RunManifest::parse(manifest.to_json()).seed, seed);
+  }
+  const std::string json = sample_manifest().to_json();
+  EXPECT_NE(parse_error(with_number(json, "seed", "-1"))
+                .find("is not a non-negative integer"),
+            std::string::npos);
+  EXPECT_NE(parse_error(with_number(json, "seed", "1.5"))
+                .find("non-integer number 1.5"),
+            std::string::npos);
+  EXPECT_NE(parse_error(with_number(json, "seed", "1e3"))
+                .find("non-integer number 1e3"),
+            std::string::npos);
+  EXPECT_NE(parse_error(with_number(json, "seed", "18446744073709551616"))
+                .find("number out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_error(with_number(json, "seed", "-"))
+                .find("bad number"),
+            std::string::npos);
+  // Signed fields keep their own range: batch is an int64_t.
+  EXPECT_NE(parse_error(with_number(json, "batch", "9223372036854775808"))
+                .find("out of range"),
+            std::string::npos);
+  EXPECT_EQ(durable::RunManifest::parse(
+                with_number(json, "batch", "-9223372036854775808"))
+                .artifacts.front()
+                .batch,
+            std::numeric_limits<std::int64_t>::min());
+}
+
 TEST(Manifest, UpsertReplacesByPath) {
   durable::RunManifest manifest;
   manifest.upsert_artifact({"a", "segment", 1, 2, 0});
@@ -432,6 +486,40 @@ TEST(CheckpointResume, CrashedRunResumesBitIdentical) {
           << profile << " resumed @ " << resume_threads << " threads";
     }
   }
+}
+
+TEST(CheckpointResume, SeedAbove2To63VerifiesAndResumesBitIdentical) {
+  auto config = small_config(20'000, 2);
+  config.seed = (std::uint64_t{1} << 63) + 5;
+  const auto reference = run_to_csv(config);
+
+  TempDir dir{"big_seed"};
+  {
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    options.after_commit = [](std::size_t) { throw SimulatedCrash{}; };
+    EXPECT_THROW(durable::run_checkpointed(scenario, options,
+                                           [](const proxy::LogRecord&) {}),
+                 SimulatedCrash);
+  }
+  const auto interrupted = durable::RunManifest::load(
+      (dir.path / durable::RunManifest::kFileName).string());
+  EXPECT_EQ(interrupted.seed, config.seed);
+  EXPECT_TRUE(durable::verify_artifacts(interrupted, dir.str()).ok());
+
+  workload::SyriaScenario scenario{config};
+  durable::CheckpointOptions options;
+  options.directory = dir.str();
+  options.resume = true;
+  std::vector<std::string> lines;
+  const auto run = durable::run_checkpointed(
+      scenario, options, [&](const proxy::LogRecord& record) {
+        lines.push_back(proxy::to_csv(record));
+      });
+  EXPECT_TRUE(run.completed);
+  EXPECT_GT(run.batches_replayed, 0u);
+  EXPECT_EQ(lines, reference);
 }
 
 TEST(CheckpointResume, FreshRunRefusesOccupiedDirectory) {
@@ -692,12 +780,12 @@ TEST(CheckpointResume, CommitIntervalAmortizesAndStaysResumable) {
 
 // --- Study-level integration -----------------------------------------------
 
-TEST(StudyCheckpoint, InterruptedSimulateResumesToIdenticalBundle) {
+TEST(StudyCheckpoint, InterruptedSimulateResumesToIdenticalDatasets) {
   const auto config = small_config(30'000, 2);
 
   core::Study clean{config};
   clean.run();
-  const auto& clean_bundle = clean.datasets();
+  const auto& clean_datasets = clean.datasets();
 
   TempDir dir{"study"};
   core::Study study{config};
@@ -714,10 +802,10 @@ TEST(StudyCheckpoint, InterruptedSimulateResumesToIdenticalBundle) {
   resume.resume = true;
   ASSERT_EQ(study.simulate(resume), core::SimulateStatus::kComplete);
   const auto result = study.build_datasets();
-  EXPECT_EQ(result.datasets.full.size(), clean_bundle.full.size());
-  EXPECT_EQ(result.datasets.sample.size(), clean_bundle.sample.size());
-  EXPECT_EQ(result.datasets.user.size(), clean_bundle.user.size());
-  EXPECT_EQ(result.datasets.denied.size(), clean_bundle.denied.size());
+  EXPECT_EQ(result.datasets.full.rows(), clean_datasets.full.rows());
+  EXPECT_EQ(result.datasets.sample.rows(), clean_datasets.sample.rows());
+  EXPECT_EQ(result.datasets.user.rows(), clean_datasets.user.rows());
+  EXPECT_EQ(result.datasets.denied.rows(), clean_datasets.denied.rows());
 }
 
 TEST(StudyCheckpoint, CancelledSimulateReportsInterrupted) {

@@ -404,7 +404,6 @@ TEST(Coverage, FindsTheSilentProxyWhileTheFarmIsActive) {
       }
     }
   }
-  dataset.finalize();
 
   const auto report = analysis::request_coverage(dataset,
                                 {.bin = {3600}, .min_farm_bin_requests = 5});
@@ -440,7 +439,6 @@ TEST(Coverage, QuietFarmProducesNoPhantomGaps) {
     record.proxy_index = 0;
     dataset.add(record);  // one request per hour: below the floor
   }
-  dataset.finalize();
   const auto report = analysis::request_coverage(dataset,
                                 {.bin = {3600}, .min_farm_bin_requests = 25});
   EXPECT_FALSE(report.degraded());

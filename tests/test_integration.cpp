@@ -68,8 +68,10 @@ class StudyTest : public ::testing::Test {
     boosted_ = nullptr;
   }
 
-  static const Dataset& full() { return study_->datasets().full; }
-  static const Dataset& boosted_full() { return boosted_->datasets().full; }
+  static const LogSource& full() { return study_->datasets().full; }
+  static const LogSource& boosted_full() {
+    return boosted_->datasets().full;
+  }
   static core::Study* study_;
   static core::Study* boosted_;
 };
@@ -78,12 +80,13 @@ core::Study* StudyTest::study_ = nullptr;
 core::Study* StudyTest::boosted_ = nullptr;
 
 TEST_F(StudyTest, Table1DatasetProportions) {
-  const auto& bundle = study_->datasets();
-  EXPECT_GT(bundle.full.size(), 300'000u);
-  EXPECT_NEAR(bundle.sample.size() / double(bundle.full.size()), 0.04, 0.005);
-  EXPECT_GT(bundle.user.size(), 1'000u);
-  EXPECT_LT(bundle.user.size(), bundle.full.size() / 5);
-  EXPECT_GT(bundle.denied.size(), bundle.full.size() / 25);
+  const auto& datasets = study_->datasets();
+  EXPECT_GT(datasets.full.rows(), 300'000u);
+  EXPECT_NEAR(datasets.sample.rows() / double(datasets.full.rows()), 0.04,
+              0.005);
+  EXPECT_GT(datasets.user.rows(), 1'000u);
+  EXPECT_LT(datasets.user.rows(), datasets.full.rows() / 5);
+  EXPECT_GT(datasets.denied.rows(), datasets.full.rows() / 25);
 }
 
 TEST_F(StudyTest, Table3TrafficSplit) {

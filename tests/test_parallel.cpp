@@ -164,20 +164,20 @@ TEST(ThreadInvariance, FullReportIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ThreadInvariance, DatasetBundleMatchesAcrossThreadCounts) {
-  std::vector<std::size_t> sizes;
+TEST(ThreadInvariance, DerivedDatasetsMatchAcrossThreadCounts) {
+  std::vector<std::uint64_t> sizes;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{6}}) {
     core::Study study{small_config(40'000, threads)};
     study.run();
-    const auto& bundle = study.datasets();
+    const auto& datasets = study.datasets();
     if (sizes.empty()) {
-      sizes = {bundle.full.size(), bundle.sample.size(), bundle.user.size(),
-               bundle.denied.size()};
+      sizes = {datasets.full.rows(), datasets.sample.rows(), datasets.user.rows(),
+               datasets.denied.rows()};
     } else {
-      EXPECT_EQ(bundle.full.size(), sizes[0]);
-      EXPECT_EQ(bundle.sample.size(), sizes[1]);
-      EXPECT_EQ(bundle.user.size(), sizes[2]);
-      EXPECT_EQ(bundle.denied.size(), sizes[3]);
+      EXPECT_EQ(datasets.full.rows(), sizes[0]);
+      EXPECT_EQ(datasets.sample.rows(), sizes[1]);
+      EXPECT_EQ(datasets.user.rows(), sizes[2]);
+      EXPECT_EQ(datasets.denied.rows(), sizes[3]);
     }
   }
 }

@@ -225,7 +225,6 @@ TEST_P(DiscoveryGroundTruth, RecoversPlantedBlacklist) {
         false);
     add("http://clean" + std::to_string(i % 5) + ".net/", false);
   }
-  dataset.finalize();
 
   analysis::DiscoveryOptions options;
   options.min_count = 20;

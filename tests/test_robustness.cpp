@@ -40,8 +40,6 @@ class EmptyDatasetTest : public ::testing::Test {
   geo::GeoIpDb geoip_ = geo::build_world_geoip();
   tor::RelayDirectory relays_ = tor::RelayDirectory::synthesize(10, 1);
   workload::TorrentRegistry torrents_{50, 1};
-
-  EmptyDatasetTest() { empty_.finalize(); }
 };
 
 TEST_F(EmptyDatasetTest, TrafficStats) {
@@ -167,7 +165,6 @@ TEST(DegenerateDataset, SingleRecordEverywhere) {
   record.filter_result = proxy::FilterResult::kDenied;
   record.exception = proxy::ExceptionId::kPolicyDenied;
   dataset.add(record);
-  dataset.finalize();
 
   EXPECT_EQ(traffic_stats(dataset).censored(), 1u);
   const auto top =

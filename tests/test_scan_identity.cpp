@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -237,7 +238,6 @@ struct Fixture {
     std::ifstream in{(dir / "log.csv").string()};
     const auto parsed = proxy::read_log(in);
     for (const auto& record : parsed) dataset.add(record);
-    dataset.finalize();
 
     {
       colfmt::WriterOptions options;
@@ -732,20 +732,24 @@ TEST(ScanIdentity, StringDiscovery) {
   });
 }
 
-// `generate`/`convert` write containers in emission order, which is only
-// approximately time-sorted (local jitter inside a slot), while the row
-// path's Dataset::finalize sorts. Time-window analyzers must agree anyway:
-// the scan layer computes true time bounds and coverage bins
-// order-independently.
+// Logs arrive in emission order, which is only approximately time-sorted
+// (local jitter inside a slot). Here the row Dataset is fed the records
+// in time order while the container keeps emission order: time-window
+// analyzers must agree anyway, because the scan layer computes true time
+// bounds and coverage bins order-independently.
 TEST(ScanIdentity, EmissionOrderContainer) {
   const auto records = varied_records(2000, fx().relays, fx().torrents);
   std::vector<proxy::LogRecord> jittered = records;
   for (std::size_t i = 0; i + 1 < jittered.size(); i += 2)
     std::swap(jittered[i].time, jittered[i + 1].time);
 
+  std::vector<proxy::LogRecord> time_sorted = jittered;
+  std::stable_sort(time_sorted.begin(), time_sorted.end(),
+                   [](const proxy::LogRecord& a, const proxy::LogRecord& b) {
+                     return a.time < b.time;
+                   });
   analysis::Dataset dataset;
-  for (const auto& record : jittered) dataset.add(record);
-  dataset.finalize();
+  for (const auto& record : time_sorted) dataset.add(record);
 
   const auto col_path = (fx().dir / "jittered.col").string();
   {

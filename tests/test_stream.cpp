@@ -1,9 +1,9 @@
 // Streaming analysis (DESIGN.md §4.12): sketch guarantees, the spool
 // tail's torn-tail/resume contract, open_source's typed refusals, and the
 // sketch↔exact replay identities — with a window covering the whole log,
-// the rolling report must match the exact analyzers byte for byte on all
-// three LogSource backends (row, columnar, stream); sliding windows must
-// stay within each sketch's stated bound.
+// the rolling report must match the exact analyzers byte for byte on both
+// LogSource backends (row Dataset, columnar) and on a spool tail; sliding
+// windows must stay within each sketch's stated bound.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "analysis/scan.h"
 #include "analysis/sketch.h"
 #include "analysis/stream.h"
-#include "analysis/stream_buffer.h"
 #include "analysis/stream_report.h"
 #include "analysis/temporal.h"
 #include "analysis/top_domains.h"
@@ -211,9 +210,8 @@ TEST(WindowRing, AdvanceEvictLate) {
 
 // --- workload ---------------------------------------------------------------
 
-/// Deterministic log with strictly increasing timestamps, so the row
-/// backend's stable time-sort is the identity permutation and all three
-/// backends present records in the same order — the property the
+/// Deterministic log with strictly increasing timestamps, so every
+/// backend presents records in the same (time) order — the property the
 /// order-sensitive sketches (reservoir, saturated SpaceSaving) need for
 /// cross-backend identity. Covers all seven proxies, the four traffic
 /// classes, Tor relay endpoints on the Tor-censoring proxy, a forced
@@ -297,7 +295,6 @@ struct Fixture {
   std::vector<proxy::LogRecord> parsed;  // CSV round-tripped
   analysis::Dataset dataset;
   std::unique_ptr<analysis::ColumnarLog> columnar;
-  std::unique_ptr<analysis::StreamBuffer> stream_buffer;
   std::int64_t start = 0;
   std::int64_t last = 0;
 
@@ -317,7 +314,6 @@ struct Fixture {
     std::ifstream in{csv_path()};
     parsed = proxy::read_log(in);
     for (const auto& record : parsed) dataset.add(record);
-    dataset.finalize();
     {
       colfmt::WriterOptions options;
       options.block_rows = 512;
@@ -327,8 +323,6 @@ struct Fixture {
     }
     columnar = std::make_unique<analysis::ColumnarLog>(
         colfmt::Reader::open(col_path()));
-    stream_buffer = std::make_unique<analysis::StreamBuffer>();
-    for (const auto& record : parsed) stream_buffer->add(record);
   }
 
   std::string csv_path() const { return (dir / "log.csv").string(); }
@@ -379,18 +373,15 @@ TEST(StreamIdentity, AllBackendsProduceIdenticalReports) {
         replay_report(analysis::LogSource{fx().dataset}, options);
     const std::string col =
         replay_report(analysis::LogSource{*fx().columnar}, options);
-    const std::string stream =
-        replay_report(analysis::LogSource{*fx().stream_buffer}, options);
     EXPECT_EQ(row, col) << "sliding=" << sliding;
-    EXPECT_EQ(row, stream) << "sliding=" << sliding;
   }
 }
 
-TEST(StreamIdentity, SpoolTailBackendMatchesInMemoryBuffer) {
+TEST(StreamIdentity, SpoolTailMatchesInMemoryDataset) {
   analysis::StreamSource source{fx().csv_path()};
   ASSERT_EQ(source.poll(), fx().parsed.size());
   EXPECT_EQ(replay_report(source.source(), whole_log_options(&fx().relays)),
-            replay_report(analysis::LogSource{*fx().stream_buffer},
+            replay_report(analysis::LogSource{fx().dataset},
                           whole_log_options(&fx().relays)));
 }
 

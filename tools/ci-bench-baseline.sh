@@ -11,8 +11,8 @@
 # Each JSON file is google-benchmark's machine-readable output; the colfmt
 # baseline carries the CSV-vs-SYRCOL1 scan timings behind the size and
 # speedup budgets in EXPERIMENTS.md, and the analysis baseline the
-# analyzer-matrix (backend x threads vs bridge) timings behind the scan
-# layer's speedup table. The human-readable reproduction
+# analyzer-matrix (backend x threads) timings behind the scan layer's
+# table. The human-readable reproduction
 # tables (size ratio, byte-identity cross-check) print to stdout and the
 # run fails if either bench binary fails.
 #

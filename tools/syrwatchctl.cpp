@@ -108,7 +108,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -142,8 +141,6 @@
 #include "util/cancel.h"
 #include "util/checksum.h"
 #include "util/cli.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 #include "util/simtime.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -1354,56 +1351,15 @@ int cmd_report(int argc, char** argv) {
   const workload::SyriaScenario scenario{config};
   metrics.add_phase("environment", seconds_since(env_start), 0);
 
-  // Carve the paper's derived datasets out of the file-backed Dfull as
-  // scan-layer views — the same selections DatasetBundle::derive
-  // materializes (including the sequential Bernoulli draw for Dsample),
-  // without copying a single row.
   const std::uint64_t derive_start = obs::monotonic_nanos();
-  auto sample_mask =
-      std::make_shared<std::vector<std::uint8_t>>(full.rows(), 0);
-  {
-    // DatasetBundle::derive draws one Bernoulli per row of the
-    // *time-sorted* full dataset (Dataset::finalize stable-sorts), while
-    // SYRCOL1 containers preserve emission order. Apply the draw through a
-    // stable time-sorted permutation of base ordinals so `report log.csv`
-    // and `report log.col` of the same log select the same records.
-    std::vector<std::int64_t> times(sample_mask->size());
-    full.prepare(threads);
-    util::parallel_for(full.partitions(), threads, [&](std::size_t p) {
-      full.scan_partition(p, [&](const analysis::Record& r) {
-        times[static_cast<std::size_t>(r.ordinal)] = r.time;
-      });
-    });
-    std::vector<std::uint64_t> order(times.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint64_t a, std::uint64_t b) {
-                       return times[a] < times[b];
-                     });
-    util::Rng rng{util::mix64(config.seed ^ 0x5A3D1E)};
-    for (const auto ordinal : order)
-      (*sample_mask)[ordinal] = rng.bernoulli(0.04) ? 1 : 0;
-  }
-  const analysis::LogSource sample =
-      full.masked(std::move(sample_mask), threads);
-  const analysis::LogSource user = full.filtered(
-      [](const analysis::Record& r) {
-        if (r.proxy_index != 0 || r.user_hash == 0) return false;
-        const auto c = util::to_civil(r.time);
-        return c.month == 7 && (c.day == 22 || c.day == 23);
-      },
-      threads);
-  const analysis::LogSource denied = full.filtered(
-      [](const analysis::Record& r) {
-        return r.exception != proxy::ExceptionId::kNone;
-      },
-      threads);
+  const analysis::DerivedSources derived =
+      analysis::derive_sources(full, config.seed, threads);
   metrics.add_phase("derive", seconds_since(derive_start), full.rows());
 
-  const core::ReportSources sources{full,
-                                    sample,
-                                    user,
-                                    denied,
+  const core::ReportSources sources{derived.full,
+                                    derived.sample,
+                                    derived.user,
+                                    derived.denied,
                                     &scenario.geoip(),
                                     &scenario.relays(),
                                     &scenario.torrents(),
