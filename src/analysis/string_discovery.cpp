@@ -1,11 +1,12 @@
 #include "analysis/string_discovery.h"
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "net/domain.h"
-#include "net/ipv4.h"
 #include "util/strings.h"
 
 namespace syrwatch::analysis {
@@ -13,6 +14,9 @@ namespace syrwatch::analysis {
 namespace {
 
 constexpr std::size_t kMinTokenLength = 5;
+/// A token must occur in at least this many censored paths/queries to be
+/// picked — host-only strings are the domain generator's business.
+constexpr std::uint64_t kMinPathQueryCount = 3;
 
 bool all_digits(std::string_view s) noexcept {
   for (char c : s) {
@@ -47,6 +51,158 @@ struct CensoredRow {
   bool alive = true;
 };
 
+struct ProxiedRow {
+  std::string host;         // lower-cased
+  std::string filter_text;  // lower-cased host+path?query
+};
+
+using Counts = std::unordered_map<std::string, std::uint64_t>;
+
+/// One round of candidate generation over the live censored rows.
+struct Tallies {
+  Counts anchor_domains;
+  Counts tokens;
+  Counts token_pathquery;
+};
+
+Tallies tally(const std::vector<CensoredRow>& censored,
+              const std::unordered_set<std::string>& rejected_domains,
+              const std::unordered_set<std::string>& rejected_tokens) {
+  Tallies t;
+  for (const CensoredRow& row : censored) {
+    if (!row.alive) continue;
+    if (row.anchor && rejected_domains.count(row.domain) == 0)
+      ++t.anchor_domains[row.domain];
+    std::unordered_set<std::string_view> seen;  // count once per request
+    for_each_token(row.filter_text, [&](std::string_view token) {
+      if (token.size() < kMinTokenLength || all_digits(token)) return;
+      if (!seen.insert(token).second) return;
+      const std::string key{token};
+      if (rejected_tokens.count(key) != 0) return;
+      ++t.tokens[key];
+      if (row.path_query.find(token) != std::string::npos)
+        ++t.token_pathquery[key];
+    });
+  }
+  return t;
+}
+
+/// Multi-pattern substring search (Aho–Corasick) over tokens, i.e.
+/// non-empty [a-z0-9] strings, compiled into a complete DFA. Text is
+/// ASCII-case-folded as it streams, so it is never copied; a byte outside
+/// the token alphabet can be part of no match and sends the automaton
+/// back to the root. Read-only once built: scan workers share one.
+class TokenMatcher {
+ public:
+  explicit TokenMatcher(const std::vector<std::string>& patterns) {
+    // The trie. A child is never the root, so 0 marks "no child" until
+    // the completion below turns it into a real transition.
+    std::vector<std::vector<std::uint32_t>> outputs(1);
+    next_.assign(kAlphabet, 0);
+    for (std::size_t id = 0; id < patterns.size(); ++id) {
+      std::size_t state = 0;
+      for (const char c : patterns[id]) {
+        const std::size_t slot = state * kAlphabet + symbol(c);
+        if (next_[slot] == 0) {
+          next_[slot] = static_cast<std::uint32_t>(outputs.size());
+          outputs.emplace_back();
+          next_.resize(next_.size() + kAlphabet, 0);
+        }
+        state = next_[slot];
+      }
+      outputs[state].push_back(static_cast<std::uint32_t>(id));
+    }
+    // Breadth-first completion: a state's failure link is shallower, so
+    // its row and its output set are final before the state is reached.
+    // Each state inherits the outputs of its failure link — the patterns
+    // that are proper suffixes of what it has matched.
+    std::vector<std::uint32_t> fail(outputs.size(), 0);
+    std::vector<std::uint32_t> queue;
+    for (std::size_t sym = 0; sym < kAlphabet; ++sym)
+      if (next_[sym] != 0) queue.push_back(next_[sym]);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const std::uint32_t state = queue[head];
+      const auto& inherited = outputs[fail[state]];
+      outputs[state].insert(outputs[state].end(), inherited.begin(),
+                            inherited.end());
+      for (std::size_t sym = 0; sym < kAlphabet; ++sym) {
+        std::uint32_t& to = next_[state * kAlphabet + sym];
+        const std::uint32_t via_fail = next_[fail[state] * kAlphabet + sym];
+        if (to == 0) {
+          to = via_fail;
+        } else {
+          fail[to] = via_fail;
+          queue.push_back(to);
+        }
+      }
+    }
+    out_begin_.push_back(0);
+    for (const auto& out : outputs) {
+      out_.insert(out_.end(), out.begin(), out.end());
+      out_begin_.push_back(static_cast<std::uint32_t>(out_.size()));
+    }
+  }
+
+  /// Streams `text` from `state` (0 = the root), sets hits[i] for every
+  /// pattern i that ends inside it, and returns the state after it, so a
+  /// match may span consecutive calls.
+  std::uint32_t feed(std::uint32_t state, std::string_view text,
+                     std::vector<std::uint8_t>& hits) const {
+    for (const char c : text) {
+      const std::uint8_t sym = symbol(c);
+      if (sym == kNoSymbol) {
+        state = 0;
+        continue;
+      }
+      state = next_[state * kAlphabet + sym];
+      for (std::uint32_t k = out_begin_[state]; k < out_begin_[state + 1];
+           ++k)
+        hits[out_[k]] = 1;
+    }
+    return state;
+  }
+
+ private:
+  static constexpr std::size_t kAlphabet = 36;  // 0-9, a-z
+  static constexpr std::uint8_t kNoSymbol = 0xFF;
+  static constexpr std::array<std::uint8_t, 256> kSymbols = [] {
+    std::array<std::uint8_t, 256> table{};
+    table.fill(kNoSymbol);
+    for (int i = 0; i < 10; ++i) table['0' + i] = static_cast<std::uint8_t>(i);
+    for (int i = 0; i < 26; ++i)
+      table['a' + i] = table['A' + i] = static_cast<std::uint8_t>(10 + i);
+    return table;
+  }();
+  static std::uint8_t symbol(char c) noexcept {
+    return kSymbols[static_cast<unsigned char>(c)];
+  }
+
+  std::vector<std::uint32_t> next_;       // state * kAlphabet + symbol
+  std::vector<std::uint32_t> out_begin_;  // state -> [begin, end) in out_
+  std::vector<std::uint32_t> out_;        // pattern ids
+};
+
+/// String → dense index, looked up by string_view without a copy.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using StringIndex =
+    std::unordered_map<std::string, std::uint32_t, StringHash,
+                       std::equal_to<>>;
+
+/// `text` lower-cased: the view itself when it has no upper-case letter,
+/// else a copy in `scratch`.
+std::string_view lowered(std::string_view text, std::string& scratch) {
+  if (std::none_of(text.begin(), text.end(),
+                   [](char c) { return c >= 'A' && c <= 'Z'; }))
+    return text;
+  scratch = util::to_lower(text);
+  return scratch;
+}
+
 }  // namespace
 
 std::vector<std::string> DiscoveryResult::domain_names() const {
@@ -61,68 +217,41 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
                                           std::size_t threads) {
   DiscoveryResult result;
 
-  // ---- Materialize the censored set C and the allowed reference A -------
-  // This is the hot phase. Candidate maps downstream iterate in insertion
-  // order, so the fold concatenates censored rows in partition order to
-  // keep the global row order; the allowed sets/corpus are only ever
-  // membership-tested, so union order is free.
-  struct Partial {
+  // ---- Pass 1: the censored set C and the PROXIED rows -------------------
+  // Candidate maps downstream iterate in insertion order, so the fold
+  // concatenates rows in partition order to keep the global row order.
+  struct Collected {
     std::vector<CensoredRow> censored;
-    std::unordered_set<std::string> allowed_domains;
-    std::unordered_set<std::string> allowed_hosts;
-    std::unordered_set<std::string> allowed_tokens;
-    std::string allowed_corpus;  // '\n'-joined, for exact substring checks
-    std::vector<std::string> proxied_texts;
+    std::vector<ProxiedRow> proxied;
   };
-  auto partials = scan_partials<Partial>(
-      source, threads, [&](Partial& p, const Record& r) {
+  auto collected = scan_partials<Collected>(
+      source, threads, [](Collected& p, const Record& r) {
         if (r.cls == proxy::TrafficClass::kCensored) {
+          if (r.host_is_ip) return;  // IP filtering: §5.4's separate analysis
           CensoredRow cr;
           cr.host = util::to_lower(r.host);
-          if (net::looks_like_ipv4(cr.host)) return;  // IP filtering: §5.4's
-                                                      // separate analysis
-          cr.domain = net::registrable_domain(cr.host);
+          cr.domain = std::string{r.domain};
           const std::string path = util::to_lower(r.path);
           const std::string query = util::to_lower(r.query);
           cr.path_query = path + (query.empty() ? "" : "?" + query);
           cr.filter_text = cr.host + cr.path_query;
           cr.anchor = query.empty() && (path.empty() || path == "/");
           p.censored.push_back(std::move(cr));
-        } else if (r.cls == proxy::TrafficClass::kAllowed) {
-          const std::string text = util::to_lower(r.filter_text());
-          const std::string host = util::to_lower(r.host);
-          p.allowed_hosts.insert(host);
-          p.allowed_domains.insert(net::registrable_domain(host));
-          for_each_token(text, [&](std::string_view token) {
-            if (token.size() >= kMinTokenLength && !all_digits(token))
-              p.allowed_tokens.emplace(token);
-          });
-          p.allowed_corpus += text;
-          p.allowed_corpus += '\n';
         } else if (r.cls == proxy::TrafficClass::kProxied) {
-          p.proxied_texts.push_back(util::to_lower(r.filter_text()));
+          p.proxied.push_back(
+              {util::to_lower(r.host), util::to_lower(r.filter_text())});
         }
       });
-
   std::vector<CensoredRow> censored;
-  std::unordered_set<std::string> allowed_domains;
-  std::unordered_set<std::string> allowed_hosts;
-  std::unordered_set<std::string> allowed_tokens;
-  std::string allowed_corpus;
-  std::vector<std::string> proxied_texts;
-  for (Partial& p : partials) {
+  std::vector<ProxiedRow> proxied;
+  for (Collected& p : collected) {
     censored.insert(censored.end(),
                     std::make_move_iterator(p.censored.begin()),
                     std::make_move_iterator(p.censored.end()));
-    allowed_domains.merge(p.allowed_domains);
-    allowed_hosts.merge(p.allowed_hosts);
-    allowed_tokens.merge(p.allowed_tokens);
-    allowed_corpus += p.allowed_corpus;
-    proxied_texts.insert(proxied_texts.end(),
-                         std::make_move_iterator(p.proxied_texts.begin()),
-                         std::make_move_iterator(p.proxied_texts.end()));
+    proxied.insert(proxied.end(), std::make_move_iterator(p.proxied.begin()),
+                   std::make_move_iterator(p.proxied.end()));
   }
-  partials.clear();
+  collected.clear();
 
   result.censored_requests_total = censored.size();
   const std::uint64_t threshold = std::max<std::uint64_t>(
@@ -130,29 +259,81 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
       static_cast<std::uint64_t>(options.min_support *
                                  static_cast<double>(censored.size())));
 
+  // ---- The strings the loop can test against the allowed set A ----------
+  // Domains and hosts come from C's rows. Counts only fall as rows die, so
+  // a token the loop can pick must already clear the threshold and the
+  // path/query floor on the full C.
+  StringIndex token_index;
+  StringIndex domain_index;
+  StringIndex host_index;
+  std::vector<std::string> tokens;
+  {
+    const Tallies full = tally(censored, {}, {});
+    for (const auto& [token, count] : full.tokens) {
+      const auto pq = full.token_pathquery.find(token);
+      if (count < threshold || pq == full.token_pathquery.end() ||
+          pq->second < kMinPathQueryCount)
+        continue;
+      token_index.emplace(token, static_cast<std::uint32_t>(tokens.size()));
+      tokens.push_back(token);
+    }
+  }
+  for (const CensoredRow& row : censored) {
+    domain_index.try_emplace(row.domain,
+                             static_cast<std::uint32_t>(domain_index.size()));
+    host_index.try_emplace(row.host,
+                           static_cast<std::uint32_t>(host_index.size()));
+  }
+
+  // ---- Pass 2: which of those strings occur in A -------------------------
+  // One flag per string: tokens first, then domains, then hosts. A token
+  // is [a-z0-9]+, so it can span neither the '?' before the query nor a
+  // record boundary: matching host+path as one stream and the query as
+  // another finds exactly the tokens a substring search of the records'
+  // lower-cased filter texts would. Record::domain is already the
+  // registrable domain of the lower-cased host. Flags fold by OR, so the
+  // result is the same for any partition layout and thread count.
+  const TokenMatcher matcher{tokens};
+  const std::size_t domain_offset = tokens.size();
+  const std::size_t host_offset = domain_offset + domain_index.size();
+  const std::size_t flag_count = host_offset + host_index.size();
+  struct AllowedHits {
+    std::vector<std::uint8_t> flags;
+    std::string scratch;
+  };
+  const auto hits = scan_partials<AllowedHits>(
+      source, threads, [&](AllowedHits& h, const Record& r) {
+        if (r.cls != proxy::TrafficClass::kAllowed) return;
+        if (h.flags.size() != flag_count) h.flags.assign(flag_count, 0);
+        matcher.feed(matcher.feed(0, r.host, h.flags), r.path, h.flags);
+        matcher.feed(0, r.query, h.flags);
+        if (const auto it = domain_index.find(r.domain);
+            it != domain_index.end())
+          h.flags[domain_offset + it->second] = 1;
+        if (const auto it = host_index.find(lowered(r.host, h.scratch));
+            it != host_index.end())
+          h.flags[host_offset + it->second] = 1;
+      });
+  std::vector<std::uint8_t> allowed(flag_count, 0);
+  for (const AllowedHits& h : hits) {
+    for (std::size_t i = 0; i < h.flags.size(); ++i) allowed[i] |= h.flags[i];
+  }
+
   auto never_allowed_domain = [&](const std::string& domain) {
-    return allowed_domains.count(domain) == 0;
+    return allowed[domain_offset + domain_index.at(domain)] == 0;
   };
   auto never_allowed_host = [&](const std::string& host) {
-    return allowed_hosts.count(host) == 0;
+    return allowed[host_offset + host_index.at(host)] == 0;
   };
-  auto in_allowed = [&](const std::string& needle) {
-    // Token-set prefilter, then the authoritative substring scan.
-    if (allowed_tokens.count(needle) != 0) return true;
-    return allowed_corpus.find(needle) != std::string::npos;
+  auto in_allowed = [&](const std::string& token) {
+    return allowed[token_index.at(token)] != 0;
   };
   auto count_proxied = [&](const std::string& text, bool is_domain) {
     std::uint64_t count = 0;
-    for (const std::string& pt : proxied_texts) {
-      if (is_domain) {
-        const auto slash = pt.find('/');
-        const std::string_view host =
-            slash == std::string::npos ? std::string_view{pt}
-                                       : std::string_view{pt}.substr(0, slash);
-        if (util::host_matches_domain(host, text)) ++count;
-      } else if (pt.find(text) != std::string::npos) {
+    for (const ProxiedRow& row : proxied) {
+      if (is_domain ? util::host_matches_domain(row.host, text)
+                    : row.filter_text.find(text) != std::string::npos)
         ++count;
-      }
     }
     return count;
   };
@@ -164,31 +345,14 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
   while (result.keywords.size() + result.domains.size() <
          options.max_strings) {
     // Candidate generation over the live rows.
-    std::unordered_map<std::string, std::uint64_t> anchor_domains;
-    std::unordered_map<std::string, std::uint64_t> token_counts;
-    std::unordered_map<std::string, std::uint64_t> token_pathquery_counts;
-    for (const CensoredRow& row : censored) {
-      if (!row.alive) continue;
-      if (row.anchor && rejected_domains.count(row.domain) == 0)
-        ++anchor_domains[row.domain];
-      std::unordered_set<std::string_view> seen;  // count once per request
-      for_each_token(row.filter_text, [&](std::string_view token) {
-        if (token.size() < kMinTokenLength || all_digits(token)) return;
-        if (!seen.insert(token).second) return;
-        const std::string key{token};
-        if (rejected_tokens.count(key) != 0) return;
-        ++token_counts[key];
-        if (row.path_query.find(token) != std::string::npos)
-          ++token_pathquery_counts[key];
-      });
-    }
+    const Tallies t = tally(censored, rejected_domains, rejected_tokens);
 
     // Anchor-domain support = total live rows on the domain (the anchor
     // only disambiguates, as in the paper; the count is the domain's).
-    std::unordered_map<std::string, std::uint64_t> domain_counts;
+    Counts domain_counts;
     for (const CensoredRow& row : censored) {
       if (!row.alive) continue;
-      if (anchor_domains.count(row.domain) != 0) ++domain_counts[row.domain];
+      if (t.anchor_domains.count(row.domain) != 0) ++domain_counts[row.domain];
     }
 
     // Pick the globally most frequent candidate.
@@ -202,18 +366,19 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
         best_is_domain = true;
       }
     }
-    for (const auto& [token, count] : token_counts) {
-      // Tokens must occur in paths/queries, not only inside hostnames —
-      // host-only strings are the domain generator's business.
-      const auto pq = token_pathquery_counts.find(token);
-      if (pq == token_pathquery_counts.end() || pq->second < 3) continue;
+    for (const auto& [token, count] : t.tokens) {
+      // Tokens must occur in paths/queries, not only inside hostnames.
+      const auto pq = t.token_pathquery.find(token);
+      if (pq == t.token_pathquery.end() || pq->second < kMinPathQueryCount)
+        continue;
       if (count > best_count) {
         best = token;
         best_count = count;
         best_is_domain = false;
       }
     }
-    if (best_count < threshold) break;
+    // No candidate left (best_count 0) ends the loop even at threshold 0.
+    if (best_count == 0 || best_count < threshold) break;
 
     auto remove_by_domain = [&](const std::string& domain) {
       std::uint64_t removed = 0;

@@ -49,10 +49,17 @@ struct DiscoveryResult {
   std::vector<std::string> domain_names() const;
 };
 
-/// The §5.4 loop itself is inherently sequential (each accepted string
-/// reshapes the live set), but the expensive part — lower-casing and
-/// tokenizing every record into the C/A/PROXIED working sets — scans in
-/// parallel; `threads` governs that phase only.
+/// Two parallel scans feed the sequential loop (each accepted string
+/// reshapes the live set). Pass 1 collects C and the PROXIED rows. The
+/// allowed set A is never materialized: the loop only asks whether A holds
+/// one of C's hosts or registrable domains, or one of the tokens that
+/// already clear the thresholds on the full C (counts only fall as rows
+/// are removed, so no other token can be picked). Pass 2 tests each
+/// allowed record against exactly those strings — one case-folded
+/// Aho–Corasick pass over its host+path and query for the tokens, hash
+/// lookups for its host and domain — and keeps one hit flag per string.
+/// `threads` governs the two scans only; the result is identical for any
+/// value.
 DiscoveryResult discover_censored_strings(const LogSource& source,
                                           const DiscoveryOptions& options = {},
                                           std::size_t threads = 1);

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "analysis/export.h"
 #include "analysis/scan.h"
@@ -121,12 +122,30 @@ TEST(Report, StudyReportEqualsFileReport) {
   // The same run rendered two ways: from the Study's in-memory log, and
   // from the log written to disk as CSV and as SYRCOL1, reopened with
   // open_source and derived with derive_sources — the `syrwatchctl
-  // report` path. Every rendering must match byte for byte.
+  // report` path. Every rendering must match byte for byte, and the
+  // checked-in golden too, so a change both paths share cannot slip by.
+  // A deliberate report change re-blesses the golden with `expected`.
   const auto config = tiny_config();
   core::Study study{config};
   study.run();
   const std::string expected = core::render_full_report(study);
   ASSERT_FALSE(expected.empty());
+  std::ifstream golden_file{SYRWATCH_GOLDEN_DIR "/report_tiny.txt",
+                            std::ios::binary};
+  ASSERT_TRUE(golden_file) << "missing golden report_tiny.txt";
+  const std::string golden{std::istreambuf_iterator<char>{golden_file},
+                           std::istreambuf_iterator<char>{}};
+  EXPECT_EQ(expected, golden);
+  // Tables 8 and 10 carry rows, so the golden pins §5.4 discovery.
+  for (const char* block :
+       {"Censored keywords (Table 10)", "Top suspected domains (Table 8"}) {
+    const auto at = golden.find(block);
+    ASSERT_NE(at, std::string::npos) << block;
+    const auto rule = golden.find("\n--", at);
+    ASSERT_NE(rule, std::string::npos) << block;
+    const auto row = golden.find('\n', rule + 1) + 1;
+    EXPECT_NE(golden[row], '\n') << block << " has no rows";
+  }
 
   const auto directory =
       std::filesystem::temp_directory_path() / "syrwatch_report_identity";

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "analysis/scan.h"
 #include "analysis/string_discovery.h"
 
 namespace {
@@ -42,6 +46,33 @@ class DiscoveryTest : public ::testing::Test {
   }
   void add_allowed(const char* url, int count = 25) {
     for (int i = 0; i < count; ++i) dataset_.add(rec(url));
+  }
+  /// Rows that are neither censored nor allowed, to spread the others
+  /// over several scan partitions.
+  void add_errors(std::size_t count) {
+    const auto error =
+        rec("http://down.example/", proxy::ExceptionId::kTcpError);
+    for (std::size_t i = 0; i < count; ++i) dataset_.add(error);
+  }
+
+  /// Censored traffic carrying "proxy", "ultrasurf" and its suffix
+  /// "rasurf", each in the paths of two never-allowed domains, so each is
+  /// a keyword unless the allowed traffic holds it (NA > 0). The allowed
+  /// traffic is a filler site plus one request for `allowed_url`.
+  std::set<std::string> keywords_given_allowed(const char* allowed_url) {
+    add_censored("http://a-site.net/dl/proxy.exe", 30);
+    add_censored("http://b-site.org/proxy/get?u=1", 30);
+    add_censored("http://c-site.net/ultrasurf/get", 30);
+    add_censored("http://d-site.org/ultrasurf/get", 30);
+    add_censored("http://e-site.net/rasurf/x", 25);
+    add_censored("http://f-site.org/rasurf/y", 25);
+    add_allowed("http://ok.example/index.html", 5);
+    add_allowed(allowed_url, 1);
+    std::set<std::string> keywords;
+    for (const auto& kw :
+         discover_censored_strings(dataset_, low_threshold()).keywords)
+      keywords.insert(kw.text);
+    return keywords;
   }
 
   Dataset dataset_;
@@ -213,6 +244,134 @@ TEST_F(DiscoveryTest, OrderedByFrequency) {
   EXPECT_EQ(result.keywords[1].text, "israel");
   ASSERT_EQ(result.domains.size(), 1u);
   EXPECT_EQ(result.domains[0].text, "metacafe.com");
+}
+
+TEST_F(DiscoveryTest, MinCountZeroExplainsEveryCensoredRow) {
+  // Threshold 0: every candidate qualifies, down to a single row. Once no
+  // candidate is left the loop must stop, not re-pick the empty string.
+  add_censored("http://a-site.net/", 2);
+  add_censored("http://b-site.org/proxy/x", 2);
+  add_censored("http://c-site.com/proxy/y", 2);
+  add_censored("http://d-site.com/", 1);
+  add_allowed("http://ok.example/home", 2);
+
+  DiscoveryOptions options;
+  options.min_count = 0;
+  options.min_support = 0.0;
+  const auto result = discover_censored_strings(dataset_, options);
+  EXPECT_EQ(result.censored_requests_total, 7u);
+  EXPECT_EQ(result.censored_requests_explained, 7u);
+  ASSERT_EQ(result.keywords.size(), 1u);
+  EXPECT_EQ(result.keywords[0].text, "proxy");
+  EXPECT_EQ(result.domains.size(), 2u);
+}
+
+TEST_F(DiscoveryTest, ProxiedRowWithEmptyPathCountsTowardItsDomain) {
+  // A csv '-' path loads as "", so the row's text is "host?query": the
+  // host must come from the host column, not from the text before '/'.
+  add_censored("http://new-syria.com/", 30);
+  const auto proxied = rec("http://new-syria.com/", proxy::ExceptionId::kNone,
+                           proxy::FilterResult::kProxied);
+  dataset_.add(proxied);
+  auto pathless = rec("http://new-syria.com/?a=1", proxy::ExceptionId::kNone,
+                      proxy::FilterResult::kProxied);
+  pathless.url.path.clear();
+  dataset_.add(pathless);
+  add_allowed("http://facebook.com/", 50);
+
+  const auto result = discover_censored_strings(dataset_, low_threshold());
+  ASSERT_EQ(result.domains.size(), 1u);
+  EXPECT_EQ(result.domains[0].text, "new-syria.com");
+  EXPECT_EQ(result.domains[0].proxied, 2u);
+}
+
+// The NA = 0 test: a candidate occurring anywhere in the allowed traffic,
+// as a case-insensitive substring of host + path + "?query", is allowed.
+
+TEST_F(DiscoveryTest, NeverAllowedTokensAreKeywords) {
+  EXPECT_EQ(keywords_given_allowed("http://ok.example/about.html"),
+            (std::set<std::string>{"proxy", "rasurf", "ultrasurf"}));
+}
+
+TEST_F(DiscoveryTest, AllowedLongerWordRejectsKeyword) {
+  const auto keywords =
+      keywords_given_allowed("http://ok.example/webproxyhub/");
+  EXPECT_EQ(keywords.count("proxy"), 0u);
+  EXPECT_EQ(keywords.size(), 2u);
+}
+
+TEST_F(DiscoveryTest, AllowedUpperCaseRejectsKeyword) {
+  const auto keywords = keywords_given_allowed("http://ok.example/PROXY/");
+  EXPECT_EQ(keywords.count("proxy"), 0u);
+  EXPECT_EQ(keywords.size(), 2u);
+}
+
+TEST_F(DiscoveryTest, AllowedQueryRejectsKeyword) {
+  const auto keywords =
+      keywords_given_allowed("http://ok.example/search?q=proxy");
+  EXPECT_EQ(keywords.count("proxy"), 0u);
+  EXPECT_EQ(keywords.size(), 2u);
+}
+
+TEST_F(DiscoveryTest, AllowedLongerCandidateRejectsItsSuffix) {
+  // "rasurf" occurs in the allowed traffic only inside "ultrasurf", which
+  // is a candidate itself: both are allowed.
+  EXPECT_EQ(keywords_given_allowed("http://ok.example/ultrasurf/"),
+            (std::set<std::string>{"proxy"}));
+}
+
+TEST_F(DiscoveryTest, UpperCaseAllowedHostIsAllowed) {
+  // 'gateway' lives only on chat.example.net, whose domain is allowed. An
+  // allowed request to the host in upper case makes the host allowed too,
+  // so the token stays a keyword instead of becoming a host entry.
+  add_censored("http://chat.example.net/gateway/poll", 40);
+  add_allowed("http://mail.example.net/inbox", 10);
+  auto upper = rec("http://chat.example.net/status");
+  upper.url.host = "CHAT.EXAMPLE.NET";
+  dataset_.add(upper);
+
+  const auto result = discover_censored_strings(dataset_, low_threshold());
+  ASSERT_EQ(result.keywords.size(), 1u);
+  EXPECT_EQ(result.keywords[0].text, "gateway");
+  EXPECT_TRUE(result.domains.empty());
+}
+
+TEST_F(DiscoveryTest, SourceWithoutAllowedRows) {
+  // Censored rows in the first and the last of three scan partitions.
+  add_censored("http://new-syria.com/", 30);
+  add_censored("http://a-site.net/proxy/x", 20);
+  add_errors(2 * LogSource::kRowsPerPartition);
+  add_censored("http://b-site.org/proxy/y", 20);
+  ASSERT_EQ(LogSource{dataset_}.partitions(), 3u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto result =
+        discover_censored_strings(dataset_, low_threshold(), threads);
+    EXPECT_EQ(result.censored_requests_total, 70u) << threads;
+    EXPECT_EQ(result.censored_requests_explained, 70u) << threads;
+    ASSERT_EQ(result.keywords.size(), 1u) << threads;
+    EXPECT_EQ(result.keywords[0].text, "proxy");
+    EXPECT_EQ(result.keywords[0].censored, 40u);
+    ASSERT_EQ(result.domains.size(), 1u) << threads;
+    EXPECT_EQ(result.domains[0].text, "new-syria.com");
+  }
+}
+
+TEST_F(DiscoveryTest, SourceWithoutCensoredRows) {
+  // No censored row: no candidate, so pass 2 runs with no pattern at all.
+  add_allowed("http://www.facebook.com/proxy.php", 30);
+  add_errors(LogSource::kRowsPerPartition);
+  add_allowed("http://google.com/search?q=proxy", 30);
+  ASSERT_EQ(LogSource{dataset_}.partitions(), 2u);
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const auto result =
+        discover_censored_strings(dataset_, low_threshold(), threads);
+    EXPECT_EQ(result.censored_requests_total, 0u) << threads;
+    EXPECT_EQ(result.censored_requests_explained, 0u) << threads;
+    EXPECT_TRUE(result.keywords.empty()) << threads;
+    EXPECT_TRUE(result.domains.empty()) << threads;
+  }
 }
 
 }  // namespace
