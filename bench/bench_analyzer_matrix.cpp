@@ -1,5 +1,5 @@
 // Analyzer scan matrix: every class of container-native analyzer timed on
-// both LogSource backends (in-memory row Dataset, mmap'd SYRCOL1
+// both LogSource stores (in-memory row Dataset, decoded SYRCOL1
 // container) at 1 and 8 threads. Not a paper experiment — this bench
 // guards the scan layer: the same analyzer must run source-agnostic, and
 // the matrix shows what each backend and thread count costs.

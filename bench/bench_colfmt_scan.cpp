@@ -149,8 +149,8 @@ void BM_CsvLoadTopRcv(benchmark::State& state) {
 }
 BENCHMARK(BM_CsvLoadTopRcv)->Unit(benchmark::kMillisecond);
 
-// Columnar path: mmap the container and scan column pages directly —
-// `syrwatchctl top --threads=N log.col`. No rows are materialized.
+// Columnar path: mmap the container, decode its blocks once at open and
+// scan the resident columns — `syrwatchctl top --threads=N log.col`.
 void BM_ColScanTopRcv(benchmark::State& state) {
   const auto& fx = fixture();
   const auto threads = static_cast<std::size_t>(state.range(0));

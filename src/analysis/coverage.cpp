@@ -22,7 +22,7 @@ CoverageReport coverage_core(const LogSource& source, std::int64_t bin_seconds,
   // only approximately time-sorted). Bins are anchored at the earliest
   // record's midnight so bin and day boundaries line up; every tally
   // below is order-independent, so any row order bins identically.
-  const auto [first, last] = source.time_bounds(threads);
+  const auto [first, last] = source.time_bounds();
   const std::int64_t origin = first - (first % util::kSecondsPerDay);
   const auto bin_count =
       static_cast<std::size_t>((last - origin) / bin_seconds + 1);

@@ -1,51 +1,63 @@
 #include "analysis/dataset.h"
 
+#include <string>
+#include <tuple>
+
 #include "net/domain.h"
 #include "net/ipv4.h"
 
 namespace syrwatch::analysis {
 
-Dataset::Dataset() : pool_(std::make_unique<util::StringPool>()) {}
-
-void Dataset::add(const proxy::LogRecord& record) {
-  Row row;
-  row.time = record.time;
-  row.user_hash = record.user_hash;
-  row.host = pool_->intern(record.url.host);
-  resolve_host(row.host);
-  row.path = pool_->intern(record.url.path);
-  row.query = pool_->intern(record.url.query);
-  row.agent = pool_->intern(record.user_agent);
-  row.categories = pool_->intern(record.categories);
-  row.method = pool_->intern(record.method);
-  if (record.dest_ip) {
-    row.dest_ip = record.dest_ip->value();
-    row.has_dest_ip = true;
-  }
-  row.port = record.url.port;
-  row.status = record.status;
-  row.proxy_index = record.proxy_index;
-  row.scheme = record.url.scheme;
-  row.result = record.filter_result;
-  row.exception = record.exception;
-  if (rows_.empty() || row.time < first_time_) first_time_ = row.time;
-  if (rows_.empty() || row.time > last_time_) last_time_ = row.time;
-  rows_.push_back(row);
-}
-
-void Dataset::resolve_host(util::StringPool::Id host) {
-  if (host < hosts_.size() &&
-      hosts_[host].domain != util::StringPool::kNotFound)
-    return;  // seen before
-  const std::string_view text = pool_->view(host);
+void ColumnStore::resolve_host(std::uint32_t id, util::StringPool& domains) {
+  if (id < host_slot_.size() && host_slot_[id] != kNoHost) return;
+  const std::string_view text = (*strings_)[id];
   HostInfo info;
-  info.domain = pool_->intern(net::registrable_domain(text));
+  info.domain = domains.view(domains.intern(net::registrable_domain(text)));
   if (const auto ip = net::Ipv4Addr::parse(text)) {
     info.ip = ip->value();
     info.is_ip = true;
   }
-  if (hosts_.size() < pool_->size()) hosts_.resize(pool_->size());
-  hosts_[host] = info;
+  if (id >= host_slot_.size()) host_slot_.resize(id + 1, kNoHost);
+  host_slot_[id] = static_cast<std::uint32_t>(hosts_.size());
+  hosts_.push_back(info);
+}
+
+Dataset::Dataset() : pool_(std::make_unique<util::StringPool>()) {
+  strings_ = &pool_->views();
+}
+
+void Dataset::add(const proxy::LogRecord& record) {
+  if (chunks_.empty() || chunks_.back().rows == kChunkRows) {
+    colfmt::DecodedBlock& c = chunks_.emplace_back();
+    c.row_base = rows_;
+    // Whole chunks up front: growth never copies a column or frees one.
+    std::apply([](auto&... column) { (column.reserve(kChunkRows), ...); },
+               std::tie(c.time, c.user_hash, c.method, c.host, c.path, c.query,
+                        c.agent, c.categories, c.port, c.status,
+                        c.proxy_index, c.scheme, c.filter_result,
+                        c.exception, c.dest_ip, c.has_dest));
+  }
+  colfmt::DecodedBlock& c = chunks_.back();
+  c.time.push_back(record.time);
+  c.user_hash.push_back(record.user_hash);
+  c.host.push_back(pool_->intern(record.url.host));
+  resolve_host(c.host.back(), *pool_);
+  c.path.push_back(pool_->intern(record.url.path));
+  c.query.push_back(pool_->intern(record.url.query));
+  c.agent.push_back(pool_->intern(record.user_agent));
+  c.categories.push_back(pool_->intern(record.categories));
+  c.method.push_back(pool_->intern(record.method));
+  c.port.push_back(record.url.port);
+  c.status.push_back(record.status);
+  c.proxy_index.push_back(record.proxy_index);
+  c.scheme.push_back(static_cast<std::uint8_t>(record.url.scheme));
+  c.filter_result.push_back(static_cast<std::uint8_t>(record.filter_result));
+  c.exception.push_back(static_cast<std::uint8_t>(record.exception));
+  c.dest_ip.push_back(record.dest_ip ? record.dest_ip->value() : 0);
+  c.has_dest.push_back(record.dest_ip ? 1 : 0);
+  note_time(record.time);
+  ++c.rows;
+  ++rows_;
 }
 
 }  // namespace syrwatch::analysis

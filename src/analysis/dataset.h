@@ -5,101 +5,92 @@
 #include <string_view>
 #include <vector>
 
-#include "net/url.h"
+#include "colfmt/container.h"
 #include "proxy/log_record.h"
 #include "util/string_pool.h"
 
 namespace syrwatch::analysis {
 
-/// One log record in columnar/interned form (~56 bytes). Host, path,
-/// query, agent, category and method strings live in the dataset's
-/// StringPool, so millions of records fit comfortably in memory.
-struct Row {
-  std::int64_t time = 0;
-  std::uint64_t user_hash = 0;
-  util::StringPool::Id host = util::StringPool::kEmpty;
-  util::StringPool::Id path = util::StringPool::kEmpty;
-  util::StringPool::Id query = util::StringPool::kEmpty;
-  util::StringPool::Id agent = util::StringPool::kEmpty;
-  util::StringPool::Id categories = util::StringPool::kEmpty;
-  util::StringPool::Id method = util::StringPool::kEmpty;
-  std::uint32_t dest_ip = 0;
-  std::uint16_t port = 0;
-  std::uint16_t status = 0;
-  std::uint8_t proxy_index = 0;
-  net::Scheme scheme = net::Scheme::kHttp;
-  proxy::FilterResult result = proxy::FilterResult::kObserved;
-  proxy::ExceptionId exception = proxy::ExceptionId::kNone;
-  bool has_dest_ip = false;
+/// The one in-memory log layout (DESIGN.md §4.11): rows in
+/// colfmt::DecodedBlock chunks, string columns as ids into one id → text
+/// table, and per-host values (registrable domain, IPv4 parse) resolved
+/// once per distinct host id. Two classes fill it — Dataset by add(),
+/// ColumnarLog by decoding a SYRCOL1 container at open — and LogSource
+/// reads both through one adapter. Ids are validated before they enter a
+/// chunk (by the pool that minted them, or by colfmt::Reader::decode), so
+/// text() and host() index without bounds checks.
+class ColumnStore {
+ public:
+  /// Derived values of one host string.
+  struct HostInfo {
+    std::string_view domain;  ///< registrable domain (eTLD+1)
+    std::uint32_t ip = 0;     ///< dotted-quad parse, valid when is_ip
+    bool is_ip = false;
+  };
+
+  ColumnStore(const ColumnStore&) = delete;
+  ColumnStore& operator=(const ColumnStore&) = delete;
+
+  std::uint64_t rows() const noexcept { return rows_; }
+  /// Chunks in row order; chunk c holds ordinals [row_base, row_base+rows).
+  const std::vector<colfmt::DecodedBlock>& chunks() const noexcept {
+    return chunks_;
+  }
+  std::string_view text(std::uint32_t id) const noexcept {
+    return (*strings_)[id];
+  }
+  /// Precondition: `id` occurs in some chunk's host column.
+  const HostInfo& host(std::uint32_t id) const noexcept {
+    return hosts_[host_slot_[id]];
+  }
+  /// Min/max timestamps over every row (rows are in arrival order, only
+  /// approximately time-sorted). Meaningless while empty.
+  std::int64_t first_time() const noexcept { return first_time_; }
+  std::int64_t last_time() const noexcept { return last_time_; }
+
+ protected:
+  ColumnStore() = default;
+  ColumnStore(ColumnStore&&) = default;
+
+  /// Resolves host `id` on first sight, interning its domain in `domains`.
+  void resolve_host(std::uint32_t id, util::StringPool& domains);
+  void note_time(std::int64_t time) noexcept {
+    if (rows_ == 0 || time < first_time_) first_time_ = time;
+    if (rows_ == 0 || time > last_time_) last_time_ = time;
+  }
+
+  std::vector<colfmt::DecodedBlock> chunks_;
+  /// Id → text; owned by the subclass (its pool or its reader).
+  const std::vector<std::string_view>* strings_ = nullptr;
+  std::uint64_t rows_ = 0;
+
+ private:
+  static constexpr std::uint32_t kNoHost = ~std::uint32_t{0};
+  std::vector<std::uint32_t> host_slot_;  ///< id → index into hosts_
+  std::vector<HostInfo> hosts_;
+  std::int64_t first_time_ = 0;
+  std::int64_t last_time_ = 0;
 };
 
-/// The in-memory log: an append-only Row vector over one StringPool, kept
-/// in arrival order. CSV loads, Study runs and spool tails all fill one.
-/// The paper's derived datasets (Table 1) are analysis::derive_sources
-/// views over it, not copies.
-///
-/// Per-host derived values (registrable domain, IPv4 parse) are resolved
-/// at add(), once per distinct host, so every accessor is a pure read and
-/// concurrent scans need no warm-up. add() and reads must not overlap.
-class Dataset {
+/// The in-memory log: an append-only column store over one StringPool,
+/// kept in arrival order. CSV loads, Study runs and spool tails all fill
+/// one. The paper's derived datasets (Table 1) are
+/// analysis::derive_sources views over it, not copies. add() and reads
+/// must not overlap.
+class Dataset : public ColumnStore {
  public:
+  /// Rows per chunk — the scan layer's partitions, fixed so the partial
+  /// sequence an analyzer folds is the same for every thread count.
+  static constexpr std::size_t kChunkRows = 64 * 1024;
+
   Dataset();
 
   void add(const proxy::LogRecord& record);
 
-  std::size_t size() const noexcept { return rows_.size(); }
-  const std::vector<Row>& rows() const noexcept { return rows_; }
-
-  std::string_view view(util::StringPool::Id id) const {
-    return pool_->view(id);
-  }
-  std::string_view host(const Row& row) const { return view(row.host); }
-  std::string_view path(const Row& row) const { return view(row.path); }
-  std::string_view query(const Row& row) const { return view(row.query); }
-
-  /// Registrable domain of the row's host (eTLD+1).
-  std::string_view domain(const Row& row) const {
-    return view(hosts_[row.host].domain);
-  }
-
-  /// Dotted-quad parse of the row's host. The columnar backend
-  /// precomputes the identical values per dictionary id, so the scan
-  /// layer sees one surface.
-  bool host_is_ip(const Row& row) const noexcept {
-    return hosts_[row.host].is_ip;
-  }
-  std::uint32_t host_ip(const Row& row) const noexcept {
-    return hosts_[row.host].ip;
-  }
-
-  /// §3.3 class of the row.
-  proxy::TrafficClass cls(const Row& row) const noexcept {
-    if (row.result == proxy::FilterResult::kProxied)
-      return proxy::TrafficClass::kProxied;
-    return proxy::classify_by_exception(row.result, row.exception);
-  }
-
-  /// Min/max timestamps over every row added so far (arrival order is
-  /// only approximately time-sorted). Meaningless while empty.
-  std::int64_t first_time() const noexcept { return first_time_; }
-  std::int64_t last_time() const noexcept { return last_time_; }
+  std::size_t size() const noexcept { return rows_; }
 
  private:
-  /// Derived values of one host string.
-  struct HostInfo {
-    util::StringPool::Id domain = util::StringPool::kNotFound;
-    std::uint32_t ip = 0;
-    bool is_ip = false;
-  };
-
-  void resolve_host(util::StringPool::Id host);
-
   std::unique_ptr<util::StringPool> pool_;
-  std::vector<Row> rows_;
-  /// Indexed by pool id; only ids that occur as a host are resolved.
-  std::vector<HostInfo> hosts_;
-  std::int64_t first_time_ = 0;
-  std::int64_t last_time_ = 0;
 };
 
 }  // namespace syrwatch::analysis

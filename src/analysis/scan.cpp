@@ -11,42 +11,6 @@
 
 namespace syrwatch::analysis {
 
-LogSource::TimeBounds LogSource::time_bounds(std::size_t threads) const {
-  if (mask_) return {first_time_, last_time_};
-  if (columnar_ == nullptr)
-    return {dataset_->first_time(), dataset_->last_time()};
-  struct Bounds {
-    std::int64_t first = 0, last = 0;
-    bool any = false;
-  };
-  std::vector<Bounds> partials(partitions());
-  util::parallel_for(partitions(), threads, [&](std::size_t p) {
-    scan_partition(p, [&](const Record& r) {
-      Bounds& b = partials[p];
-      if (!b.any) {
-        b.first = b.last = r.time;
-        b.any = true;
-        return;
-      }
-      if (r.time < b.first) b.first = r.time;
-      if (r.time > b.last) b.last = r.time;
-    });
-  });
-  TimeBounds bounds;
-  bool seen = false;
-  for (const Bounds& b : partials) {
-    if (!b.any) continue;
-    if (!seen) {
-      bounds = {b.first, b.last};
-      seen = true;
-      continue;
-    }
-    bounds.first = std::min(bounds.first, b.first);
-    bounds.last = std::max(bounds.last, b.last);
-  }
-  return bounds;
-}
-
 namespace {
 
 /// Row count and time bounds of a freshly masked view, resolved with one
@@ -202,7 +166,7 @@ std::optional<char> last_byte(const std::string& path) {
 }
 
 void open_columnar(const std::string& path, const SourceOptions& options,
-                   OpenedSource& out, std::unique_ptr<ColumnarLog>& columnar,
+                   std::unique_ptr<ColumnarLog>& columnar,
                    colfmt::RecoveryStats& recovery) {
   // Classify the version before the strict open so an operator-facing
   // "from a newer writer" refusal never reads as generic corruption. The
@@ -231,30 +195,34 @@ void open_columnar(const std::string& path, const SourceOptions& options,
       }
     }
   }
+  std::optional<colfmt::Reader> reader;
   if (options.lenient) {
-    columnar = std::make_unique<ColumnarLog>(
-        colfmt::Reader::open_lenient(path, &recovery), options.threads);
-    return;
-  }
-  try {
-    columnar = std::make_unique<ColumnarLog>(colfmt::Reader::open(path),
-                                             options.threads);
-  } catch (const SourceOpenError&) {
-    throw;
-  } catch (const std::exception& error) {
-    // Distinguish a torn tail (recoverable: the damage is at the end,
-    // intact leading blocks survive a lenient probe) from deeper damage.
-    colfmt::RecoveryStats probe;
+    reader.emplace(colfmt::Reader::open_lenient(path, &recovery));
+  } else {
     try {
-      (void)colfmt::Reader::open_lenient(path, &probe);
-    } catch (const std::exception&) {
-      refuse(SourceOpenErrorCode::kMalformed, path, error.what());
+      reader.emplace(colfmt::Reader::open(path));
+    } catch (const std::exception& error) {
+      // An intact footer and index put the damage inside an indexed block;
+      // otherwise the file's end was lost (a torn tail), and a lenient
+      // open recovers the intact leading blocks.
+      bool torn = false;
+      try {
+        torn = !colfmt::verify_file(path).footer_ok;
+      } catch (const std::exception&) {
+      }
+      refuse(torn ? SourceOpenErrorCode::kTornTail
+                  : SourceOpenErrorCode::kMalformed,
+             path, error.what());
     }
-    refuse(probe.truncated_tail ? SourceOpenErrorCode::kTornTail
-                                : SourceOpenErrorCode::kMalformed,
-           path, error.what());
   }
-  (void)out;
+  // Decoding every block checks every column page and value, on the
+  // strict and the lenient path alike.
+  try {
+    columnar = std::make_unique<ColumnarLog>(std::move(*reader),
+                                             options.threads);
+  } catch (const std::runtime_error& error) {
+    refuse(SourceOpenErrorCode::kMalformed, path, error.what());
+  }
 }
 
 void open_csv(const std::string& path, const SourceOptions& options,
@@ -320,7 +288,7 @@ OpenedSource open_source(const std::string& path,
     if (options.format == "col" && !colfmt::file_looks_like_container(path))
       refuse(SourceOpenErrorCode::kBadMagic, path,
              "not a SYRCOL1 container");
-    open_columnar(path, options, out, out.columnar_, out.recovery_);
+    open_columnar(path, options, out.columnar_, out.recovery_);
     return out;
   }
   open_csv(path, options, out.dataset_, out.read_stats_);

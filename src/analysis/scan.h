@@ -17,19 +17,20 @@
 namespace syrwatch::analysis {
 
 /// The unified scan layer (DESIGN.md §4.11). Every analyzer is written
-/// once against LogSource — a record cursor with two backends, the
-/// in-memory row Dataset (CSV loads, Study runs and spool tails alike) and
-/// the mmap'd SYRCOL1 container (ColumnarLog) — and runs as a partitioned
-/// parallel scan: each worker fills a private Partial from one partition's
-/// records in row order, and the analyzer's fold merges the partials in
-/// partition order. Because folds are required to be partition-layout
-/// independent (columnar partitions are container blocks, dataset
-/// partitions are fixed row ranges) and to reproduce the sequential row
-/// scan's observable state, every analyzer's output is byte-identical
-/// across backends and thread counts.
+/// once against LogSource — a record cursor over a ColumnStore, the one
+/// in-memory column layout that both the row Dataset (CSV loads, Study
+/// runs and spool tails alike) and the decoded SYRCOL1 container
+/// (ColumnarLog) fill — and runs as a partitioned parallel scan: each
+/// worker fills a private Partial from one partition's records in row
+/// order, and the analyzer's fold merges the partials in partition order.
+/// Because folds are required to be partition-layout independent
+/// (container partitions are its blocks, dataset partitions are 64Ki-row
+/// chunks) and to reproduce the sequential row scan's observable state,
+/// every analyzer's output is byte-identical across backends and thread
+/// counts.
 
 /// One log record as the scan layer presents it: scalar columns plus
-/// zero-copy views into the backend's string storage (the Dataset's pool
+/// zero-copy views into the store's string storage (the Dataset's pool
 /// or the container's mapping — both outlive any scan). `host_id` and
 /// `agent_id` are backend-local interned ids: equal ids ⇔ equal strings
 /// within one source, so analyzers may group by them but must never let
@@ -66,64 +67,50 @@ struct Record {
   }
 };
 
-/// A source of records: a cheap, copyable view over one backend, plus an
-/// optional row mask for derived datasets (Dsample/Duser/Ddenied carved
-/// out of a file-backed Dfull without materializing rows). Constructed
-/// implicitly from either backend, so one analyzer signature
-/// `f(const LogSource&, …, threads)` serves both call styles.
+/// A source of records: a cheap, copyable view over one ColumnStore, plus
+/// an optional row mask for derived datasets (Dsample/Duser/Ddenied carved
+/// out of Dfull without materializing rows). Constructed implicitly from
+/// either store, so one analyzer signature `f(const LogSource&, …,
+/// threads)` serves both call styles.
 class LogSource {
  public:
-  /// Rows per dataset partition. Fixed — never derived from the thread
-  /// count — so the partial sequence an analyzer folds is the same for
-  /// every `threads` value. (Columnar partitions are container blocks,
-  /// whose size the writer fixed; folds must not assume the two layouts
-  /// align.)
-  static constexpr std::size_t kRowsPerPartition = 64 * 1024;
-
-  LogSource(const Dataset& dataset)  // NOLINT(google-explicit-constructor)
-      : dataset_(&dataset), rows_(dataset.size()) {}
-  LogSource(const ColumnarLog& log)  // NOLINT(google-explicit-constructor)
-      : columnar_(&log), rows_(log.rows()) {}
+  LogSource(const ColumnStore& store)  // NOLINT(google-explicit-constructor)
+      : store_(&store), rows_(store.rows()) {}
 
   /// Records this source yields (after any mask).
   std::uint64_t rows() const noexcept { return rows_; }
 
-  /// Records of the *underlying backend*, before any mask — the ordinal
-  /// space Record::ordinal and masks index, and scan_increment's
-  /// high-water domain. For the Dataset backend this is live (a spool
-  /// tail may have grown it since this view was constructed).
-  std::uint64_t base_rows() const noexcept {
-    return columnar_ != nullptr ? columnar_->rows() : dataset_->size();
-  }
+  /// Records of the underlying store, before any mask — the ordinal space
+  /// Record::ordinal and masks index, and scan_increment's high-water
+  /// domain. Live: a spool tail's Dataset may have grown since this view
+  /// was constructed.
+  std::uint64_t base_rows() const noexcept { return store_->rows(); }
 
-  /// Scan partitions. Contiguous, in row order; a masked source keeps its
-  /// base's partition layout and simply yields fewer records.
-  std::size_t partitions() const noexcept {
-    if (columnar_ != nullptr) return columnar_->block_count();
-    return (dataset_->size() + kRowsPerPartition - 1) / kRowsPerPartition;
-  }
+  /// Scan partitions: the store's chunks, contiguous and in row order. A
+  /// masked source keeps its base's partitions and simply yields fewer
+  /// records. The layout never depends on the thread count, so the
+  /// partial sequence an analyzer folds is the same for every `threads`.
+  std::size_t partitions() const noexcept { return store_->chunks().size(); }
 
   /// One past the last base ordinal partition `p` covers — the bound
   /// scan_increment uses to skip fully-consumed partitions.
   std::uint64_t partition_base_end(std::size_t p) const noexcept {
-    if (columnar_ != nullptr) {
-      const colfmt::BlockInfo& b = columnar_->reader().blocks()[p];
-      return b.row_base + b.rows;
-    }
-    const std::uint64_t end = (p + 1) * kRowsPerPartition;
-    return std::min<std::uint64_t>(end, base_rows());
+    const colfmt::DecodedBlock& chunk = store_->chunks()[p];
+    return chunk.row_base + chunk.rows;
   }
 
-  /// True min/max record timestamps. Precondition: rows() > 0. Both
-  /// backends keep emission order, which is only approximately
-  /// time-sorted: the Dataset tracks its bounds at add(), the columnar
-  /// backend computes them with one parallel scan (identical result for
-  /// any `threads`), and masked views resolved theirs at construction.
+  /// True min/max record timestamps. Precondition: rows() > 0. Stores
+  /// keep arrival order, which is only approximately time-sorted: they
+  /// track their bounds as rows arrive, and masked views resolve theirs
+  /// at construction.
   struct TimeBounds {
     std::int64_t first = 0;
     std::int64_t last = 0;
   };
-  TimeBounds time_bounds(std::size_t threads = 1) const;
+  TimeBounds time_bounds() const noexcept {
+    if (mask_) return {first_time_, last_time_};
+    return {store_->first_time(), store_->last_time()};
+  }
 
   /// Derived source yielding only the records `keep` accepts. The mask is
   /// resolved eagerly (deterministically, for any `threads`), so
@@ -140,103 +127,65 @@ class LogSource {
   LogSource masked(std::shared_ptr<const std::vector<std::uint8_t>> mask,
                    std::size_t threads = 1) const;
 
-  /// No-op: both backends resolve their per-host tables eagerly, so every
-  /// scan is safe at any thread count. Kept for callers written against
-  /// the old lazy-cache contract.
+  /// No-op: stores resolve their per-host tables eagerly, so every scan
+  /// is safe at any thread count. Kept for callers written against the
+  /// old lazy-cache contract.
   void prepare(std::size_t /*threads*/) const {}
 
   /// Invokes `fn(const Record&)` for every record of partition `p`, in row
   /// order. Thread-safe: scans only read.
   template <typename Fn>
   void scan_partition(std::size_t p, Fn&& fn) const {
-    if (columnar_ != nullptr) {
-      const colfmt::DecodedBlock block = columnar_->reader().decode(p);
-      const std::uint64_t base = columnar_->reader().blocks()[p].row_base;
-      for (std::size_t r = 0; r < block.rows; ++r) {
-        const std::uint64_t ordinal = base + r;
-        if (mask_ && (*mask_)[static_cast<std::size_t>(ordinal)] == 0)
-          continue;
-        fn(from_block(block, r, ordinal));
-      }
-      return;
-    }
-    const auto& rows = dataset_->rows();
-    const std::size_t begin = p * kRowsPerPartition;
-    const std::size_t end = std::min(rows.size(), begin + kRowsPerPartition);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (mask_ && (*mask_)[i] == 0) continue;
-      fn(from_row(rows[i], i));
+    const colfmt::DecodedBlock& chunk = store_->chunks()[p];
+    for (std::size_t i = 0; i < chunk.rows; ++i) {
+      const std::uint64_t ordinal = chunk.row_base + i;
+      if (mask_ && (*mask_)[static_cast<std::size_t>(ordinal)] == 0)
+        continue;
+      fn(record(chunk, i, ordinal));
     }
   }
 
  private:
-  Record from_row(const Row& row, std::uint64_t ordinal) const {
-    const Dataset& d = *dataset_;
+  /// The one adapter: row `i` of a chunk as a Record.
+  Record record(const colfmt::DecodedBlock& c, std::size_t i,
+                std::uint64_t ordinal) const {
+    const ColumnStore& s = *store_;
+    const ColumnStore::HostInfo& host = s.host(c.host[i]);
     Record r;
     r.ordinal = ordinal;
-    r.time = row.time;
-    r.user_hash = row.user_hash;
-    r.method = d.view(row.method);
-    r.host = d.view(row.host);
-    r.path = d.view(row.path);
-    r.query = d.view(row.query);
-    r.agent = d.view(row.agent);
-    r.categories = d.view(row.categories);
-    r.domain = d.domain(row);
-    r.host_id = row.host;
-    r.agent_id = row.agent;
-    r.dest_ip = row.dest_ip;
-    r.host_is_ip = d.host_is_ip(row);
-    r.host_ip = r.host_is_ip ? d.host_ip(row) : 0;
-    r.port = row.port;
-    r.status = row.status;
-    r.proxy_index = row.proxy_index;
-    r.scheme = row.scheme;
-    r.result = row.result;
-    r.exception = row.exception;
-    r.cls = d.cls(row);
-    r.has_dest_ip = row.has_dest_ip;
+    r.time = c.time[i];
+    r.user_hash = c.user_hash[i];
+    r.method = s.text(c.method[i]);
+    r.host = s.text(c.host[i]);
+    r.path = s.text(c.path[i]);
+    r.query = s.text(c.query[i]);
+    r.agent = s.text(c.agent[i]);
+    r.categories = s.text(c.categories[i]);
+    r.domain = host.domain;
+    r.host_id = c.host[i];
+    r.agent_id = c.agent[i];
+    r.dest_ip = c.dest_ip[i];
+    r.host_ip = host.ip;
+    r.port = c.port[i];
+    r.status = c.status[i];
+    r.proxy_index = c.proxy_index[i];
+    r.scheme = static_cast<net::Scheme>(c.scheme[i]);
+    r.result = static_cast<proxy::FilterResult>(c.filter_result[i]);
+    r.exception = static_cast<proxy::ExceptionId>(c.exception[i]);
+    // §3.3: PROXIED is its own class whatever the exception says.
+    r.cls = r.result == proxy::FilterResult::kProxied
+                ? proxy::TrafficClass::kProxied
+                : proxy::classify_by_exception(r.result, r.exception);
+    r.has_dest_ip = c.has_dest[i] != 0;
+    r.host_is_ip = host.is_ip;
     return r;
   }
 
-  Record from_block(const colfmt::DecodedBlock& b, std::size_t i,
-                    std::uint64_t ordinal) const {
-    const ColumnarLog& log = *columnar_;
-    const colfmt::Reader& reader = log.reader();
-    Record r;
-    r.ordinal = ordinal;
-    r.time = b.time[i];
-    r.user_hash = b.user_hash[i];
-    r.method = reader.view(b.method[i]);
-    r.host = reader.view(b.host[i]);
-    r.path = reader.view(b.path[i]);
-    r.query = reader.view(b.query[i]);
-    r.agent = reader.view(b.agent[i]);
-    r.categories = reader.view(b.categories[i]);
-    r.domain = log.domain(b.host[i]);
-    r.host_id = b.host[i];
-    r.agent_id = b.agent[i];
-    r.dest_ip = b.has_dest[i] != 0 ? b.dest_ip[i] : 0;
-    r.host_is_ip = log.host_is_ip(b.host[i]);
-    r.host_ip = r.host_is_ip ? log.host_ip(b.host[i]) : 0;
-    r.port = b.port[i];
-    r.status = b.status[i];
-    r.proxy_index = b.proxy_index[i];
-    r.scheme = static_cast<net::Scheme>(b.scheme[i]);
-    r.result = static_cast<proxy::FilterResult>(b.filter_result[i]);
-    r.exception = static_cast<proxy::ExceptionId>(b.exception[i]);
-    r.cls = ColumnarLog::cls(b.filter_result[i], b.exception[i]);
-    r.has_dest_ip = b.has_dest[i] != 0;
-    return r;
-  }
-
-  const Dataset* dataset_ = nullptr;
-  const ColumnarLog* columnar_ = nullptr;
+  const ColumnStore* store_ = nullptr;
   /// Base-ordinal keep mask of a derived view; null = all records.
   std::shared_ptr<const std::vector<std::uint8_t>> mask_;
   std::uint64_t rows_ = 0;
-  /// Cached time bounds of a masked view (the base backends answer from
-  /// their own storage).
+  /// Cached time bounds of a masked view (the store answers for itself).
   std::int64_t first_time_ = 0;
   std::int64_t last_time_ = 0;
 };
@@ -317,8 +266,14 @@ enum class SourceOpenErrorCode : std::uint8_t {
   kNotFound,            ///< path missing or unreadable
   kBadMagic,            ///< neither a SYRCOL1 container nor a CSV log
   kUnsupportedVersion,  ///< container magic with an unknown version
-  kTornTail,            ///< file ends mid-record (strict mode refuses)
-  kMalformed,           ///< a record failed validation (strict mode)
+  /// The file's end is damaged: a CSV ends mid-record, or a container's
+  /// footer/index is unreadable or its last block partial (strict mode
+  /// refuses; lenient recovers the intact prefix).
+  kTornTail,
+  /// A record failed validation (strict mode), or a container block did
+  /// (a bad page inside an indexed block, or an out-of-range value — on
+  /// the lenient path too).
+  kMalformed,
 };
 
 std::string_view to_string(SourceOpenErrorCode code) noexcept;
@@ -342,13 +297,13 @@ struct SourceOptions {
   /// Recover damaged inputs (torn tails truncated, malformed rows
   /// skipped and tallied) instead of throwing.
   bool lenient = false;
-  /// Parallelizes the columnar dictionary precomputation (identical
-  /// result for any value).
+  /// Parallelizes the container's block decode (identical result for
+  /// any value).
   std::size_t threads = 1;
 };
 
-/// An on-disk log opened for analysis: whichever backend the bytes
-/// called for (row Dataset for CSV, mmap'd ColumnarLog for SYRCOL1),
+/// An on-disk log opened for analysis: whichever store the bytes called
+/// for (row Dataset for CSV, decoded ColumnarLog for SYRCOL1),
 /// plus the recovery stats a lenient open produced. LogSource views
 /// handed to analyzers stay valid as long as this object lives.
 class OpenedSource {
@@ -380,7 +335,8 @@ class OpenedSource {
 /// The one format-sniffing open path every consumer shares — promoted
 /// from syrwatchctl's tool-local loader. Throws SourceOpenError with a
 /// typed code on refusal (std::invalid_argument for a bad
-/// SourceOptions::format value).
+/// SourceOptions::format value). A container is decoded before this
+/// returns, so every page CRC and column value has been checked.
 OpenedSource open_source(const std::string& path,
                          const SourceOptions& options = {});
 

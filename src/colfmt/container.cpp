@@ -186,6 +186,14 @@ bool parse_footer(std::string_view file, FooterParse& out, std::string& error) {
     error = "unsupported container version";
     return false;
   }
+  // Bounded by the file before anything is added, multiplied or sized by
+  // them: an index entry takes 16 bytes, a dictionary entry at least 1.
+  if (out.index_offset > file.size() ||
+      block_count > file.size() / kIndexEntryBytes ||
+      out.dict_count > file.size()) {
+    error = "footer fields exceed the file size";
+    return false;
+  }
   if (out.index_offset < kMagic.size() ||
       out.index_offset + block_count * kIndexEntryBytes + kFooterBytes !=
           file.size()) {
@@ -490,24 +498,20 @@ Reader Reader::open_lenient(const std::string& path, RecoveryStats* stats) {
   return reader;
 }
 
-DictDelta Reader::dict_entries(std::size_t block_index) const {
-  const BlockInfo& info = blocks_.at(block_index);
-  DictDelta delta;
-  delta.base = info.dict_base;
-  delta.count = info.dict_new;
-  delta.entries =
-      info.dict_new == 0
-          ? nullptr
-          : dict_.data() + static_cast<std::size_t>(info.dict_base);
-  return delta;
-}
-
 DecodedBlock Reader::decode(std::size_t block_index) const {
   const BlockInfo& info = blocks_.at(block_index);
   const auto file = map_.bytes();
-  const auto where = [&](const char* what) {
-    return "colfmt " + map_.path() + ": block " +
-           std::to_string(block_index) + ": " + what;
+  // Every failure names the block, and the page when one is to blame.
+  const std::string where = "colfmt " + map_.path() + ": block " +
+                            std::to_string(block_index) + ": ";
+  const auto page_context = [&](Page page) {
+    return where + std::string(kPageNames[page]) + " page";
+  };
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error(where + what);
+  };
+  const auto fail_page = [&](Page page, const char* what) {
+    throw std::runtime_error(page_context(page) + ": " + what);
   };
 
   BlockFrame frame;
@@ -516,38 +520,36 @@ DecodedBlock Reader::decode(std::size_t block_index) const {
   // next block (or the index) begins, so the whole file is the limit.
   if (!parse_block_frame(file, info.offset, file.size(), frame, error,
                          /*check_page_crc=*/true))
-    throw std::runtime_error(where(error.c_str()));
-  if (frame.rows != info.rows)
-    throw std::runtime_error(where("row count changed under the reader"));
+    fail(error);
+  if (frame.rows != info.rows) fail("row count changed under the reader");
 
   DecodedBlock block;
   const std::size_t rows = info.rows;
   block.rows = rows;
+  block.row_base = info.row_base;
   // Ids minted in this block or any earlier one are valid; later ones are
   // evidence of damage the CRC happened to miss (or an adversarial file).
   const std::uint64_t dict_limit = info.dict_base + info.dict_new;
 
-  {
-    VarintReader in(frame.pages[kPageTime], "colfmt time page");
-    block.time.resize(rows);
-    std::int64_t prev = 0;
-    for (std::size_t i = 0; i < rows; ++i) {
-      prev = (i == 0) ? in.get_signed() : prev + in.get_signed();
-      block.time[i] = prev;
-    }
+  // Feeds page `page`'s varints to `read`, checking the page is used up.
+  const auto varints = [&](Page page, const auto& read) {
+    const std::string context = page_context(page);
+    VarintReader in(frame.pages[page], context.c_str());
+    for (std::size_t i = 0; i < rows; ++i) read(i, in.get());
     in.expect_end();
-  }
+  };
 
+  // Raw pages first: each holds exactly one byte per row, so the header's
+  // row count is bounded by the file before any column is sized by it.
   const auto raw_u8 = [&](Page page, std::vector<std::uint8_t>& out,
                           std::uint8_t max_value) {
     const auto payload = frame.pages[page];
     if (payload.size() != rows)
-      throw std::runtime_error(where("raw page has wrong row count"));
+      fail_page(page, "raw page has wrong row count");
     out.resize(rows);
     for (std::size_t i = 0; i < rows; ++i) {
       const auto v = static_cast<std::uint8_t>(payload[i]);
-      if (v > max_value)
-        throw std::runtime_error(where("enum value out of range"));
+      if (v > max_value) fail_page(page, "enum value out of range");
       out[i] = v;
     }
   };
@@ -559,23 +561,26 @@ DecodedBlock Reader::decode(std::size_t block_index) const {
   raw_u8(kPageException, block.exception,
          static_cast<std::uint8_t>(proxy::kExceptionCount - 1));
 
-  {
-    VarintReader in(frame.pages[kPageUserHash], "colfmt user page");
-    block.user_hash.resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) block.user_hash[i] = in.get();
-    in.expect_end();
-  }
+  block.time.resize(rows);
+  varints(kPageTime, [&](std::size_t i, std::uint64_t v) {
+    // First value absolute, then deltas; summed unsigned so a crafted
+    // page wraps instead of overflowing.
+    const std::uint64_t prev =
+        i == 0 ? 0 : static_cast<std::uint64_t>(block.time[i - 1]);
+    block.time[i] = static_cast<std::int64_t>(
+        prev + static_cast<std::uint64_t>(unzigzag(v)));
+  });
+
+  block.user_hash.resize(rows);
+  varints(kPageUserHash,
+          [&](std::size_t i, std::uint64_t v) { block.user_hash[i] = v; });
 
   const auto dict_column = [&](Page page, std::vector<std::uint32_t>& out) {
-    VarintReader in(frame.pages[page], "colfmt dict-id page");
     out.resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const auto id = in.get();
-      if (id >= dict_limit)
-        throw std::runtime_error(where("dictionary id out of range"));
+    varints(page, [&](std::size_t i, std::uint64_t id) {
+      if (id >= dict_limit) fail_page(page, "dictionary id out of range");
       out[i] = static_cast<std::uint32_t>(id);
-    }
-    in.expect_end();
+    });
   };
   dict_column(kPageMethod, block.method);
   dict_column(kPageHost, block.host);
@@ -584,40 +589,39 @@ DecodedBlock Reader::decode(std::size_t block_index) const {
   dict_column(kPageAgent, block.agent);
   dict_column(kPageCategories, block.categories);
 
-  const auto u16_column = [&](Page page, std::vector<std::uint16_t>& out,
-                              const char* label) {
-    VarintReader in(frame.pages[page], label);
+  const auto u16_column = [&](Page page, std::vector<std::uint16_t>& out) {
     out.resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const auto v = in.get();
-      if (v > 0xFFFF)
-        throw std::runtime_error(where("16-bit value out of range"));
+    varints(page, [&](std::size_t i, std::uint64_t v) {
+      if (v > 0xFFFF) fail_page(page, "16-bit value out of range");
       out[i] = static_cast<std::uint16_t>(v);
-    }
-    in.expect_end();
+    });
   };
-  u16_column(kPagePort, block.port, "colfmt port page");
-  u16_column(kPageStatus, block.status, "colfmt status page");
+  u16_column(kPagePort, block.port);
+  u16_column(kPageStatus, block.status);
 
-  {
-    VarintReader in(frame.pages[kPageDestIp], "colfmt dest page");
-    block.dest_ip.resize(rows);
-    block.has_dest.resize(rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      const auto v = in.get();
-      if (v == 0) {
-        block.has_dest[i] = 0;
-        block.dest_ip[i] = 0;
-      } else {
-        if (v - 1 > 0xFFFFFFFFull)
-          throw std::runtime_error(where("destination ip out of range"));
-        block.has_dest[i] = 1;
-        block.dest_ip[i] = static_cast<std::uint32_t>(v - 1);
-      }
-    }
-    in.expect_end();
-  }
+  block.dest_ip.resize(rows);
+  block.has_dest.resize(rows);
+  varints(kPageDestIp, [&](std::size_t i, std::uint64_t v) {
+    // 0 = no r-ip, else the address + 1.
+    if (v != 0 && v - 1 > 0xFFFFFFFFull)
+      fail_page(kPageDestIp, "destination ip out of range");
+    block.has_dest[i] = v != 0 ? 1 : 0;
+    block.dest_ip[i] = v != 0 ? static_cast<std::uint32_t>(v - 1) : 0;
+  });
   return block;
+}
+
+void Reader::release_columns(std::size_t block_index) const noexcept {
+  const BlockInfo& info = blocks_[block_index];
+  // The dict page comes first; open() framed it, so its size is sound.
+  const std::uint64_t columns =
+      info.offset + kBlockHeaderBytes + kPageHeaderBytes +
+      get_u32(map_.bytes().data() + info.offset + kBlockHeaderBytes);
+  const std::uint64_t end = block_index + 1 < blocks_.size()
+                                ? blocks_[block_index + 1].offset
+                                : map_.size();
+  map_.release(static_cast<std::size_t>(columns),
+               static_cast<std::size_t>(end - columns));
 }
 
 proxy::LogRecord Reader::record(const DecodedBlock& block,

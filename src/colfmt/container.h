@@ -126,10 +126,9 @@ class Writer {
   std::unique_ptr<BlockBuilder> block_;
   WriterOptions options_;
   // Dictionary: string → id, id order = first sight across the file.
-  // (A std::vector of map iterators would dangle; the deque-backed pool
-  // idiom from util::StringPool is overkill here because the writer never
-  // reads strings back — it only needs the forward map and the pending
-  // delta list.)
+  // (A std::vector of map iterators would dangle; util::StringPool's
+  // arena is overkill here because the writer never reads strings back —
+  // it only needs the forward map and the pending delta list.)
   std::vector<std::string> pending_dict_;  // strings not yet flushed
   struct DictIndex;
   std::unique_ptr<DictIndex> dict_;
@@ -141,11 +140,14 @@ class Writer {
 };
 
 /// One block's columns, decoded (CRC-verified) out of the mapping into
-/// dense arrays. Strings stay behind dictionary ids — resolve through
-/// Reader::view(). ~26 bytes/row decoded, allocated per scan grain, so a
-/// parallel scan touches blocks, not the whole dataset.
+/// dense arrays: 53 bytes/row. Strings stay behind dictionary ids —
+/// resolve through Reader::view(). This is also the in-memory layout of
+/// the analysis layer: analysis::ColumnarLog keeps every block of a
+/// container decoded for its lifetime, and analysis::Dataset appends rows
+/// into 64Ki-row chunks of the same shape (ids into its StringPool).
 struct DecodedBlock {
   std::size_t rows = 0;
+  std::uint64_t row_base = 0;  // global ordinal of the block's first row
   std::vector<std::int64_t> time;
   std::vector<std::uint64_t> user_hash;
   std::vector<std::uint32_t> method, host, path, query, agent, categories;
@@ -161,16 +163,6 @@ struct BlockInfo {
   std::uint32_t dict_new = 0;
   std::uint64_t dict_base = 0;  // ids [dict_base, dict_base+dict_new) born here
   std::uint64_t row_base = 0;   // global ordinal of the block's first row
-};
-
-/// One block's contribution to the file-global dictionary: the entries for
-/// ids [base, base + count), resolved as zero-copy views into the mapping.
-/// This is the per-block resolution surface the analysis scan layer
-/// partitions dictionary-derived work by (Reader::dict_entries).
-struct DictDelta {
-  std::uint64_t base = 0;  // first id born in the block
-  const std::string_view* entries = nullptr;
-  std::uint32_t count = 0;
 };
 
 /// What a lenient open saw — the columnar mirror of proxy::LogReadStats.
@@ -212,16 +204,22 @@ class Reader {
   /// mapping. Throws std::out_of_range on an id the file never defined.
   std::string_view view(std::uint32_t id) const { return dict_.at(id); }
 
-  /// The dictionary delta block `block_index` contributed — the strings
-  /// first seen in that block, already materialized by open(). Lets a
-  /// parallel scan resolve per-dictionary-id derived values block by
-  /// block instead of over the whole file dictionary at once.
-  DictDelta dict_entries(std::size_t block_index) const;
+  /// The whole dictionary, indexed by id: the unchecked id → text table
+  /// for ids decode() has validated.
+  const std::vector<std::string_view>& dictionary() const noexcept {
+    return dict_;
+  }
 
-  /// Decodes (and CRC-verifies) one block. Throws std::runtime_error on a
-  /// corrupt page or out-of-range column value. Safe to call from many
-  /// threads concurrently — the reader is immutable after open.
+  /// Decodes (and CRC-verifies) one block. Throws std::runtime_error,
+  /// naming the block and the page at fault, on a corrupt page or an
+  /// out-of-range column value. Safe to call from many threads
+  /// concurrently — the reader is immutable after open.
   DecodedBlock decode(std::size_t block_index) const;
+
+  /// Drops the column pages of block `block_index` (< block_count()) from
+  /// the resident set, for a caller that keeps its decoded columns. The
+  /// dictionary page stays: dictionary() serves views into it.
+  void release_columns(std::size_t block_index) const noexcept;
 
   /// Reassembles one row as a LogRecord (the CSV writer's input shape) —
   /// the conversion path of `syrwatchctl convert`.

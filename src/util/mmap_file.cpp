@@ -50,6 +50,18 @@ MappedFile MappedFile::open(const std::string& path) {
   return file;
 }
 
+void MappedFile::release(std::size_t offset,
+                         std::size_t size) const noexcept {
+  if (offset > size_ || size > size_ - offset) return;
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t begin = (offset + page - 1) / page * page;
+  const std::size_t end = (offset + size) / page * page;
+  // Read-only and never written, so nothing is lost: a hint, not a free.
+  if (begin < end)
+    (void)::madvise(static_cast<char*>(data_) + begin, end - begin,
+                    MADV_DONTNEED);
+}
+
 MappedFile::~MappedFile() {
   if (data_ != nullptr) ::munmap(data_, size_);
 }

@@ -30,6 +30,11 @@ class MappedFile {
   std::size_t size() const noexcept { return size_; }
   const std::string& path() const noexcept { return path_; }
 
+  /// Drops the whole pages inside [offset, offset + size) from the
+  /// process's resident set. The bytes stay readable: a later read faults
+  /// them back in from the page cache.
+  void release(std::size_t offset, std::size_t size) const noexcept;
+
  private:
   void* data_ = nullptr;
   std::size_t size_ = 0;

@@ -1,20 +1,36 @@
 #include "util/string_pool.h"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace syrwatch::util {
 
 StringPool::StringPool() {
-  strings_.emplace_back();  // id 0: empty string
-  index_.emplace(std::string_view{strings_.front()}, kEmpty);
+  views_.emplace_back();  // id 0: empty string
+  index_.emplace(views_.front(), kEmpty);
+}
+
+std::string_view StringPool::store(std::string_view s) {
+  if (s.size() > left_) {
+    const std::size_t bytes = std::max(kBlockBytes, s.size());
+    free_ = blocks_.emplace_back(std::make_unique_for_overwrite<char[]>(bytes))
+                .get();
+    left_ = bytes;
+  }
+  const std::string_view copy{free_, s.size()};
+  std::copy(s.begin(), s.end(), free_);
+  free_ += s.size();
+  left_ -= s.size();
+  return copy;
 }
 
 StringPool::Id StringPool::intern(std::string_view s) {
   const auto it = index_.find(s);
   if (it != index_.end()) return it->second;
-  const Id id = static_cast<Id>(strings_.size());
-  strings_.emplace_back(s);
-  index_.emplace(std::string_view{strings_.back()}, id);
+  const Id id = static_cast<Id>(views_.size());
+  views_.push_back(store(s));
+  index_.emplace(views_.back(), id);
   return id;
 }
 
@@ -24,8 +40,8 @@ StringPool::Id StringPool::lookup(std::string_view s) const noexcept {
 }
 
 std::string_view StringPool::view(Id id) const {
-  if (id >= strings_.size()) throw std::out_of_range("StringPool::view");
-  return strings_[id];
+  if (id >= views_.size()) throw std::out_of_range("StringPool::view");
+  return views_[id];
 }
 
 }  // namespace syrwatch::util

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace syrwatch::util {
 
@@ -32,12 +32,27 @@ class StringPool {
   /// The interned string; views stay valid for the pool's lifetime.
   std::string_view view(Id id) const;
 
-  std::size_t size() const noexcept { return strings_.size(); }
+  /// Every interned string, indexed by id: the unchecked id → text table
+  /// the scan layer reads. The views stay valid for the pool's lifetime;
+  /// the vector itself grows (and may move) with intern().
+  const std::vector<std::string_view>& views() const noexcept {
+    return views_;
+  }
+
+  std::size_t size() const noexcept { return views_.size(); }
 
  private:
-  // deque keeps string objects stable so string_view keys into the map
-  // remain valid as the pool grows.
-  std::deque<std::string> strings_;
+  /// Copies `s` into the arena and returns the copy.
+  std::string_view store(std::string_view s);
+
+  // The bytes live in an arena of blocks that never move, so the views
+  // (and the map's keys) stay valid as the pool grows, at no per-string
+  // allocation.
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* free_ = nullptr;  ///< next unused byte of the last block
+  std::size_t left_ = 0;  ///< unused bytes after free_
+  std::vector<std::string_view> views_;
   std::unordered_map<std::string_view, Id> index_;
 };
 

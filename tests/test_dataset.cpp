@@ -1,5 +1,6 @@
-// Dataset store: interning, classification, arrival order, and the
-// derived Table 1 views (derive_sources, masked views).
+// Dataset store: interning, classification, arrival order, chunking, and
+// the derived Table 1 views (derive_sources, masked views), all checked
+// through the LogSource records a scan sees.
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,14 @@ std::int64_t at(int month, int day, int hour = 12) {
   return util::to_unix_seconds({2011, month, day, hour, 0, 0});
 }
 
+/// Every record of the dataset as the scan layer presents it.
+std::vector<Record> records_of(const Dataset& dataset) {
+  std::vector<Record> records;
+  scan_increment(LogSource{dataset}, 0,
+                 [&](const Record& r) { records.push_back(r); });
+  return records;
+}
+
 TEST(Dataset, InternsRepeatedStrings) {
   Dataset dataset;
   for (int i = 0; i < 100; ++i) {
@@ -45,11 +54,31 @@ TEST(Dataset, InternsRepeatedStrings) {
                             proxy::ExceptionId::kNone));
   }
   EXPECT_EQ(dataset.size(), 100u);
-  const Row& first = dataset.rows().front();
-  const Row& last = dataset.rows().back();
-  EXPECT_EQ(first.host, last.host);
-  EXPECT_EQ(dataset.host(first), "www.facebook.com");
-  EXPECT_EQ(dataset.path(first), "/home.php");
+  const auto records = records_of(dataset);
+  ASSERT_EQ(records.size(), 100u);
+  EXPECT_EQ(records.front().host_id, records.back().host_id);
+  EXPECT_EQ(records.front().host.data(), records.back().host.data());
+  EXPECT_EQ(records.front().host, "www.facebook.com");
+  EXPECT_EQ(records.front().path, "/home.php");
+}
+
+TEST(Dataset, ChunksRowsIntoFixedPartitions) {
+  Dataset dataset;
+  for (std::size_t i = 0; i < Dataset::kChunkRows + 3; ++i) {
+    dataset.add(make_record("http://a.com/", at(8, 1) + i % 7,
+                            proxy::FilterResult::kObserved,
+                            proxy::ExceptionId::kNone));
+  }
+  const LogSource source{dataset};
+  ASSERT_EQ(source.partitions(), 2u);
+  EXPECT_EQ(source.partition_base_end(0), Dataset::kChunkRows);
+  EXPECT_EQ(source.partition_base_end(1), Dataset::kChunkRows + 3);
+  std::uint64_t expected = 0;
+  for (std::size_t p = 0; p < source.partitions(); ++p)
+    source.scan_partition(p, [&](const Record& r) {
+      EXPECT_EQ(r.ordinal, expected++);
+    });
+  EXPECT_EQ(expected, Dataset::kChunkRows + 3);
 }
 
 TEST(Dataset, KeepsArrivalOrderAndTracksTimeBounds) {
@@ -60,8 +89,9 @@ TEST(Dataset, KeepsArrivalOrderAndTracksTimeBounds) {
     dataset.add(make_record(host, at(8, day), proxy::FilterResult::kObserved,
                             proxy::ExceptionId::kNone));
   }
-  EXPECT_EQ(dataset.host(dataset.rows()[0]), "b.com");
-  EXPECT_EQ(dataset.host(dataset.rows()[1]), "a.com");
+  const auto records = records_of(dataset);
+  EXPECT_EQ(records[0].host, "b.com");
+  EXPECT_EQ(records[1].host, "a.com");
   EXPECT_EQ(dataset.first_time(), at(8, 1));
   EXPECT_EQ(dataset.last_time(), at(8, 3));
   const auto bounds = LogSource{dataset}.time_bounds();
@@ -82,11 +112,12 @@ TEST(Dataset, HostValuesResolvedAtAdd) {
   dataset.add(make_record("http://10.0.0.1/", at(8, 1),
                           proxy::FilterResult::kObserved,
                           proxy::ExceptionId::kNone));
-  const auto& rows = dataset.rows();
-  EXPECT_EQ(dataset.domain(rows[0]), "facebook.com");
-  EXPECT_FALSE(dataset.host_is_ip(rows[0]));
-  EXPECT_TRUE(dataset.host_is_ip(rows[2]));
-  EXPECT_EQ(dataset.host_ip(rows[2]), net::Ipv4Addr(10, 0, 0, 1).value());
+  const auto records = records_of(dataset);
+  EXPECT_EQ(records[0].domain, "facebook.com");
+  EXPECT_FALSE(records[0].host_is_ip);
+  EXPECT_FALSE(records[1].host_is_ip);
+  EXPECT_TRUE(records[2].host_is_ip);
+  EXPECT_EQ(records[2].host_ip, net::Ipv4Addr(10, 0, 0, 1).value());
 }
 
 TEST(Dataset, RecordFilterTextIncludesQuery) {
@@ -114,10 +145,11 @@ TEST(Dataset, ClassMatchesSection33) {
   dataset.add(make_record("http://d.com/", at(8, 1),
                           proxy::FilterResult::kProxied,
                           proxy::ExceptionId::kNone));
-  EXPECT_EQ(dataset.cls(dataset.rows()[0]), proxy::TrafficClass::kAllowed);
-  EXPECT_EQ(dataset.cls(dataset.rows()[1]), proxy::TrafficClass::kCensored);
-  EXPECT_EQ(dataset.cls(dataset.rows()[2]), proxy::TrafficClass::kError);
-  EXPECT_EQ(dataset.cls(dataset.rows()[3]), proxy::TrafficClass::kProxied);
+  const auto records = records_of(dataset);
+  EXPECT_EQ(records[0].cls, proxy::TrafficClass::kAllowed);
+  EXPECT_EQ(records[1].cls, proxy::TrafficClass::kCensored);
+  EXPECT_EQ(records[2].cls, proxy::TrafficClass::kError);
+  EXPECT_EQ(records[3].cls, proxy::TrafficClass::kProxied);
 }
 
 TEST(Masked, RejectsMaskOfWrongLength) {

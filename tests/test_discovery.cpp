@@ -340,7 +340,7 @@ TEST_F(DiscoveryTest, SourceWithoutAllowedRows) {
   // Censored rows in the first and the last of three scan partitions.
   add_censored("http://new-syria.com/", 30);
   add_censored("http://a-site.net/proxy/x", 20);
-  add_errors(2 * LogSource::kRowsPerPartition);
+  add_errors(2 * Dataset::kChunkRows);
   add_censored("http://b-site.org/proxy/y", 20);
   ASSERT_EQ(LogSource{dataset_}.partitions(), 3u);
 
@@ -360,7 +360,7 @@ TEST_F(DiscoveryTest, SourceWithoutAllowedRows) {
 TEST_F(DiscoveryTest, SourceWithoutCensoredRows) {
   // No censored row: no candidate, so pass 2 runs with no pattern at all.
   add_allowed("http://www.facebook.com/proxy.php", 30);
-  add_errors(LogSource::kRowsPerPartition);
+  add_errors(Dataset::kChunkRows);
   add_allowed("http://google.com/search?q=proxy", 30);
   ASSERT_EQ(LogSource{dataset_}.partitions(), 2u);
 

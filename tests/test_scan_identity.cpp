@@ -1,7 +1,9 @@
 // Scan-layer identity: every analyzer, run against the same log loaded as
 // row CSV (Dataset) and as a SYRCOL1 container (ColumnarLog), at 1 and 8
-// threads, must produce byte-identical serialized output. This is the
-// contract DESIGN.md §4.11 promises: backend and thread count are invisible.
+// threads, must produce byte-identical serialized output, equal to the
+// checked-in tests/golden/scan_identity.txt. This is the contract
+// DESIGN.md §4.11 promises: backend and thread count are invisible, and
+// the one adapter both stores share is pinned to known output.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -297,8 +300,54 @@ void put(std::ostream& out, const std::vector<analysis::DomainCount>& top) {
     out << entry.domain << ':' << entry.count << ':' << entry.share << ';';
 }
 
+// --- golden baselines -------------------------------------------------------
+
+/// tests/golden/scan_identity.txt: per analyzer, a "== NAME BYTES" line,
+/// then exactly BYTES bytes of serialized baseline and a newline.
+using Golden = std::map<std::string, std::string>;
+
+Golden read_golden(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  Golden golden;
+  std::string header;
+  while (std::getline(in, header)) {
+    std::istringstream fields{header};
+    std::string marker, name;
+    std::size_t bytes = 0;
+    if (!(fields >> marker >> name >> bytes) || marker != "==") break;
+    std::string body(bytes, '\0');
+    in.read(body.data(), static_cast<std::streamsize>(bytes));
+    in.ignore(1);  // the newline after the body
+    golden[name] = body;
+  }
+  return golden;
+}
+
+void write_golden(const std::string& path, const Golden& golden) {
+  std::ofstream out{path, std::ios::binary};
+  for (const auto& [name, body] : golden)
+    out << "== " << name << ' ' << body.size() << '\n' << body << '\n';
+}
+
+/// Asserts `baseline` equals the checked-in entry for `name`, so a bug
+/// that both backends share cannot pass by agreeing with itself.
+void expect_golden(const std::string& name, const std::string& baseline) {
+  static const Golden golden =
+      read_golden(SYRWATCH_GOLDEN_DIR "/scan_identity.txt");
+  // Re-bless (only for a deliberate output change): every run writes the
+  // entries it computed to <gtest TempDir>/syrwatch_scan_identity.txt;
+  // after a full run, copy that file over tests/golden/scan_identity.txt.
+  static Golden computed;
+  computed[name] = baseline;
+  write_golden(::testing::TempDir() + "syrwatch_scan_identity.txt",
+               computed);
+  const auto entry = golden.find(name);
+  ASSERT_NE(entry, golden.end()) << name << ": no golden entry";
+  EXPECT_EQ(baseline, entry->second) << name << ": differs from the golden";
+}
+
 /// Runs `render` over (row, 1), (row, 8), (columnar, 1), (columnar, 8) and
-/// expects one string.
+/// expects one string, equal to the golden.
 using Render =
     std::function<std::string(const analysis::LogSource&, std::size_t)>;
 
@@ -307,6 +356,7 @@ void expect_identity(const char* name, const Render& render) {
   const analysis::LogSource col{*fx().columnar};
   const std::string baseline = render(row, 1);
   EXPECT_FALSE(baseline.empty()) << name;
+  expect_golden(name, baseline);
   EXPECT_EQ(baseline, render(row, 8)) << name << ": row @8 threads";
   EXPECT_EQ(baseline, render(col, 1)) << name << ": columnar @1 thread";
   EXPECT_EQ(baseline, render(col, 8)) << name << ": columnar @8 threads";
@@ -763,12 +813,10 @@ TEST(ScanIdentity, EmissionOrderContainer) {
 
   const analysis::LogSource row{dataset};
   const analysis::LogSource col{columnar};
-  const auto row_bounds = row.time_bounds(1);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    const auto col_bounds = col.time_bounds(threads);
-    EXPECT_EQ(row_bounds.first, col_bounds.first) << threads << " threads";
-    EXPECT_EQ(row_bounds.last, col_bounds.last) << threads << " threads";
-  }
+  const auto row_bounds = row.time_bounds();
+  const auto col_bounds = col.time_bounds();
+  EXPECT_EQ(row_bounds.first, col_bounds.first);
+  EXPECT_EQ(row_bounds.last, col_bounds.last);
 
   const Render coverage = [](const analysis::LogSource& src,
                              std::size_t threads) {
@@ -788,6 +836,7 @@ TEST(ScanIdentity, EmissionOrderContainer) {
   };
   const std::string baseline = coverage(row, 1);
   EXPECT_FALSE(baseline.empty());
+  expect_golden("emission_order_coverage", baseline);
   EXPECT_EQ(baseline, coverage(row, 8)) << "row @8 threads";
   EXPECT_EQ(baseline, coverage(col, 1)) << "columnar @1 thread";
   EXPECT_EQ(baseline, coverage(col, 8)) << "columnar @8 threads";

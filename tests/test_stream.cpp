@@ -13,9 +13,11 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "policy/syria.h"
 #include "proxy/log_io.h"
 #include "tor/relay_directory.h"
+#include "util/checksum.h"
 #include "util/simtime.h"
 
 namespace {
@@ -867,6 +870,200 @@ TEST_F(OpenFixture, TornContainerTailStrictRefusesLenientRecovers) {
   EXPECT_TRUE(opened.is_columnar());
   EXPECT_GT(opened.rows(), 0u);
   EXPECT_LT(opened.rows(), fx().parsed.size());
+  EXPECT_TRUE(opened.recovery().truncated_tail);
+}
+
+/// Offset of page `page`'s {u32 size, u32 crc32} header in the block that
+/// starts at `block`: past the 16-byte block header and every earlier page.
+std::uint64_t page_header(const std::string& bytes, std::uint64_t block,
+                          std::size_t page) {
+  const auto u32_at = [&](std::uint64_t at) {
+    std::uint32_t value = 0;
+    for (int i = 3; i >= 0; --i)
+      value = (value << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+    return value;
+  };
+  std::uint64_t at = block + 16;
+  for (std::size_t p = 0; p < page; ++p) at += 8 + u32_at(at);
+  return at;
+}
+
+/// Copies `source` to `path` with byte `index` of one page payload of block
+/// `block` replaced by `value`. With `fix_crc` the page CRC is recomputed,
+/// so only the decoder's value checks can catch the change.
+void patch_page(const std::string& source, const std::string& path,
+                std::size_t block, std::size_t page, std::size_t index,
+                char value, bool fix_crc) {
+  const std::uint64_t offset =
+      colfmt::Reader::open(source).blocks().at(block).offset;
+  std::ifstream in{source, std::ios::binary};
+  std::string bytes{std::istreambuf_iterator<char>{in},
+                    std::istreambuf_iterator<char>{}};
+  const std::uint64_t header = page_header(bytes, offset, page);
+  bytes[header + 8 + index] = value;
+  if (fix_crc) {
+    const std::uint32_t size =
+        static_cast<std::uint32_t>(page_header(bytes, offset, page + 1) -
+                                   header - 8);
+    std::uint32_t crc = util::crc32_of(std::string_view{bytes}.substr(
+        static_cast<std::size_t>(header + 8), size));
+    for (int i = 0; i < 4; ++i, crc >>= 8)
+      bytes[header + 4 + i] = static_cast<char>(crc & 0xFF);
+  }
+  std::ofstream{path, std::ios::binary} << bytes;
+}
+
+/// The SourceOpenError open_source throws for `path`.
+std::string refusal_of(const std::string& path,
+                       const analysis::SourceOptions& options = {}) {
+  try {
+    (void)analysis::open_source(path, options);
+  } catch (const analysis::SourceOpenError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << path << ": expected SourceOpenError";
+  return {};
+}
+
+TEST_F(OpenFixture, DictPageFlipMidFileIsMalformed) {
+  // Footer and index intact: the damage is inside an indexed block, not a
+  // torn tail, and the refusal names the block and the page.
+  const std::string path = (dir / "dict-flip.col").string();
+  patch_page(fx().col_path(), path, 5, colfmt::kPageDict, 3, '\x7F',
+             /*fix_crc=*/false);
+  EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kMalformed);
+  const std::string what = refusal_of(path);
+  EXPECT_NE(what.find("block 5"), std::string::npos) << what;
+  EXPECT_NE(what.find("(dict)"), std::string::npos) << what;
+}
+
+TEST_F(OpenFixture, ColumnPageFlipFailsStrictOpen) {
+  // Strict open decodes every block, so a column page fails its CRC at
+  // open, not at the first scan.
+  const std::string path = (dir / "time-flip.col").string();
+  patch_page(fx().col_path(), path, 5, colfmt::kPageTime, 3, '\x7F',
+             /*fix_crc=*/false);
+  EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kMalformed);
+  const std::string what = refusal_of(path);
+  EXPECT_NE(what.find("block 5"), std::string::npos) << what;
+  EXPECT_NE(what.find("(time)"), std::string::npos) << what;
+}
+
+TEST_F(OpenFixture, TruncationInsideLastBlockIsTornTail) {
+  const std::string path = (dir / "torn-last.col").string();
+  fs::copy_file(fx().col_path(), path);
+  const auto blocks = colfmt::Reader::open(path).blocks();
+  fs::resize_file(path, blocks.back().offset + 40);
+  EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kTornTail);
+  const auto opened = analysis::open_source(path, {.lenient = true});
+  EXPECT_EQ(opened.rows(), blocks.back().row_base);
+}
+
+TEST_F(OpenFixture, OutOfRangeValueIsTypedOnBothPaths) {
+  // Page CRCs valid, values not: an enum byte past kDenied, and a host id
+  // the dictionary never defined. Both opens refuse with kMalformed
+  // instead of letting the decoder's runtime_error escape.
+  const std::string tiny = (dir / "tiny.col").string();
+  {
+    colfmt::Writer writer{tiny};
+    for (const auto& record : stream_records(3, fx().relays))
+      writer.add(record);
+    writer.finish();
+  }
+  ASSERT_LT(colfmt::Reader::open(tiny).dict_size(), 0x7Fu);
+  for (const auto page : {colfmt::kPageFilterResult, colfmt::kPageHost}) {
+    const std::string path = (dir / "bad-value.col").string();
+    patch_page(tiny, path, 0, page, 0, '\x7F', /*fix_crc=*/true);
+    EXPECT_TRUE(colfmt::verify_file(path).ok) << colfmt::page_name(page);
+    EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kMalformed)
+        << colfmt::page_name(page);
+    EXPECT_EQ(code_of(path, {.lenient = true}),
+              analysis::SourceOpenErrorCode::kMalformed)
+        << colfmt::page_name(page);
+    const std::string what = refusal_of(path, {.lenient = true});
+    EXPECT_NE(what.find(std::string(colfmt::page_name(page)) + " page"),
+              std::string::npos)
+        << what;
+  }
+}
+
+/// A container's bytes, for forging little-endian fields.
+struct ContainerBytes {
+  std::string bytes;
+
+  explicit ContainerBytes(const std::string& path) {
+    std::ifstream in{path, std::ios::binary};
+    bytes.assign(std::istreambuf_iterator<char>{in},
+                 std::istreambuf_iterator<char>{});
+  }
+  std::size_t footer() const { return bytes.size() - colfmt::kFooterBytes; }
+  std::uint64_t get(std::size_t at, int width) const {
+    std::uint64_t value = 0;
+    for (int i = width - 1; i >= 0; --i)
+      value = (value << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+    return value;
+  }
+  void put(std::size_t at, std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i, value >>= 8)
+      bytes[at + i] = static_cast<char>(value & 0xFF);
+  }
+  std::uint32_t crc(std::size_t at, std::size_t size) const {
+    return util::crc32_of(std::string_view{bytes}.substr(at, size));
+  }
+  /// Re-signs the footer after a field of it changed.
+  void seal_footer() { put(footer() + 48, crc(footer(), 48), 4); }
+  void write(const std::string& path) const {
+    std::ofstream{path, std::ios::binary} << bytes;
+  }
+};
+
+TEST_F(OpenFixture, ForgedRowCountIsMalformedOnBothPaths) {
+  // Block 0 claims ~4G rows in its header, its index entry and the footer
+  // total, every CRC recomputed, so verify calls the file intact. Decode
+  // refuses the block by its raw pages' length before it sizes a column
+  // by that count (~34 GB for the time column alone).
+  const auto reader = colfmt::Reader::open(fx().col_path());
+  const std::uint64_t forged = 0xFFFFFFF0u;
+  ContainerBytes file{fx().col_path()};
+  const std::size_t block = reader.blocks().front().offset;
+  const std::size_t index = file.get(file.footer(), 8);
+  file.put(block + 4, forged, 4);
+  file.put(block + 12, file.crc(block, 12), 4);
+  file.put(index + 8, forged, 4);
+  file.put(file.footer() + 32, file.crc(index, reader.block_count() * 16), 8);
+  file.put(file.footer() + 16,
+           reader.rows() - reader.blocks().front().rows + forged, 8);
+  file.seal_footer();
+  const std::string path = (dir / "forged-rows.col").string();
+  file.write(path);
+
+  EXPECT_TRUE(colfmt::verify_file(path).ok);
+  for (const bool lenient : {false, true}) {
+    EXPECT_EQ(code_of(path, {.lenient = lenient}),
+              analysis::SourceOpenErrorCode::kMalformed)
+        << "lenient " << lenient;
+    const std::string what = refusal_of(path, {.lenient = lenient});
+    EXPECT_NE(what.find("block 0"), std::string::npos) << what;
+    EXPECT_NE(what.find("wrong row count"), std::string::npos) << what;
+  }
+}
+
+TEST_F(OpenFixture, ForgedBlockCountIsAnUnreadableFooter) {
+  // 2^60 + n blocks: times the 16-byte index entry it wraps to the true
+  // index size, so only a bound by the file keeps it from being reserved.
+  // The footer is then unreadable: a torn tail, which lenient open
+  // recovers whole by scanning the blocks.
+  const auto reader = colfmt::Reader::open(fx().col_path());
+  ContainerBytes file{fx().col_path()};
+  file.put(file.footer() + 8, (std::uint64_t{1} << 60) + reader.block_count(),
+           8);
+  file.seal_footer();
+  const std::string path = (dir / "forged-blocks.col").string();
+  file.write(path);
+
+  EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kTornTail);
+  const auto opened = analysis::open_source(path, {.lenient = true});
+  EXPECT_EQ(opened.rows(), reader.rows());
   EXPECT_TRUE(opened.recovery().truncated_tail);
 }
 

@@ -1,11 +1,16 @@
-// Histogram, simulation time, CSV codec, string pool and table renderer.
+// Histogram, simulation time, CSV codec, string pool, mapped file and
+// table renderer.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/csv.h"
 #include "util/histogram.h"
+#include "util/mmap_file.h"
 #include "util/simtime.h"
 #include "util/string_pool.h"
 #include "util/table.h"
@@ -142,6 +147,23 @@ TEST(StringPool, LookupWithoutIntern) {
 TEST(StringPool, ViewOutOfRangeThrows) {
   StringPool pool;
   EXPECT_THROW(pool.view(42), std::out_of_range);
+}
+
+// --- MappedFile --------------------------------------------------------------
+
+TEST(MappedFile, ReleasedPagesStayReadable) {
+  const std::string path = testing::TempDir() + "syrwatch_mapped_release.bin";
+  std::string bytes(3 * 65536 + 123, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>(i * 131 % 251);
+  std::ofstream{path, std::ios::binary} << bytes;
+  const auto file = MappedFile::open(path);
+  ASSERT_EQ(file.bytes(), bytes);
+  file.release(100, bytes.size() - 200);  // the whole pages inside
+  file.release(0, bytes.size());
+  file.release(bytes.size(), 1);  // past the end: ignored
+  EXPECT_EQ(file.bytes(), bytes);
+  std::remove(path.c_str());
 }
 
 // --- TextTable ---------------------------------------------------------------

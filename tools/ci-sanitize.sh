@@ -62,4 +62,11 @@ echo "==> [asan] crash/resume smoke"
 echo "==> [asan] storage chaos sweep"
 "${repo_root}/tools/ci-storage-chaos.sh" "${repo_root}/build-asan"
 
+# `report` on csv and col at 1 and 4 threads (byte-identical), then on a
+# container with a flipped column-page byte (a typed "(malformed)"
+# refusal) under ASan+UBSan: the scan adapter's unchecked id → string
+# lookups are safe only because decode and the pool validate every id.
+echo "==> [asan] report identity and damage handling"
+"${repo_root}/tools/ci-report-identity.sh" "${repo_root}/build-asan"
+
 echo "==> all sanitizer configurations green"

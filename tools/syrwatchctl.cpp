@@ -1196,7 +1196,7 @@ int cmd_weather(int argc, char** argv) {
     std::printf("empty log\n");
     return metrics.write("weather") ? 0 : 1;
   }
-  const auto bounds = source.time_bounds(threads);
+  const auto bounds = source.time_bounds();
   const std::int64_t start = bounds.first;
   const std::int64_t end = bounds.last + 1;
   const std::vector<std::string> keywords{std::string(*keyword)};
