@@ -26,7 +26,7 @@ Dataset::Dataset() : pool_(std::make_unique<util::StringPool>()) {
   strings_ = &pool_->views();
 }
 
-void Dataset::add(const proxy::LogRecord& record) {
+void Dataset::add(const proxy::LogRecordView& record) {
   if (chunks_.empty() || chunks_.back().rows == kChunkRows) {
     colfmt::DecodedBlock& c = chunks_.emplace_back();
     c.row_base = rows_;
@@ -40,17 +40,17 @@ void Dataset::add(const proxy::LogRecord& record) {
   colfmt::DecodedBlock& c = chunks_.back();
   c.time.push_back(record.time);
   c.user_hash.push_back(record.user_hash);
-  c.host.push_back(pool_->intern(record.url.host));
+  c.host.push_back(pool_->intern(record.host));
   resolve_host(c.host.back(), *pool_);
-  c.path.push_back(pool_->intern(record.url.path));
-  c.query.push_back(pool_->intern(record.url.query));
+  c.path.push_back(pool_->intern(record.path));
+  c.query.push_back(pool_->intern(record.query));
   c.agent.push_back(pool_->intern(record.user_agent));
   c.categories.push_back(pool_->intern(record.categories));
   c.method.push_back(pool_->intern(record.method));
-  c.port.push_back(record.url.port);
+  c.port.push_back(record.port);
   c.status.push_back(record.status);
   c.proxy_index.push_back(record.proxy_index);
-  c.scheme.push_back(static_cast<std::uint8_t>(record.url.scheme));
+  c.scheme.push_back(static_cast<std::uint8_t>(record.scheme));
   c.filter_result.push_back(static_cast<std::uint8_t>(record.filter_result));
   c.exception.push_back(static_cast<std::uint8_t>(record.exception));
   c.dest_ip.push_back(record.dest_ip ? record.dest_ip->value() : 0);

@@ -85,7 +85,9 @@ class Dataset : public ColumnStore {
 
   Dataset();
 
-  void add(const proxy::LogRecord& record);
+  /// Appends one row, interning its strings straight from the views.
+  void add(const proxy::LogRecordView& record);
+  void add(const proxy::LogRecord& record) { add(proxy::view_of(record)); }
 
   std::size_t size() const noexcept { return rows_; }
 

@@ -228,13 +228,12 @@ void open_columnar(const std::string& path, const SourceOptions& options,
 void open_csv(const std::string& path, const SourceOptions& options,
               std::unique_ptr<Dataset>& dataset,
               proxy::LogReadStats& read_stats) {
-  std::ifstream in{path};
+  std::ifstream in{path, std::ios::binary};
   if (!in) refuse(SourceOpenErrorCode::kNotFound, path, "cannot open");
   dataset = std::make_unique<Dataset>();
   if (options.lenient) {
-    auto log = proxy::read_log_lenient(in);
-    read_stats = log.stats;
-    for (const auto& record : log.records) dataset->add(record);
+    read_stats = proxy::scan_log_lenient(
+        in, [&](const proxy::LogRecordView& record) { dataset->add(record); });
     return;
   }
   // Strict: typed refusals instead of read_log's untyped throw. Writers
@@ -247,25 +246,21 @@ void open_csv(const std::string& path, const SourceOptions& options,
   if (*tail != '\n')
     refuse(SourceOpenErrorCode::kTornTail, path,
            "final line lacks a newline (truncated write?)");
-  std::string line;
-  std::uint64_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no == 1) {
-      if (line != proxy::log_csv_header())
-        refuse(SourceOpenErrorCode::kBadMagic, path,
-               "first line is not the log CSV header");
-      continue;
-    }
-    proxy::ParseDiagnosis diagnosis;
-    const auto record = proxy::from_csv(line, &diagnosis);
-    if (!record.has_value())
+  proxy::LogLineReader reader;
+  proxy::for_each_line(in, [&](std::string_view line) {
+    const proxy::LineKind kind = reader.frame(line);
+    if (!reader.stats().header_present)
+      refuse(SourceOpenErrorCode::kBadMagic, path,
+             "first line is not the log CSV header");
+    if (kind == proxy::LineKind::kRecord) {
+      dataset->add(reader.record());
+    } else if (kind == proxy::LineKind::kSkipped) {
       refuse(SourceOpenErrorCode::kMalformed, path,
-             "line " + std::to_string(line_no) + ": " +
-                 std::string{proxy::to_string(diagnosis.error)});
-    dataset->add(*record);
-  }
-  if (line_no == 0)
+             "line " + std::to_string(reader.stats().lines) + ": " +
+                 std::string{proxy::to_string(reader.diagnosis().error)});
+    }
+  });
+  if (reader.stats().lines == 0)
     refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
 }
 

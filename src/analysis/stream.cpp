@@ -1,18 +1,11 @@
 #include "analysis/stream.h"
 
 #include <cerrno>
+#include <span>
 #include <stdexcept>
-#include <utility>
+#include <string_view>
 
 namespace syrwatch::analysis {
-
-namespace {
-
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-}
-
-}  // namespace
 
 void SpoolTail::resume_at(std::uint64_t offset) {
   if (polled_)
@@ -20,44 +13,11 @@ void SpoolTail::resume_at(std::uint64_t offset) {
   consumed_ = offset;
   // The header is the first line of the file; a resumed tail positioned
   // past byte 0 will only ever see record lines.
-  expect_header_ = offset == 0;
-}
-
-void SpoolTail::consume_line(
-    std::string&& line,
-    const std::function<void(const proxy::LogRecord&)>& sink,
-    std::size_t& delivered) {
-  ++stats_.lines;
-  strip_cr(line);
-  if (expect_header_) {
-    expect_header_ = false;
-    if (line == proxy::log_csv_header()) {
-      stats_.header_present = true;
-      return;
-    }
-    // Headerless spool: fall through and try the line as data, exactly
-    // like read_log_lenient.
-  }
-  if (line.empty()) {
-    ++stats_.empty_lines;
-    return;
-  }
-  ++stats_.data_lines;
-  proxy::ParseDiagnosis diagnosis;
-  if (auto record = proxy::from_csv(line, &diagnosis)) {
-    ++stats_.recovered;
-    sink(*record);
-    ++delivered;
-    return;
-  }
-  const auto reason = static_cast<std::size_t>(diagnosis.error);
-  ++stats_.skipped[reason];
-  if (stats_.first_error_line[reason] == 0)
-    stats_.first_error_line[reason] = stats_.lines;
+  reader_.expect_header(offset == 0);
 }
 
 std::size_t SpoolTail::poll(
-    const std::function<void(const proxy::LogRecord&)>& sink) {
+    const std::function<void(const proxy::LogRecordView&)>& sink) {
   polled_ = true;
   util::VfsStat st;
   if (!vfs_->stat(path_, st)) return 0;  // spool not created yet
@@ -70,8 +30,8 @@ std::size_t SpoolTail::poll(
   if ((inode_ != 0 && st.inode != inode_) || st.size < consumed_) {
     ++gaps_;
     consumed_ = 0;
-    pending_.clear();
-    expect_header_ = true;
+    lines_.clear();
+    reader_.expect_header(true);
   }
   inode_ = st.inode;
 
@@ -79,10 +39,11 @@ std::size_t SpoolTail::poll(
   if (fd < 0) return 0;  // raced an unlink between stat and open
 
   std::size_t delivered = 0;
-  char chunk[64 * 1024];
+  std::string_view line;
   int retries = 0;
   for (;;) {
-    const long got = vfs_->read(fd, chunk, sizeof(chunk), consumed_);
+    const std::span<char> space = lines_.space();
+    const long got = vfs_->read(fd, space.data(), space.size(), consumed_);
     if (got < 0) {
       if (errno == EINTR && ++retries <= util::kMaxTransientRetries)
         continue;
@@ -90,21 +51,17 @@ std::size_t SpoolTail::poll(
     }
     if (got == 0) break;  // EOF
     retries = 0;
-    const auto size = static_cast<std::size_t>(got);
-    consumed_ += size;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      if (chunk[i] != '\n') continue;
-      pending_.append(chunk + start, i - start);
-      consume_line(std::move(pending_), sink, delivered);
-      pending_.clear();
-      start = i + 1;
+    consumed_ += static_cast<std::uint64_t>(got);
+    lines_.filled(static_cast<std::size_t>(got));
+    while (lines_.next(line)) {
+      if (reader_.frame(line) != proxy::LineKind::kRecord) continue;
+      sink(reader_.record());
+      ++delivered;
     }
-    pending_.append(chunk + start, size - start);
   }
   vfs_->close(fd);
-  // Whatever is left in pending_ is the torn-tail candidate: it stays
-  // buffered until a later append completes the line.
+  // Whatever is left in lines_.partial() is the torn-tail candidate: it
+  // stays buffered until a later append completes the line.
   return delivered;
 }
 

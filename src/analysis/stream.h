@@ -27,7 +27,8 @@ namespace syrwatch::analysis {
 ///    partial line). Construct-and-resume_at(offset()) on a fresh tail
 ///    replays nothing and misses nothing — byte-identical to having
 ///    cold-tailed the whole file (the resume contract tests assert).
-///  - Malformed lines are skipped and tallied exactly like
+///  - Lines are framed by the proxy::LogLineReader every csv reader
+///    shares: malformed lines are skipped and tallied exactly like
 ///    proxy::read_log_lenient tallies them (stats()), so a damaged spool
 ///    degrades identically online and offline.
 ///  - A spool rotated (replaced: inode change) or truncated underneath
@@ -40,45 +41,46 @@ class SpoolTail {
   explicit SpoolTail(std::string path, util::Vfs* vfs = nullptr)
       : vfs_(&util::vfs_or_default(vfs)), path_(std::move(path)) {}
 
-  /// Drains newly appended complete lines into `sink`. Returns the
-  /// record count delivered. A missing file is not an error (the run may
-  /// not have created the spool yet): the poll simply delivers nothing.
-  std::size_t poll(const std::function<void(const proxy::LogRecord&)>& sink);
+  /// Drains newly appended complete lines into `sink`, each record a view
+  /// valid during the call. Returns the record count delivered. A missing
+  /// file is not an error (the run may not have created the spool yet):
+  /// the poll simply delivers nothing.
+  std::size_t poll(
+      const std::function<void(const proxy::LogRecordView&)>& sink);
 
   /// Resume point: consumed bytes up to the last complete line.
   std::uint64_t offset() const noexcept {
-    return consumed_ - pending_.size();
+    return consumed_ - lines_.partial().size();
   }
   /// Bytes consumed including the pending partial line.
   std::uint64_t consumed_bytes() const noexcept { return consumed_; }
   /// Size of the pending (torn-tail candidate) fragment.
-  std::size_t pending_bytes() const noexcept { return pending_.size(); }
+  std::size_t pending_bytes() const noexcept {
+    return lines_.partial().size();
+  }
 
   /// Starts tailing at `offset` — which must be a line boundary offset a
   /// previous tail's offset() reported (0 = the file start). Only valid
   /// before the first poll().
   void resume_at(std::uint64_t offset);
 
-  const proxy::LogReadStats& stats() const noexcept { return stats_; }
+  const proxy::LogReadStats& stats() const noexcept {
+    return reader_.stats();
+  }
   const std::string& path() const noexcept { return path_; }
   /// Times the tailed file was rotated/truncated underneath us; each one
   /// is a window of records this tail can never deliver.
   std::uint64_t gaps() const noexcept { return gaps_; }
 
  private:
-  void consume_line(std::string&& line,
-                    const std::function<void(const proxy::LogRecord&)>& sink,
-                    std::size_t& delivered);
-
   util::Vfs* vfs_;
   std::string path_;
   std::uint64_t consumed_ = 0;  // bytes read from the file so far
   std::uint64_t inode_ = 0;     // of the file last polled (0 = none yet)
   std::uint64_t gaps_ = 0;      // rotations/truncations survived
-  std::string pending_;         // bytes after the last '\n'
-  proxy::LogReadStats stats_;
+  proxy::LineBuffer lines_;     // partial(): bytes after the last '\n'
+  proxy::LogLineReader reader_;
   bool polled_ = false;
-  bool expect_header_ = true;  // next complete line may be the header
 };
 
 /// SpoolTail + Dataset glued together: the streaming source. Each poll()
@@ -95,7 +97,7 @@ class StreamSource {
   /// Drains the tail. Returns records appended to the dataset.
   std::size_t poll() {
     return tail_.poll(
-        [this](const proxy::LogRecord& record) { log_.add(record); });
+        [this](const proxy::LogRecordView& record) { log_.add(record); });
   }
 
   LogSource source() const { return LogSource{log_}; }

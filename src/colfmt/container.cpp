@@ -4,7 +4,6 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "colfmt/varint.h"
@@ -262,10 +261,6 @@ bool file_looks_like_container(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Writer
 
-struct Writer::DictIndex {
-  std::unordered_map<std::string, std::uint32_t> ids;
-};
-
 struct Writer::BlockBuilder {
   std::array<std::string, kPageCount> pages;
   std::uint32_t rows = 0;
@@ -276,8 +271,7 @@ struct Writer::BlockBuilder {
 Writer::Writer(std::string path, WriterOptions options)
     : out_(std::make_unique<util::AtomicFileWriter>(std::move(path),
                                                     options.vfs)),
-      options_(options),
-      dict_(std::make_unique<DictIndex>()) {
+      options_(options) {
   if (options_.block_rows == 0)
     throw std::invalid_argument("colfmt: block_rows must be positive");
   out_->write(kMagic);
@@ -285,21 +279,18 @@ Writer::Writer(std::string path, WriterOptions options)
 
 Writer::~Writer() = default;
 
-void Writer::add(const proxy::LogRecord& record) {
+void Writer::add(const proxy::LogRecordView& record) {
   if (finished_) throw std::logic_error("colfmt: add() after finish()");
   if (record.proxy_index > kMaxProxyIndex)
     throw std::invalid_argument("colfmt: proxy index out of range");
   if (!block_) block_ = std::make_unique<BlockBuilder>();
   BlockBuilder& b = *block_;
 
-  const auto intern = [&](const std::string& text) -> std::uint32_t {
-    if (text.empty()) return 0;
-    const auto it = dict_->ids.find(text);
-    if (it != dict_->ids.end()) return it->second;
-    if (dict_count_ > 0xFFFFFFFFull)
-      throw std::runtime_error("colfmt: dictionary overflow");
-    const auto id = static_cast<std::uint32_t>(dict_count_++);
-    dict_->ids.emplace(text, id);
+  const auto intern = [&](std::string_view text) -> std::uint32_t {
+    const std::size_t known = dict_.size();
+    const std::uint32_t id = dict_.intern(text);
+    if (dict_.size() == known) return id;
+    if (id != known) throw std::runtime_error("colfmt: dictionary overflow");
     put_varint(b.pages[kPageDict], text.size());
     b.pages[kPageDict].append(text);
     ++b.dict_new;
@@ -316,11 +307,11 @@ void Writer::add(const proxy::LogRecord& record) {
   put_varint(b.pages[kPageUserHash], record.user_hash);
   put_varint(b.pages[kPageMethod], intern(record.method));
   b.pages[kPageScheme].push_back(
-      static_cast<char>(static_cast<std::uint8_t>(record.url.scheme)));
-  put_varint(b.pages[kPageHost], intern(record.url.host));
-  put_varint(b.pages[kPagePort], record.url.port);
-  put_varint(b.pages[kPagePath], intern(record.url.path));
-  put_varint(b.pages[kPageQuery], intern(record.url.query));
+      static_cast<char>(static_cast<std::uint8_t>(record.scheme)));
+  put_varint(b.pages[kPageHost], intern(record.host));
+  put_varint(b.pages[kPagePort], record.port);
+  put_varint(b.pages[kPagePath], intern(record.path));
+  put_varint(b.pages[kPageQuery], intern(record.query));
   put_varint(b.pages[kPageAgent], intern(record.user_agent));
   put_varint(b.pages[kPageCategories], intern(record.categories));
   put_varint(b.pages[kPageStatus], record.status);
@@ -374,7 +365,7 @@ util::ArtifactInfo Writer::finish() {
   put_u64(footer, index_offset);
   put_u64(footer, block_count_);
   put_u64(footer, rows_);
-  put_u64(footer, dict_count_);
+  put_u64(footer, dict_.size());
   put_u64(footer, util::crc32_of(index_));
   put_u64(footer, kVersion);
   put_u32(footer, util::crc32_of(footer));
@@ -624,24 +615,31 @@ void Reader::release_columns(std::size_t block_index) const noexcept {
                static_cast<std::size_t>(end - columns));
 }
 
-proxy::LogRecord Reader::record(const DecodedBlock& block,
-                                std::size_t row) const {
-  proxy::LogRecord r;
+proxy::LogRecordView Reader::record_view(const DecodedBlock& block,
+                                         std::size_t row) const {
+  proxy::LogRecordView r;
   r.time = block.time.at(row);
   r.proxy_index = block.proxy_index[row];
   r.user_hash = block.user_hash[row];
-  r.user_agent = std::string(view(block.agent[row]));
-  r.method = std::string(view(block.method[row]));
-  r.url.scheme = static_cast<net::Scheme>(block.scheme[row]);
-  r.url.host = std::string(view(block.host[row]));
-  r.url.port = block.port[row];
-  r.url.path = std::string(view(block.path[row]));
-  r.url.query = std::string(view(block.query[row]));
-  r.categories = std::string(view(block.categories[row]));
+  r.user_agent = view(block.agent[row]);
+  r.method = view(block.method[row]);
+  r.scheme = static_cast<net::Scheme>(block.scheme[row]);
+  r.host = view(block.host[row]);
+  r.port = block.port[row];
+  r.path = view(block.path[row]);
+  r.query = view(block.query[row]);
+  r.categories = view(block.categories[row]);
   r.filter_result = static_cast<proxy::FilterResult>(block.filter_result[row]);
   r.exception = static_cast<proxy::ExceptionId>(block.exception[row]);
   r.status = block.status[row];
   if (block.has_dest[row]) r.dest_ip = net::Ipv4Addr(block.dest_ip[row]);
+  return r;
+}
+
+proxy::LogRecord Reader::record(const DecodedBlock& block,
+                                std::size_t row) const {
+  proxy::LogRecord r;
+  proxy::assign(r, record_view(block, row));
   return r;
 }
 

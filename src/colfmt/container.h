@@ -10,6 +10,7 @@
 #include "proxy/log_record.h"
 #include "util/atomic_io.h"
 #include "util/mmap_file.h"
+#include "util/string_pool.h"
 
 namespace syrwatch::colfmt {
 
@@ -107,7 +108,8 @@ class Writer {
   Writer(const Writer&) = delete;
   Writer& operator=(const Writer&) = delete;
 
-  void add(const proxy::LogRecord& record);
+  void add(const proxy::LogRecordView& record);
+  void add(const proxy::LogRecord& record) { add(proxy::view_of(record)); }
 
   /// Flushes the tail block, writes index + footer, commits the file.
   /// At most once; add() after finish() is a logic error.
@@ -125,14 +127,9 @@ class Writer {
   std::unique_ptr<util::AtomicFileWriter> out_;
   std::unique_ptr<BlockBuilder> block_;
   WriterOptions options_;
-  // Dictionary: string → id, id order = first sight across the file.
-  // (A std::vector of map iterators would dangle; util::StringPool's
-  // arena is overkill here because the writer never reads strings back —
-  // it only needs the forward map and the pending delta list.)
-  std::vector<std::string> pending_dict_;  // strings not yet flushed
-  struct DictIndex;
-  std::unique_ptr<DictIndex> dict_;
-  std::uint64_t dict_count_ = 1;  // id 0 = "" is implicit, never written
+  // Dictionary: string → id, id order = first sight across the file;
+  // id 0 = "" is implicit, never written.
+  util::StringPool dict_;
   std::uint64_t rows_ = 0;
   std::string index_;  // accumulated index entries
   std::uint64_t block_count_ = 0;
@@ -221,8 +218,11 @@ class Reader {
   /// dictionary page stays: dictionary() serves views into it.
   void release_columns(std::size_t block_index) const noexcept;
 
-  /// Reassembles one row as a LogRecord (the CSV writer's input shape) —
+  /// One row as a view into the dictionary (the csv codec's input) —
   /// the conversion path of `syrwatchctl convert`.
+  proxy::LogRecordView record_view(const DecodedBlock& block,
+                                   std::size_t row) const;
+  /// The same row as an owning LogRecord.
   proxy::LogRecord record(const DecodedBlock& block, std::size_t row) const;
 
  private:

@@ -1,13 +1,16 @@
 #include "durable/checkpoint.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/context.h"
 #include "obs/trace.h"
@@ -89,32 +92,41 @@ std::uint64_t replay_spool(const std::string& path, std::uint64_t limit,
                            const workload::LogCallback& sink) {
   std::ifstream in{path, std::ios::binary};
   if (!in) throw std::runtime_error("checkpoint: cannot open spool " + path);
-  std::string line;
-  std::uint64_t consumed = 0;
-  std::uint64_t line_number = 0;
+  proxy::LineBuffer lines;
+  proxy::LogLineReader reader;
+  proxy::LogRecord record;  // refilled per line: the sink takes a record
+  std::uint64_t read = 0;
   std::uint64_t replayed = 0;
-  while (consumed < limit && std::getline(in, line)) {
-    ++line_number;
-    consumed += line.size() + 1;  // getline consumed the '\n' too
-    if (consumed > limit)
-      throw std::runtime_error(
-          "checkpoint: " + path +
-          ": committed prefix does not end on a record boundary");
-    if (line_number == 1) continue;  // csv header
-    if (line.empty()) continue;
-    const auto record = proxy::from_csv(line);
-    if (!record)
-      throw std::runtime_error("checkpoint: " + path + ": line " +
-                               std::to_string(line_number) +
-                               ": unparseable checkpointed record");
-    sink(*record);
-    ++replayed;
+  std::string_view line;
+  while (read < limit) {
+    const std::span<char> space = lines.space();
+    in.read(space.data(), static_cast<std::streamsize>(std::min<std::uint64_t>(
+                              space.size(), limit - read)));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    read += got;
+    lines.filled(got);
+    while (lines.next(line)) {
+      const proxy::LineKind kind = reader.frame(line);
+      if (kind == proxy::LineKind::kSkipped)
+        throw std::runtime_error("checkpoint: " + path + ": line " +
+                                 std::to_string(reader.stats().lines) +
+                                 ": unparseable checkpointed record");
+      if (kind != proxy::LineKind::kRecord) continue;
+      proxy::assign(record, reader.record());
+      sink(record);
+      ++replayed;
+    }
   }
   if (in.bad())
     throw std::runtime_error("checkpoint: read error on spool " + path);
-  if (consumed != limit)
+  if (read != limit)
     throw std::runtime_error("checkpoint: " + path +
                              " is shorter than its manifest digest");
+  if (!lines.partial().empty())
+    throw std::runtime_error(
+        "checkpoint: " + path +
+        ": committed prefix does not end on a record boundary");
   return replayed;
 }
 
@@ -514,8 +526,7 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
 
   const workload::LogCallback buffering_sink =
       [&](const proxy::LogRecord& record) {
-        batch_text += proxy::to_csv(record);
-        batch_text += '\n';
+        proxy::append_csv(proxy::view_of(record), batch_text);
         sink(record);
       };
 

@@ -1,13 +1,14 @@
 #include "proxy/log_io.h"
 
 #include <charconv>
+#include <cstdio>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
 #include "util/csv.h"
 #include "util/simtime.h"
-#include "util/strings.h"
 
 namespace syrwatch::proxy {
 
@@ -15,12 +16,52 @@ namespace {
 
 constexpr int kColumnCount = 17;
 
-std::string field_or_dash(std::string_view value) {
-  return value.empty() ? "-" : std::string(value);
+std::string_view dash_to_empty(std::string_view value) {
+  return value == "-" ? std::string_view{} : value;
 }
 
-std::string dash_to_empty(std::string value) {
-  return value == "-" ? std::string{} : value;
+/// File extension of a path, as net::Url::extension derives it.
+std::string_view extension_of(std::string_view path) {
+  const auto slash = path.rfind('/');
+  const auto dot = path.rfind('.');
+  if (dot == std::string_view::npos) return {};
+  if (slash != std::string_view::npos && dot < slash) return {};
+  return path.substr(dot + 1);
+}
+
+void append_escaped_or_dash(std::string& out, std::string_view value) {
+  if (value.empty())
+    out.push_back('-');
+  else
+    util::csv_append_escaped(out, value);
+}
+
+template <typename T>
+void append_number(std::string& out, T value, int base = 10) {
+  char digits[24];
+  const auto [end, ec] =
+      std::to_chars(digits, digits + sizeof digits, value, base);
+  out.append(digits, end);
+}
+
+/// printf's %0<width>d.
+void append_padded(std::string& out, int value, int width) {
+  char digits[16];
+  if (value < 0) {
+    const int size = std::snprintf(digits, sizeof digits, "%0*d", width, value);
+    out.append(digits, static_cast<std::size_t>(size));
+    return;
+  }
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+  for (auto pad = width - (end - digits); pad > 0; --pad) out.push_back('0');
+  out.append(digits, end);
+}
+
+void append_ipv4(std::string& out, net::Ipv4Addr address) {
+  for (int i = 0; i < 4; ++i) {
+    if (i != 0) out.push_back('.');
+    append_number(out, address.octet(i));
+  }
 }
 
 std::optional<std::uint64_t> parse_u64(std::string_view text, int base = 10) {
@@ -46,11 +87,26 @@ std::optional<int> parse_civil_field(std::string_view text, int lo, int hi) {
   return value;
 }
 
-std::optional<std::int64_t> parse_timestamp(const std::string& date,
-                                            const std::string& clock) {
-  const auto date_parts = util::split(date, '-');
-  const auto time_parts = util::split(clock, ':');
-  if (date_parts.size() != 3 || time_parts.size() != 3) return std::nullopt;
+/// Splits `text` at `sep` into exactly three parts.
+bool split3(std::string_view text, char sep,
+            std::array<std::string_view, 3>& parts) {
+  const auto first = text.find(sep);
+  if (first == std::string_view::npos) return false;
+  const auto second = text.find(sep, first + 1);
+  if (second == std::string_view::npos ||
+      text.find(sep, second + 1) != std::string_view::npos)
+    return false;
+  parts = {text.substr(0, first), text.substr(first + 1, second - first - 1),
+           text.substr(second + 1)};
+  return true;
+}
+
+std::optional<std::int64_t> parse_timestamp(std::string_view date,
+                                            std::string_view clock) {
+  std::array<std::string_view, 3> date_parts;
+  std::array<std::string_view, 3> time_parts;
+  if (!split3(date, '-', date_parts) || !split3(clock, ':', time_parts))
+    return std::nullopt;
   util::CivilDateTime c;
   const auto year = parse_civil_field(date_parts[0], 1970, 9999);
   const auto month = parse_civil_field(date_parts[1], 1, 12);
@@ -73,87 +129,6 @@ std::optional<std::int64_t> parse_timestamp(const std::string& date,
   if (back.year != c.year || back.month != c.month || back.day != c.day)
     return std::nullopt;
   return t;
-}
-
-std::optional<LogRecord> from_csv_impl(const std::string& line,
-                                       ParseDiagnosis& diagnosis) {
-  diagnosis = {};
-  std::vector<std::string> f;
-  try {
-    f = util::csv_parse(line);
-  } catch (const util::CsvParseError& error) {
-    diagnosis.error = error.kind() == util::CsvError::kMalformedQuote
-                          ? ParseError::kMalformedQuote
-                          : ParseError::kUnbalancedQuote;
-    return std::nullopt;
-  }
-  diagnosis.columns = f.size();
-  if (f.size() != kColumnCount) {
-    diagnosis.error = ParseError::kColumnCount;
-    return std::nullopt;
-  }
-
-  LogRecord record;
-
-  const auto time = parse_timestamp(f[0], f[1]);
-  if (!time) {
-    diagnosis.error = ParseError::kBadTimestamp;
-    return std::nullopt;
-  }
-  record.time = *time;
-
-  const auto s_ip = net::Ipv4Addr::parse(f[2]);
-  if (!s_ip || s_ip->octet(3) < 42 || s_ip->octet(3) > 48) {
-    diagnosis.error = ParseError::kBadAddress;
-    return std::nullopt;
-  }
-  record.proxy_index = static_cast<std::uint8_t>(s_ip->octet(3) - 42);
-
-  diagnosis.error = ParseError::kBadField;  // any failure below
-  if (f[3] == "0.0.0.0") {
-    record.user_hash = 0;
-  } else {
-    const auto hash = parse_u64(f[3], 16);
-    if (!hash) return std::nullopt;
-    record.user_hash = *hash;
-  }
-
-  record.method = f[4];
-  const auto scheme = net::parse_scheme(f[5]);
-  if (!scheme) return std::nullopt;
-  record.url.scheme = *scheme;
-  record.url.host = f[6];
-  const auto port = parse_u64(f[7]);
-  if (!port || *port > 65535) return std::nullopt;
-  record.url.port = static_cast<std::uint16_t>(*port);
-  record.url.path = dash_to_empty(f[8]);
-  record.url.query = dash_to_empty(f[9]);
-  // f[10] (cs-uri-ext) is derived from the path; ignored on read.
-  record.user_agent = dash_to_empty(f[11]);
-  record.categories = dash_to_empty(f[12]);
-  const auto status = parse_u64(f[13]);
-  if (!status || *status > 999) return std::nullopt;
-  record.status = static_cast<std::uint16_t>(*status);
-  const auto result = parse_filter_result(f[14]);
-  if (!result) return std::nullopt;
-  record.filter_result = *result;
-  const auto exception = parse_exception(f[15]);
-  if (!exception) return std::nullopt;
-  record.exception = *exception;
-  if (f[16] != "-") {
-    const auto dest = net::Ipv4Addr::parse(f[16]);
-    if (!dest) return std::nullopt;
-    record.dest_ip = *dest;
-  }
-  diagnosis.error = ParseError::kNone;
-  return record;
-}
-
-/// CRLF tolerance for the line-oriented readers: std::getline strips the
-/// '\n' but leaves the '\r', which would fail the header comparison and
-/// misclassify "\r\n" blank lines. Field-level CRs are csv_parse's job.
-void strip_cr(std::string& line) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
 /// "wrong column count (got 4, expected 17)"-style reason for messages.
@@ -186,50 +161,206 @@ std::string log_csv_header() {
          "sc-status,sc-filter-result,x-exception-id,r-ip";
 }
 
-std::string to_csv(const LogRecord& record) {
+void append_csv(const LogRecordView& record, std::string& out) {
   const util::CivilDateTime c = util::to_civil(record.time);
-  char date[16], clock[16], chash[24];
-  std::snprintf(date, sizeof date, "%04d-%02d-%02d", c.year, c.month, c.day);
-  std::snprintf(clock, sizeof clock, "%02d:%02d:%02d", c.hour, c.minute,
-                c.second);
+  append_padded(out, c.year, 4);
+  out.push_back('-');
+  append_padded(out, c.month, 2);
+  out.push_back('-');
+  append_padded(out, c.day, 2);
+  out.push_back(',');
+  append_padded(out, c.hour, 2);
+  out.push_back(':');
+  append_padded(out, c.minute, 2);
+  out.push_back(':');
+  append_padded(out, c.second, 2);
+  out += ",82.137.200.";
+  append_number(out, static_cast<std::uint8_t>(42 + record.proxy_index));
+  out.push_back(',');
   if (record.user_hash == 0) {
-    std::snprintf(chash, sizeof chash, "0.0.0.0");
+    out += "0.0.0.0";
   } else {
-    std::snprintf(chash, sizeof chash, "%016llx",
-                  static_cast<unsigned long long>(record.user_hash));
+    char hex[16];
+    const auto [end, ec] =
+        std::to_chars(hex, hex + sizeof hex, record.user_hash, 16);
+    out.append(static_cast<std::size_t>(hex + sizeof hex - end), '0');
+    out.append(hex, end);
   }
-  const std::vector<std::string> fields = {
-      date,
-      clock,
-      record.proxy_address().to_string(),
-      chash,
-      record.method,
-      std::string(net::to_string(record.url.scheme)),
-      record.url.host,
-      std::to_string(record.url.port),
-      field_or_dash(record.url.path),
-      field_or_dash(record.url.query),
-      field_or_dash(record.url.extension()),
-      field_or_dash(record.user_agent),
-      field_or_dash(record.categories),
-      std::to_string(record.status),
-      std::string(to_string(record.filter_result)),
-      std::string(to_string(record.exception)),
-      record.dest_ip ? record.dest_ip->to_string() : "-",
-  };
-  return util::csv_join(fields);
+  out.push_back(',');
+  util::csv_append_escaped(out, record.method);
+  out.push_back(',');
+  out += net::to_string(record.scheme);
+  out.push_back(',');
+  util::csv_append_escaped(out, record.host);
+  out.push_back(',');
+  append_number(out, record.port);
+  out.push_back(',');
+  append_escaped_or_dash(out, record.path);
+  out.push_back(',');
+  append_escaped_or_dash(out, record.query);
+  out.push_back(',');
+  append_escaped_or_dash(out, extension_of(record.path));
+  out.push_back(',');
+  append_escaped_or_dash(out, record.user_agent);
+  out.push_back(',');
+  append_escaped_or_dash(out, record.categories);
+  out.push_back(',');
+  append_number(out, record.status);
+  out.push_back(',');
+  out += to_string(record.filter_result);
+  out.push_back(',');
+  out += to_string(record.exception);
+  out.push_back(',');
+  if (record.dest_ip)
+    append_ipv4(out, *record.dest_ip);
+  else
+    out.push_back('-');
+  out.push_back('\n');
 }
 
-std::optional<LogRecord> from_csv(const std::string& line,
+ParseDiagnosis parse_log_line(std::string_view line, LogRecordView& record,
+                              std::string& scratch) {
+  ParseDiagnosis diagnosis;
+  std::array<std::string_view, kColumnCount> f;
+  const util::CsvSplit split = util::csv_split(line, f, scratch);
+  if (split.error != util::CsvError::kNone) {
+    diagnosis.error = split.error == util::CsvError::kMalformedQuote
+                          ? ParseError::kMalformedQuote
+                          : ParseError::kUnbalancedQuote;
+    return diagnosis;
+  }
+  diagnosis.columns = split.count;
+  if (split.count != kColumnCount) {
+    diagnosis.error = ParseError::kColumnCount;
+    return diagnosis;
+  }
+
+  const auto time = parse_timestamp(f[0], f[1]);
+  if (!time) {
+    diagnosis.error = ParseError::kBadTimestamp;
+    return diagnosis;
+  }
+  record.time = *time;
+
+  const auto s_ip = net::Ipv4Addr::parse(f[2]);
+  if (!s_ip || s_ip->octet(3) < 42 || s_ip->octet(3) > 48) {
+    diagnosis.error = ParseError::kBadAddress;
+    return diagnosis;
+  }
+  record.proxy_index = static_cast<std::uint8_t>(s_ip->octet(3) - 42);
+
+  diagnosis.error = ParseError::kBadField;  // any failure below
+  if (f[3] == "0.0.0.0") {
+    record.user_hash = 0;
+  } else {
+    const auto hash = parse_u64(f[3], 16);
+    if (!hash) return diagnosis;
+    record.user_hash = *hash;
+  }
+
+  record.method = f[4];
+  const auto scheme = net::parse_scheme(f[5]);
+  if (!scheme) return diagnosis;
+  record.scheme = *scheme;
+  record.host = f[6];
+  const auto port = parse_u64(f[7]);
+  if (!port || *port > 65535) return diagnosis;
+  record.port = static_cast<std::uint16_t>(*port);
+  record.path = dash_to_empty(f[8]);
+  record.query = dash_to_empty(f[9]);
+  // f[10] (cs-uri-ext) is derived from the path; ignored on read.
+  record.user_agent = dash_to_empty(f[11]);
+  record.categories = dash_to_empty(f[12]);
+  const auto status = parse_u64(f[13]);
+  if (!status || *status > 999) return diagnosis;
+  record.status = static_cast<std::uint16_t>(*status);
+  const auto result = parse_filter_result(f[14]);
+  if (!result) return diagnosis;
+  record.filter_result = *result;
+  const auto exception = parse_exception(f[15]);
+  if (!exception) return diagnosis;
+  record.exception = *exception;
+  record.dest_ip.reset();
+  if (f[16] != "-") {
+    const auto dest = net::Ipv4Addr::parse(f[16]);
+    if (!dest) return diagnosis;
+    record.dest_ip = *dest;
+  }
+  diagnosis.error = ParseError::kNone;
+  return diagnosis;
+}
+
+std::string to_csv(const LogRecord& record) {
+  std::string line;
+  append_csv(view_of(record), line);
+  line.pop_back();
+  return line;
+}
+
+std::optional<LogRecord> from_csv(std::string_view line,
                                   ParseDiagnosis* diagnosis) {
-  ParseDiagnosis local;
-  return from_csv_impl(line, diagnosis != nullptr ? *diagnosis : local);
+  LogRecordView view;
+  std::string scratch;
+  const ParseDiagnosis parsed = parse_log_line(line, view, scratch);
+  if (diagnosis != nullptr) *diagnosis = parsed;
+  if (parsed.error != ParseError::kNone) return std::nullopt;
+  LogRecord record;
+  assign(record, view);
+  return record;
+}
+
+std::span<char> LineBuffer::space() {
+  if (begin_ != 0) {
+    // The partial line moves to the front; everything before it was
+    // handed out already.
+    std::memmove(bytes_.data(), bytes_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    scanned_ -= begin_;
+    begin_ = 0;
+  }
+  if (bytes_.size() < end_ + kChunkBytes) bytes_.resize(end_ + kChunkBytes);
+  return {bytes_.data() + end_, kChunkBytes};
+}
+
+bool LineBuffer::next(std::string_view& line) noexcept {
+  const char* base = bytes_.data();
+  const void* newline = std::memchr(base + scanned_, '\n', end_ - scanned_);
+  if (newline == nullptr) {
+    scanned_ = end_;
+    return false;
+  }
+  const auto at = static_cast<std::size_t>(static_cast<const char*>(newline) -
+                                           base);
+  line = {base + begin_, at - begin_};
+  begin_ = scanned_ = at + 1;
+  return true;
+}
+
+bool for_each_line(std::istream& in,
+                   const std::function<void(std::string_view)>& on_line) {
+  LineBuffer lines;
+  std::string_view line;
+  for (;;) {
+    const std::span<char> space = lines.space();
+    in.read(space.data(), static_cast<std::streamsize>(space.size()));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (in.bad()) throw std::runtime_error("csv log: read error");
+    if (got == 0) break;
+    lines.filled(got);
+    while (lines.next(line)) on_line(line);
+  }
+  if (lines.partial().empty()) return false;
+  on_line(lines.partial());
+  return true;
 }
 
 void write_log(std::ostream& out, const std::vector<LogRecord>& records) {
   out << log_csv_header() << '\n';
+  std::string line;
   for (const LogRecord& record : records) {
-    out << to_csv(record) << '\n';
+    line.clear();
+    append_csv(view_of(record), line);
+    out << line;
     if (!out) throw std::runtime_error("write_log: stream write failed");
   }
   out.flush();
@@ -241,35 +372,32 @@ util::ArtifactInfo write_log_file(const std::string& path,
   util::AtomicFileWriter writer{path};
   writer.write(log_csv_header());
   writer.write("\n");
+  std::string line;
   for (const LogRecord& record : records) {
-    writer.write(to_csv(record));
-    writer.write("\n");
+    line.clear();
+    append_csv(view_of(record), line);
+    writer.write(line);
   }
   return writer.commit();
 }
 
 std::vector<LogRecord> read_log(std::istream& in) {
-  std::string line;
-  if (!std::getline(in, line))
-    throw std::runtime_error("read_log: missing or unexpected header");
-  strip_cr(line);
-  if (line != log_csv_header())
-    throw std::runtime_error("read_log: missing or unexpected header");
+  LogLineReader reader;
   std::vector<LogRecord> records;
-  std::uint64_t line_number = 1;  // header was line 1
-  while (std::getline(in, line)) {
-    ++line_number;
-    strip_cr(line);
-    if (line.empty()) continue;
-    ParseDiagnosis diagnosis;
-    auto record = from_csv(line, &diagnosis);
-    if (!record) {
+  for_each_line(in, [&](std::string_view line) {
+    const LineKind kind = reader.frame(line);
+    if (!reader.stats().header_present)
+      throw std::runtime_error("read_log: missing or unexpected header");
+    if (kind == LineKind::kRecord) {
+      assign(records.emplace_back(), reader.record());
+    } else if (kind == LineKind::kSkipped) {
       throw std::runtime_error(
-          "read_log: line " + std::to_string(line_number) + ": " +
-          describe_failure(diagnosis) + ": " + line);
+          "read_log: line " + std::to_string(reader.stats().lines) + ": " +
+          describe_failure(reader.diagnosis()) + ": " + std::string(line));
     }
-    records.push_back(std::move(*record));
-  }
+  });
+  if (!reader.stats().header_present)
+    throw std::runtime_error("read_log: missing or unexpected header");
   return records;
 }
 
@@ -297,54 +425,60 @@ std::string LogReadStats::summary() const {
   return out;
 }
 
+LineKind LogLineReader::frame(std::string_view line) {
+  ++stats_.lines;
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  last_empty_ = line.empty();
+  if (expect_header_) {
+    expect_header_ = false;
+    if (line == log_csv_header()) {
+      stats_.header_present = true;
+      return LineKind::kHeader;
+    }
+    // Headerless (or header-damaged) log: try the line as data — a
+    // truncated header is tallied as a skipped line.
+  }
+  if (line.empty()) {
+    ++stats_.empty_lines;
+    return LineKind::kEmpty;
+  }
+  ++stats_.data_lines;
+  diagnosis_ = parse_log_line(line, record_, scratch_);
+  last_data_error_ = diagnosis_.error;
+  last_data_error_line_ = stats_.lines;
+  if (diagnosis_.error == ParseError::kNone) {
+    ++stats_.recovered;
+    return LineKind::kRecord;
+  }
+  const auto reason = static_cast<std::size_t>(diagnosis_.error);
+  ++stats_.skipped[reason];
+  if (stats_.first_error_line[reason] == 0)
+    stats_.first_error_line[reason] = stats_.lines;
+  return LineKind::kSkipped;
+}
+
+void LogLineReader::finish(bool unterminated) noexcept {
+  stats_.truncated_tail =
+      (unterminated && !last_empty_) ||
+      (last_data_error_ == ParseError::kColumnCount &&
+       last_data_error_line_ == stats_.lines);
+}
+
+LogReadStats scan_log_lenient(
+    std::istream& in, const std::function<void(const LogRecordView&)>& sink) {
+  LogLineReader reader;
+  const bool unterminated = for_each_line(in, [&](std::string_view line) {
+    if (reader.frame(line) == LineKind::kRecord) sink(reader.record());
+  });
+  reader.finish(unterminated);
+  return reader.stats();
+}
+
 LenientLog read_log_lenient(std::istream& in) {
   LenientLog result;
-  LogReadStats& stats = result.stats;
-  const std::string header = log_csv_header();
-
-  std::string line;
-  bool first = true;
-  bool final_line_unterminated = false;
-  ParseError last_data_error = ParseError::kNone;
-  std::uint64_t last_data_error_line = 0;
-  while (std::getline(in, line)) {
-    ++stats.lines;
-    strip_cr(line);
-    // getline hitting EOF before the delimiter means this (final) line was
-    // never newline-terminated — the signature of a torn write.
-    final_line_unterminated = in.eof() && !line.empty();
-    if (first) {
-      first = false;
-      if (line == header) {
-        stats.header_present = true;
-        continue;
-      }
-      // Headerless (or header-damaged) log: fall through and try the line
-      // as data — a truncated header will be tallied as a skipped line.
-    }
-    if (line.empty()) {
-      ++stats.empty_lines;
-      continue;
-    }
-    ++stats.data_lines;
-    ParseDiagnosis diagnosis;
-    if (auto record = from_csv(line, &diagnosis)) {
-      ++stats.recovered;
-      result.records.push_back(std::move(*record));
-      last_data_error = ParseError::kNone;
-    } else {
-      const auto reason = static_cast<std::size_t>(diagnosis.error);
-      ++stats.skipped[reason];
-      if (stats.first_error_line[reason] == 0)
-        stats.first_error_line[reason] = stats.lines;
-      last_data_error = diagnosis.error;
-      last_data_error_line = stats.lines;
-    }
-  }
-  stats.truncated_tail =
-      final_line_unterminated ||
-      (last_data_error == ParseError::kColumnCount &&
-       last_data_error_line == stats.lines);
+  result.stats = scan_log_lenient(in, [&](const LogRecordView& record) {
+    assign(result.records.emplace_back(), record);
+  });
   return result;
 }
 

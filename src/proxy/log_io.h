@@ -2,9 +2,12 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "proxy/log_record.h"
@@ -16,12 +19,18 @@ namespace syrwatch::proxy {
 /// request, comma-separated, '-' for empty fields. The column set is the
 /// analysis-relevant subset of the 26 Blue Coat fields (Table 2), in a
 /// fixed order given by `log_csv_header()`.
+///
+/// One codec serves every writer and reader (DESIGN.md §4.15):
+/// append_csv formats a LogRecordView into a caller-owned buffer,
+/// parse_log_line splits a line in place into one, LineBuffer cuts a byte
+/// stream into lines without copying them, and LogLineReader frames each
+/// line (CRLF, header, blank lines, skip tally) the same way for all.
 
 /// "date,time,s-ip,c-ip,cs-method,cs-host,..." header line.
 std::string log_csv_header();
 
-/// Renders one record as a CSV line (no trailing newline).
-std::string to_csv(const LogRecord& record);
+/// Appends `record` as one CSV line and its '\n' to `out`.
+void append_csv(const LogRecordView& record, std::string& out);
 
 /// Why a line failed to parse. kNone means it parsed.
 enum class ParseError : std::uint8_t {
@@ -46,11 +55,55 @@ struct ParseDiagnosis {
   std::size_t columns = 0;
 };
 
-/// Parses a line produced by to_csv. Returns nullopt on malformed input
-/// (wrong column count, bad enums, bad timestamp, out-of-range civil date
-/// fields), filling `diagnosis` (when given) with the reason.
-std::optional<LogRecord> from_csv(const std::string& line,
+/// Parses one line written by append_csv (without its '\n'; one trailing
+/// '\r' is stripped) into `record`, whose views point into `line` or, for
+/// a field that held a doubled quote, into `scratch`. Rejects a wrong
+/// column count, bad enums, a bad timestamp and out-of-range civil date
+/// fields; `record` is meaningful only when the diagnosis is kNone.
+ParseDiagnosis parse_log_line(std::string_view line, LogRecordView& record,
+                              std::string& scratch);
+
+/// append_csv into a fresh string, without the '\n'.
+std::string to_csv(const LogRecord& record);
+
+/// parse_log_line into an owning record; nullopt on malformed input,
+/// filling `diagnosis` (when given) with the reason.
+std::optional<LogRecord> from_csv(std::string_view line,
                                   ParseDiagnosis* diagnosis = nullptr);
+
+/// Cuts a byte stream into lines in place: bytes land in fixed-size
+/// chunks and each complete line is handed out as a view into the buffer,
+/// valid until the next space(). Only a line that straddles two chunks is
+/// moved, to the front, before the next chunk lands behind it.
+class LineBuffer {
+ public:
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
+
+  /// Room for one chunk behind the partial line (moved to the front
+  /// first); fill some of it, then call filled().
+  std::span<char> space();
+  void filled(std::size_t bytes) noexcept { end_ += bytes; }
+
+  /// Pops the next complete line, without its '\n'.
+  bool next(std::string_view& line) noexcept;
+  /// The bytes after the last '\n'.
+  std::string_view partial() const noexcept {
+    return {bytes_.data() + begin_, end_ - begin_};
+  }
+  void clear() noexcept { begin_ = scanned_ = end_ = 0; }
+
+ private:
+  std::string bytes_;
+  std::size_t begin_ = 0;    // first byte not handed out
+  std::size_t scanned_ = 0;  // [begin_, scanned_) holds no '\n'
+  std::size_t end_ = 0;      // end of the filled bytes
+};
+
+/// Reads `in` to its end in LineBuffer chunks, calling on_line for every
+/// line, including a final one that lacks its '\n'. Returns whether that
+/// final line lacked it. Throws std::runtime_error on a read error.
+bool for_each_line(std::istream& in,
+                   const std::function<void(std::string_view)>& on_line);
 
 /// Writes header + all records, then flushes. Throws std::runtime_error
 /// when the stream reports a write/flush failure — a full disk must not
@@ -96,6 +149,49 @@ struct LogReadStats {
   /// Human-readable multi-line rendering (the `inspect` subcommand's view).
   std::string summary() const;
 };
+
+/// What one line of a csv log is.
+enum class LineKind : std::uint8_t { kHeader, kEmpty, kRecord, kSkipped };
+
+/// The line framing every csv log reader shares: strips one trailing
+/// '\r', recognizes the header on the first line only (a headerless log's
+/// first line is tried as data), skips empty lines, parses every other
+/// line and tallies it in stats() — recovered, or skipped by reason.
+class LogLineReader {
+ public:
+  /// Frames the next line (without its '\n').
+  LineKind frame(std::string_view line);
+
+  /// The record of the last kRecord line; its views are valid until the
+  /// next frame() and while that line's bytes are unchanged.
+  const LogRecordView& record() const noexcept { return record_; }
+  /// Why the last kSkipped line failed.
+  const ParseDiagnosis& diagnosis() const noexcept { return diagnosis_; }
+  const LogReadStats& stats() const noexcept { return stats_; }
+
+  /// The next line is a file's first again (a rotated spool), or not (a
+  /// tail resumed mid-file).
+  void expect_header(bool expect) noexcept { expect_header_ = expect; }
+
+  /// Sets stats().truncated_tail after the last line; `unterminated`: it
+  /// lacked its '\n'.
+  void finish(bool unterminated) noexcept;
+
+ private:
+  LogRecordView record_;
+  std::string scratch_;
+  ParseDiagnosis diagnosis_;
+  LogReadStats stats_;
+  bool expect_header_ = true;
+  bool last_empty_ = true;
+  ParseError last_data_error_ = ParseError::kNone;
+  std::uint64_t last_data_error_line_ = 0;
+};
+
+/// The lenient read without the records: streams each recovered record
+/// to `sink` as a view, valid during the call.
+LogReadStats scan_log_lenient(
+    std::istream& in, const std::function<void(const LogRecordView&)>& sink);
 
 struct LenientLog {
   std::vector<LogRecord> records;

@@ -63,6 +63,34 @@ struct LogRecord {
   }
 };
 
+/// A LogRecord whose strings are views: what the csv codec
+/// (proxy/log_io.h) parses a line into and formats from, and what
+/// Dataset::add interns. The views belong to whoever filled it (a line
+/// buffer, a parse scratch, a LogRecord).
+struct LogRecordView {
+  std::int64_t time = 0;
+  std::uint8_t proxy_index = 0;
+  std::uint64_t user_hash = 0;
+  std::string_view user_agent;
+  std::string_view method;
+  net::Scheme scheme = net::Scheme::kHttp;
+  std::string_view host;
+  std::uint16_t port = 80;
+  std::string_view path;
+  std::string_view query;
+  std::string_view categories;
+  FilterResult filter_result = FilterResult::kObserved;
+  ExceptionId exception = ExceptionId::kNone;
+  std::uint16_t status = 200;
+  std::optional<net::Ipv4Addr> dest_ip;
+};
+
+/// A view of `record`, valid while `record` is unchanged.
+LogRecordView view_of(const LogRecord& record) noexcept;
+
+/// Copies `view` into `record`, reusing the capacity of its strings.
+void assign(LogRecord& record, const LogRecordView& view);
+
 /// §3.3 classification of a record.
 enum class TrafficClass : std::uint8_t {
   kAllowed,

@@ -167,8 +167,13 @@ void open_lenient(Cursor& cursor, const ShardInput& input) {
   const fs::path dir{input.directory};
   std::ifstream spool{(dir / kSpoolFile).string(), std::ios::binary};
   if (!spool) return;  // shard died before creating its spool: nothing
-  proxy::LenientLog log = proxy::read_log_lenient(spool);
-  cursor.contribution.read_stats = log.stats;
+  // Recovered records are re-serialized canonically, one line each.
+  cursor.contribution.read_stats = proxy::scan_log_lenient(
+      spool, [&](const proxy::LogRecordView& record) {
+        std::string& line = cursor.lines.emplace_back();
+        proxy::append_csv(record, line);
+        line.pop_back();  // cursor lines carry no '\n'
+      });
 
   std::ifstream keys{(dir / kKeysFile).string(), std::ios::binary};
   std::string key_bytes;
@@ -178,13 +183,11 @@ void open_lenient(Cursor& cursor, const ShardInput& input) {
     key_bytes = std::move(buffer).str();
   }
   const std::size_t usable =
-      std::min(log.records.size(), key_bytes.size() / 8);
-  cursor.lines.reserve(usable);
+      std::min(cursor.lines.size(), key_bytes.size() / 8);
+  cursor.lines.resize(usable);
   cursor.lenient_keys.reserve(usable);
-  for (std::size_t i = 0; i < usable; ++i) {
-    cursor.lines.push_back(proxy::to_csv(log.records[i]));
+  for (std::size_t i = 0; i < usable; ++i)
     cursor.lenient_keys.push_back(decode_key(key_bytes.data() + i * 8));
-  }
 }
 
 }  // namespace

@@ -9,19 +9,33 @@ namespace syrwatch::util {
 
 namespace {
 
-/// Reflected CRC32 table for polynomial 0xEDB88320, built once at load.
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected polynomial 0xEDB88320. Table 0 is
+/// the classic bytewise table; table k advances a byte's contribution by k
+/// more zero bytes, so eight table lookups fold eight input bytes at once.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit)
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      tables[k][i] = (tables[k - 1][i] >> 8) ^
+                     tables[0][tables[k - 1][i] & 0xFFu];
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    make_crc_tables();
+
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 int hex_digit(char c) noexcept {
   if (c >= '0' && c <= '9') return c - '0';
@@ -34,9 +48,17 @@ int hex_digit(char c) noexcept {
 
 void Crc32::update(const void* data, std::size_t size) noexcept {
   const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto& t = kCrcTables;
   std::uint32_t crc = state_;
-  for (std::size_t i = 0; i < size; ++i)
-    crc = (crc >> 8) ^ kCrcTable[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ crc;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size)
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   state_ = crc;
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace syrwatch::util {
 
@@ -12,14 +12,13 @@ namespace syrwatch::util {
 /// Blue Coat logs were comma-separated; fields containing commas, quotes or
 /// newlines are quoted, quotes are doubled.
 
-/// Escapes a single field if needed.
-std::string csv_escape(std::string_view field);
+/// Appends `field` to `out`, quoted (quotes doubled) only when it holds a
+/// comma, a quote, '\n' or '\r'.
+void csv_append_escaped(std::string& out, std::string_view field);
 
-/// Joins fields into one CSV line (no trailing newline).
-std::string csv_join(const std::vector<std::string>& fields);
-
-/// Why csv_parse rejected a line.
+/// Why csv_split rejected a line.
 enum class CsvError : std::uint8_t {
+  kNone = 0,
   /// A quoted field was never closed ("truncated) — the signature of a
   /// line cut mid-field.
   kUnbalancedQuote,
@@ -31,25 +30,22 @@ enum class CsvError : std::uint8_t {
   kMalformedQuote,
 };
 
-/// csv_parse's failure exception: still an std::invalid_argument (existing
-/// catch sites keep working) but carrying the CsvError so callers can tally
-/// damage by kind (proxy::read_log_lenient does).
-class CsvParseError : public std::invalid_argument {
- public:
-  CsvParseError(CsvError kind, const std::string& what)
-      : std::invalid_argument(what), kind_(kind) {}
-  CsvError kind() const noexcept { return kind_; }
-
- private:
-  CsvError kind_;
+struct CsvSplit {
+  CsvError error = CsvError::kNone;
+  /// Fields on the line, also those beyond `fields.size()` (which are
+  /// counted but not stored); meaningful only without an error.
+  std::size_t count = 0;
 };
 
-/// Parses one CSV line into fields. Handles quoted fields with embedded
-/// commas and doubled quotes, and strips one trailing '\r' (externally
-/// produced logs are routinely CRLF-terminated and std::getline only
-/// removes the '\n'). Throws CsvParseError on an unbalanced quote or on
-/// malformed quoting (trailing garbage after a closing quote, a bare quote
-/// inside an unquoted field).
-std::vector<std::string> csv_parse(std::string_view line);
+/// Splits one CSV line into views, in place. Strips one trailing '\r'
+/// (externally produced logs are routinely CRLF-terminated). A quoted
+/// field is viewed between its quotes; only a field with a doubled quote
+/// is unescaped, into `scratch`, which is cleared and reserved to the
+/// line's length first so that no view into it moves. The views are valid
+/// while `line` and `scratch` are unchanged. The whole line is scanned
+/// even past `fields.size()`, so quoting damage anywhere is reported
+/// before a column count is.
+CsvSplit csv_split(std::string_view line, std::span<std::string_view> fields,
+                   std::string& scratch);
 
 }  // namespace syrwatch::util

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace syrwatch::util {
@@ -45,15 +44,28 @@ class StringPool {
   /// Copies `s` into the arena and returns the copy.
   std::string_view store(std::string_view s);
 
+  /// Where `s` (hashing to `hash`) sits in index_, or the empty slot it
+  /// would take.
+  std::size_t find_slot(std::string_view s, std::uint32_t hash) const noexcept;
+  /// Doubles index_, re-placing every id by its stored hash.
+  void grow();
+
   // The bytes live in an arena of blocks that never move, so the views
-  // (and the map's keys) stay valid as the pool grows, at no per-string
-  // allocation.
+  // stay valid as the pool grows, at no per-string allocation.
   static constexpr std::size_t kBlockBytes = 64 * 1024;
   std::vector<std::unique_ptr<char[]>> blocks_;
   char* free_ = nullptr;  ///< next unused byte of the last block
   std::size_t left_ = 0;  ///< unused bytes after free_
   std::vector<std::string_view> views_;
-  std::unordered_map<std::string_view, Id> index_;
+  /// Flat open-addressing index over views_: linear probing in a
+  /// power-of-two table kept at most 3/4 full, each slot an id and its
+  /// string's hash (kNotFound marks an empty slot) — 8 bytes per slot and
+  /// no allocation per string.
+  struct Slot {
+    Id id;
+    std::uint32_t hash;
+  };
+  std::vector<Slot> index_;
 };
 
 }  // namespace syrwatch::util

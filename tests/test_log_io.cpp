@@ -1,14 +1,24 @@
-// CSV log serialization: header, rendering, parsing, round-trips, and
-// rejection of malformed rows.
+// CSV log serialization: header, rendering, parsing, round-trips,
+// rejection of malformed rows, and agreement of the codec with the
+// vector-of-strings codec it replaced, kept below as a reference.
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "proxy/log_io.h"
+#include "util/rng.h"
 #include "util/simtime.h"
+#include "util/strings.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -327,6 +337,519 @@ TEST(LogIo, MidFileDamageIsNotATruncatedTail) {
   EXPECT_EQ(log.records.size(), 1u);
   EXPECT_EQ(log.stats.skipped_total(), 1u);
   EXPECT_FALSE(log.stats.truncated_tail);
+}
+
+// --- the codec against its reference ----------------------------------------
+
+// The vector-of-strings codec the view codec replaced (csv_join over
+// snprintf'd fields; csv_parse with exceptions, then the field checks),
+// kept verbatim in behavior as the definition the new one must match.
+namespace reference {
+
+std::string csv_escape(std::string_view field) {
+  const bool needs_quotes =
+      field.find_first_of(",\"\n\r") != std::string_view::npos;
+  if (!needs_quotes) return std::string(field);
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += "\"\"";
+    else out.push_back(c);
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string csv_join(const std::vector<std::string>& fields) {
+  std::string out;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i != 0) out.push_back(',');
+    out += csv_escape(fields[i]);
+  }
+  return out;
+}
+
+struct CsvParseError {
+  ParseError kind;
+};
+
+std::vector<std::string> csv_parse(std::string_view line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  std::vector<std::string> fields;
+  std::string current;
+  bool in_quotes = false;
+  bool quote_closed = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          current.push_back('"');
+          ++i;
+        } else {
+          in_quotes = false;
+          quote_closed = true;
+        }
+      } else {
+        current.push_back(c);
+      }
+    } else if (c == ',') {
+      fields.push_back(std::move(current));
+      current.clear();
+      quote_closed = false;
+    } else if (quote_closed) {
+      throw CsvParseError{ParseError::kMalformedQuote};
+    } else if (c == '"') {
+      if (!current.empty()) throw CsvParseError{ParseError::kMalformedQuote};
+      in_quotes = true;
+    } else {
+      current.push_back(c);
+    }
+  }
+  if (in_quotes) throw CsvParseError{ParseError::kUnbalancedQuote};
+  fields.push_back(std::move(current));
+  return fields;
+}
+
+std::string field_or_dash(std::string_view value) {
+  return value.empty() ? "-" : std::string(value);
+}
+
+std::string to_csv(const LogRecord& record) {
+  const util::CivilDateTime c = util::to_civil(record.time);
+  char date[16], clock[16], chash[24];
+  std::snprintf(date, sizeof date, "%04d-%02d-%02d", c.year, c.month, c.day);
+  std::snprintf(clock, sizeof clock, "%02d:%02d:%02d", c.hour, c.minute,
+                c.second);
+  if (record.user_hash == 0) {
+    std::snprintf(chash, sizeof chash, "0.0.0.0");
+  } else {
+    std::snprintf(chash, sizeof chash, "%016llx",
+                  static_cast<unsigned long long>(record.user_hash));
+  }
+  const std::vector<std::string> fields = {
+      date,
+      clock,
+      record.proxy_address().to_string(),
+      chash,
+      record.method,
+      std::string(net::to_string(record.url.scheme)),
+      record.url.host,
+      std::to_string(record.url.port),
+      field_or_dash(record.url.path),
+      field_or_dash(record.url.query),
+      field_or_dash(record.url.extension()),
+      field_or_dash(record.user_agent),
+      field_or_dash(record.categories),
+      std::to_string(record.status),
+      std::string(to_string(record.filter_result)),
+      std::string(to_string(record.exception)),
+      record.dest_ip ? record.dest_ip->to_string() : "-",
+  };
+  return csv_join(fields);
+}
+
+std::string dash_to_empty(std::string value) {
+  return value == "-" ? std::string{} : value;
+}
+
+std::optional<std::uint64_t> parse_u64(std::string_view text, int base = 10) {
+  std::uint64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value, base);
+  if (ec != std::errc{} || ptr != text.data() + text.size())
+    return std::nullopt;
+  return value;
+}
+
+std::optional<int> parse_civil_field(std::string_view text, int lo, int hi) {
+  int value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || ptr != text.data() + text.size())
+    return std::nullopt;
+  if (value < lo || value > hi) return std::nullopt;
+  return value;
+}
+
+std::optional<std::int64_t> parse_timestamp(const std::string& date,
+                                            const std::string& clock) {
+  const auto date_parts = util::split(date, '-');
+  const auto time_parts = util::split(clock, ':');
+  if (date_parts.size() != 3 || time_parts.size() != 3) return std::nullopt;
+  util::CivilDateTime c;
+  const auto year = parse_civil_field(date_parts[0], 1970, 9999);
+  const auto month = parse_civil_field(date_parts[1], 1, 12);
+  const auto day = parse_civil_field(date_parts[2], 1, 31);
+  const auto hour = parse_civil_field(time_parts[0], 0, 23);
+  const auto minute = parse_civil_field(time_parts[1], 0, 59);
+  const auto second = parse_civil_field(time_parts[2], 0, 59);
+  if (!year || !month || !day || !hour || !minute || !second)
+    return std::nullopt;
+  c.year = *year;
+  c.month = *month;
+  c.day = *day;
+  c.hour = *hour;
+  c.minute = *minute;
+  c.second = *second;
+  const std::int64_t t = util::to_unix_seconds(c);
+  const util::CivilDateTime back = util::to_civil(t);
+  if (back.year != c.year || back.month != c.month || back.day != c.day)
+    return std::nullopt;
+  return t;
+}
+
+std::optional<LogRecord> from_csv(const std::string& line,
+                                  ParseDiagnosis& diagnosis) {
+  diagnosis = {};
+  std::vector<std::string> f;
+  try {
+    f = csv_parse(line);
+  } catch (const CsvParseError& error) {
+    diagnosis.error = error.kind;
+    return std::nullopt;
+  }
+  diagnosis.columns = f.size();
+  if (f.size() != 17) {
+    diagnosis.error = ParseError::kColumnCount;
+    return std::nullopt;
+  }
+  LogRecord record;
+  const auto time = parse_timestamp(f[0], f[1]);
+  if (!time) {
+    diagnosis.error = ParseError::kBadTimestamp;
+    return std::nullopt;
+  }
+  record.time = *time;
+  const auto s_ip = net::Ipv4Addr::parse(f[2]);
+  if (!s_ip || s_ip->octet(3) < 42 || s_ip->octet(3) > 48) {
+    diagnosis.error = ParseError::kBadAddress;
+    return std::nullopt;
+  }
+  record.proxy_index = static_cast<std::uint8_t>(s_ip->octet(3) - 42);
+  diagnosis.error = ParseError::kBadField;
+  if (f[3] == "0.0.0.0") {
+    record.user_hash = 0;
+  } else {
+    const auto hash = parse_u64(f[3], 16);
+    if (!hash) return std::nullopt;
+    record.user_hash = *hash;
+  }
+  record.method = f[4];
+  const auto scheme = net::parse_scheme(f[5]);
+  if (!scheme) return std::nullopt;
+  record.url.scheme = *scheme;
+  record.url.host = f[6];
+  const auto port = parse_u64(f[7]);
+  if (!port || *port > 65535) return std::nullopt;
+  record.url.port = static_cast<std::uint16_t>(*port);
+  record.url.path = dash_to_empty(f[8]);
+  record.url.query = dash_to_empty(f[9]);
+  record.user_agent = dash_to_empty(f[11]);
+  record.categories = dash_to_empty(f[12]);
+  const auto status = parse_u64(f[13]);
+  if (!status || *status > 999) return std::nullopt;
+  record.status = static_cast<std::uint16_t>(*status);
+  const auto result = parse_filter_result(f[14]);
+  if (!result) return std::nullopt;
+  record.filter_result = *result;
+  const auto exception = parse_exception(f[15]);
+  if (!exception) return std::nullopt;
+  record.exception = *exception;
+  if (f[16] != "-") {
+    const auto dest = net::Ipv4Addr::parse(f[16]);
+    if (!dest) return std::nullopt;
+    record.dest_ip = *dest;
+  }
+  diagnosis.error = ParseError::kNone;
+  return record;
+}
+
+}  // namespace reference
+
+std::vector<LogRecord> generated_log() {
+  workload::ScenarioConfig config;
+  config.total_requests = 20'000;
+  config.user_population = 4'000;
+  config.catalog_tail = 3'000;
+  config.torrent_contents = 500;
+  workload::SyriaScenario scenario{config};
+  std::vector<LogRecord> records;
+  scenario.run([&](const LogRecord& record) { records.push_back(record); });
+  return records;
+}
+
+/// Records covering what the generator never writes: quoting, '\r',
+/// empty fields, and the numeric extremes of every field.
+std::vector<LogRecord> hand_built_records() {
+  std::vector<LogRecord> records;
+  for (const char special : {',', '"', '\r'}) {
+    const std::string text = std::string("a") + special + "b";
+    LogRecord agent = sample_record();
+    agent.user_agent = "UA " + text;
+    LogRecord path = sample_record();
+    path.url.path = "/" + text + ".php";
+    LogRecord query = sample_record();
+    query.url.query = "q=" + text;
+    LogRecord all = sample_record();
+    all.user_agent = text + text;
+    all.url.path = "/x" + text;
+    all.url.query = text + "=" + text;
+    for (LogRecord* record : {&agent, &path, &query, &all})
+      records.push_back(*record);
+  }
+  LogRecord empty = sample_record();
+  empty.user_agent.clear();
+  empty.url.path.clear();
+  empty.url.query.clear();
+  empty.categories.clear();
+  empty.method.clear();
+  empty.url.host.clear();
+  records.push_back(empty);
+  LogRecord dash = sample_record();
+  dash.url.path = "-";
+  dash.user_agent = "-";
+  records.push_back(dash);
+  for (const std::uint64_t hash :
+       {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0}}) {
+    LogRecord record = sample_record();
+    record.user_hash = hash;
+    records.push_back(record);
+  }
+  LogRecord dest = sample_record();
+  dest.url = *net::Url::parse("http://84.229.1.2/");
+  dest.dest_ip = net::Ipv4Addr{84, 229, 1, 2};
+  records.push_back(dest);
+  LogRecord zero_dest = sample_record();
+  zero_dest.dest_ip = net::Ipv4Addr{0u};
+  records.push_back(zero_dest);
+  for (const std::uint16_t port : {std::uint16_t{0}, std::uint16_t{65535}}) {
+    LogRecord record = sample_record();
+    record.url.port = port;
+    records.push_back(record);
+  }
+  for (const std::uint16_t status : {std::uint16_t{0}, std::uint16_t{999}}) {
+    LogRecord record = sample_record();
+    record.status = status;
+    records.push_back(record);
+  }
+  for (const std::uint8_t proxy : {0, 6, 250}) {
+    LogRecord record = sample_record();
+    record.proxy_index = proxy;
+    records.push_back(record);
+  }
+  for (const std::int64_t time :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{253402300799},
+        std::int64_t{253402300800}}) {
+    LogRecord record = sample_record();
+    record.time = time;
+    records.push_back(record);
+  }
+  LogRecord no_extension = sample_record();
+  no_extension.url.path = "/dir.d/file";
+  records.push_back(no_extension);
+  return records;
+}
+
+TEST(LogCodec, AppendCsvMatchesReferenceOnAGeneratedLog) {
+  const auto records = generated_log();
+  ASSERT_GT(records.size(), 10'000u);
+  std::string text;  // one buffer, appended to: exactly what writers do
+  std::string want;
+  for (const LogRecord& record : records) {
+    append_csv(view_of(record), text);
+    want += reference::to_csv(record);
+    want += '\n';
+  }
+  EXPECT_EQ(text, want);
+}
+
+TEST(LogCodec, AppendCsvMatchesReferenceOnHandBuiltRecords) {
+  for (const LogRecord& record : hand_built_records()) {
+    std::string line = "prefix,";
+    append_csv(view_of(record), line);
+    EXPECT_EQ(line, "prefix," + reference::to_csv(record) + "\n");
+    EXPECT_EQ(to_csv(record), reference::to_csv(record));
+  }
+}
+
+void expect_same_record(const LogRecord& want, const LogRecordView& got,
+                        const std::string& line) {
+  EXPECT_EQ(got.time, want.time) << line;
+  EXPECT_EQ(got.proxy_index, want.proxy_index) << line;
+  EXPECT_EQ(got.user_hash, want.user_hash) << line;
+  EXPECT_EQ(got.user_agent, want.user_agent) << line;
+  EXPECT_EQ(got.method, want.method) << line;
+  EXPECT_EQ(got.scheme, want.url.scheme) << line;
+  EXPECT_EQ(got.host, want.url.host) << line;
+  EXPECT_EQ(got.port, want.url.port) << line;
+  EXPECT_EQ(got.path, want.url.path) << line;
+  EXPECT_EQ(got.query, want.url.query) << line;
+  EXPECT_EQ(got.categories, want.categories) << line;
+  EXPECT_EQ(got.filter_result, want.filter_result) << line;
+  EXPECT_EQ(got.exception, want.exception) << line;
+  EXPECT_EQ(got.status, want.status) << line;
+  EXPECT_EQ(got.dest_ip, want.dest_ip) << line;
+}
+
+/// parse_log_line and the reference agree on `line`: the same diagnosis,
+/// and on success the same fields.
+void expect_parse_agrees(const std::string& line, LogRecordView& view,
+                         std::string& scratch) {
+  ParseDiagnosis want;
+  const auto record = reference::from_csv(line, want);
+  const ParseDiagnosis got = parse_log_line(line, view, scratch);
+  ASSERT_EQ(got.error, want.error) << line;
+  ASSERT_EQ(got.columns, want.columns) << line;
+  if (record) expect_same_record(*record, view, line);
+}
+
+TEST(LogCodec, ParseMatchesReferenceOnSeededMutations) {
+  std::vector<std::string> lines;
+  const auto generated = generated_log();
+  for (std::size_t i = 0; i < generated.size(); i += 10)
+    lines.push_back(reference::to_csv(generated[i]));
+  for (const LogRecord& record : hand_built_records())
+    lines.push_back(reference::to_csv(record));
+
+  util::Rng rng{0xC0DEC};
+  const auto at = [&](const std::string& line) {
+    return static_cast<std::size_t>(rng.uniform(line.size() + 1));
+  };
+  const auto quote_positions = [](const std::string& line) {
+    std::vector<std::size_t> quotes;
+    for (std::size_t i = 0; i < line.size(); ++i)
+      if (line[i] == '"') quotes.push_back(i);
+    return quotes;
+  };
+  const auto mutate = [&](std::string line) {
+    switch (rng.uniform(9)) {
+      case 0:  // truncation (torn write)
+        line.resize(at(line));
+        break;
+      case 1:  // byte flip
+        if (!line.empty())
+          line[rng.uniform(line.size())] = static_cast<char>(rng.uniform(256));
+        break;
+      case 2: {  // field splice: graft the tail of another line mid-field
+        const auto& donor = lines[rng.uniform(lines.size())];
+        line = line.substr(0, at(line)) + donor.substr(at(donor));
+        break;
+      }
+      case 3:  // field deletion: drop one comma-separated column
+        if (const auto comma = line.find(','); comma != std::string::npos) {
+          const auto next = line.find(',', comma + 1);
+          line.erase(comma, next == std::string::npos ? std::string::npos
+                                                      : next - comma);
+        }
+        break;
+      case 4:  // insert a quote
+        line.insert(at(line), 1, '"');
+        break;
+      case 5: {  // double a quote (or insert a doubled pair)
+        const auto quotes = quote_positions(line);
+        line.insert(quotes.empty() ? at(line)
+                                   : quotes[rng.uniform(quotes.size())],
+                    quotes.empty() ? "\"\"" : "\"");
+        break;
+      }
+      case 6: {  // bytes after a closing quote
+        auto quotes = quote_positions(line);
+        if (quotes.empty()) {
+          // Quote one field first, so there is a closing quote.
+          const auto comma = line.find(',', at(line));
+          const auto end = comma == std::string::npos ? line.size() : comma;
+          const auto start = line.rfind(',', end == 0 ? 0 : end - 1);
+          const auto begin =
+              start == std::string::npos || start >= end ? 0 : start + 1;
+          line.insert(end, 1, '"');
+          line.insert(begin, 1, '"');
+          quotes = quote_positions(line);
+        }
+        const char junk[] = {'x', ' ', '"', '\r', ';'};
+        line.insert(quotes.back() + 1, 1, junk[rng.uniform(sizeof junk)]);
+        break;
+      }
+      case 7:
+        line += '\r';
+        break;
+      default:
+        line += "\r\r";
+        break;
+    }
+    return line;
+  };
+
+  LogRecordView view;
+  std::string scratch;
+  std::size_t checked = 0;
+  std::size_t parsed = 0;
+  for (int i = 0; i < 12'000; ++i) {
+    std::string line = lines[rng.uniform(lines.size())];
+    const int rounds = rng.bernoulli(0.3) ? 2 : 1;
+    for (int r = 0; r < rounds; ++r) line = mutate(std::move(line));
+    expect_parse_agrees(line, view, scratch);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++checked;
+    ParseDiagnosis diagnosis;
+    if (from_csv(line, &diagnosis)) ++parsed;
+  }
+  for (const std::string& line : lines) {
+    expect_parse_agrees(line, view, scratch);
+    expect_parse_agrees(line + "\r", view, scratch);
+  }
+  EXPECT_GE(checked, 10'000u);
+  // The mutations must leave some lines intact and damage the rest.
+  EXPECT_GT(parsed, 100u);
+  EXPECT_LT(parsed, checked);
+}
+
+TEST(LogCodec, UnclosedQuoteOnAnOverlongLineIsAQuoteError) {
+  // 18 fields and an unclosed quote: a splitter that stops at the 17th
+  // field would call this a column count, the reference calls it a quote.
+  const std::string line = to_csv(sample_record()) + ",\"never closed";
+  LogRecordView view;
+  std::string scratch;
+  const ParseDiagnosis diagnosis = parse_log_line(line, view, scratch);
+  EXPECT_EQ(diagnosis.error, ParseError::kUnbalancedQuote);
+  EXPECT_EQ(diagnosis.columns, 0u);
+  expect_parse_agrees(line, view, scratch);
+  expect_parse_agrees(to_csv(sample_record()) + ",x,\"a\"b", view, scratch);
+}
+
+TEST(LogCodec, DoubledQuotesInTwoFieldsKeepBothViews) {
+  // Both fields unescape into scratch, the path first: the path's view
+  // must survive the agent's unescaping, which outgrows anything the
+  // path alone would have made room for.
+  LogRecord record = sample_record();
+  record.url.path = "/say/\"" + std::string(40, 'p') + "\"/x.php";
+  record.user_agent = "Mozilla \"" + std::string(3000, 'a') + "\" agent";
+  const std::string line = to_csv(record);
+  LogRecordView view;
+  std::string scratch;  // starts with no capacity
+  ASSERT_EQ(parse_log_line(line, view, scratch).error, ParseError::kNone);
+  EXPECT_EQ(view.user_agent, record.user_agent);
+  EXPECT_EQ(view.path, record.url.path);
+  EXPECT_EQ(view.query, record.url.query);
+}
+
+TEST(LogCodec, LineBufferHandsOutLinesAcrossChunks) {
+  // Lines longer than a chunk and lines straddling chunk borders come out
+  // whole; a final line without '\n' is reported as such.
+  std::string text;
+  std::vector<std::string> want;
+  for (int i = 0; i < 50; ++i) {
+    want.push_back(std::string(static_cast<std::size_t>(i * 4099 % 150'000),
+                               static_cast<char>('a' + i % 26)));
+    text += want.back() + "\n";
+  }
+  want.push_back("tail");
+  text += "tail";
+  std::istringstream in{text};
+  std::vector<std::string> got;
+  const bool unterminated = for_each_line(
+      in, [&](std::string_view line) { got.emplace_back(line); });
+  EXPECT_TRUE(unterminated);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -419,24 +419,24 @@ TEST(SpoolTailChaos, SurvivesRotationAndReportsGap) {
   write_spool(0, 3);
   analysis::SpoolTail tail{spool};
   std::vector<proxy::LogRecord> seen;
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
-            3u);
+  const auto collect = [&](const proxy::LogRecordView& r) {
+    proxy::assign(seen.emplace_back(), r);
+  };
+  EXPECT_EQ(tail.poll(collect), 3u);
   EXPECT_EQ(tail.gaps(), 0u);
 
   // Rotate: unlink + recreate (new inode, shorter content). The tail must
   // reopen from the top of the new file instead of wedging.
   fs::remove(spool);
   write_spool(100, 2);
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
-            2u);
+  EXPECT_EQ(tail.poll(collect), 2u);
   EXPECT_EQ(tail.gaps(), 1u);
   ASSERT_EQ(seen.size(), 5u);
   EXPECT_EQ(proxy::to_csv(seen[3]), proxy::to_csv(make_record(100)));
 
   // In-place truncation counts too.
   write_spool(200, 1);
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord& r) { seen.push_back(r); }),
-            1u);
+  EXPECT_EQ(tail.poll(collect), 1u);
   EXPECT_EQ(tail.gaps(), 2u);
   EXPECT_EQ(proxy::to_csv(seen.back()), proxy::to_csv(make_record(200)));
 }

@@ -651,7 +651,7 @@ struct TailFixture : ::testing::Test {
 TEST_F(TailFixture, MissingFileDeliversNothing) {
   analysis::SpoolTail tail{spool()};
   std::size_t delivered = 0;
-  EXPECT_EQ(tail.poll([&](const proxy::LogRecord&) { ++delivered; }), 0u);
+  EXPECT_EQ(tail.poll([&](const proxy::LogRecordView&) { ++delivered; }), 0u);
   EXPECT_EQ(delivered, 0u);
   EXPECT_EQ(tail.offset(), 0u);
 }
@@ -666,15 +666,16 @@ TEST_F(TailFixture, TornTailStaysPendingUntilCompleted) {
 
   analysis::SpoolTail tail{spool()};
   std::vector<proxy::LogRecord> out;
-  EXPECT_EQ(
-      tail.poll([&](const proxy::LogRecord& r) { out.push_back(r); }), 2u);
+  const auto collect = [&](const proxy::LogRecordView& r) {
+    proxy::assign(out.emplace_back(), r);
+  };
+  EXPECT_EQ(tail.poll(collect), 2u);
   EXPECT_EQ(tail.pending_bytes(), 10u);
   EXPECT_EQ(tail.offset(), header.size() + line0.size() + line1.size());
 
   // Completing the torn line delivers exactly the third record.
   append(line2.substr(10));
-  EXPECT_EQ(
-      tail.poll([&](const proxy::LogRecord& r) { out.push_back(r); }), 1u);
+  EXPECT_EQ(tail.poll(collect), 1u);
   EXPECT_EQ(tail.pending_bytes(), 0u);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(proxy::to_csv(out[2]), proxy::to_csv(records[2]));
@@ -686,7 +687,7 @@ TEST_F(TailFixture, MalformedLinesSkippedAndTallied) {
          "\nthis is not a record\n" + proxy::to_csv(records[1]) + "\n");
   analysis::SpoolTail tail{spool()};
   std::size_t delivered = 0;
-  tail.poll([&](const proxy::LogRecord&) { ++delivered; });
+  tail.poll([&](const proxy::LogRecordView&) { ++delivered; });
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(tail.stats().skipped_total(), 1u);
 }
@@ -742,7 +743,7 @@ TEST_F(TailFixture, ResumeMidSpoolIsByteIdenticalToColdTail) {
 TEST_F(TailFixture, ResumeAfterFirstPollThrows) {
   append(proxy::log_csv_header() + "\n");
   analysis::SpoolTail tail{spool()};
-  tail.poll([](const proxy::LogRecord&) {});
+  tail.poll([](const proxy::LogRecordView&) {});
   EXPECT_THROW(tail.resume_at(0), std::logic_error);
 }
 
@@ -840,6 +841,60 @@ TEST_F(OpenFixture, MalformedRecordStrict) {
                                         proxy::to_csv(records[0]) + "\n" +
                                         "completely broken row\n");
   EXPECT_EQ(code_of(path), analysis::SourceOpenErrorCode::kMalformed);
+}
+
+/// Every row of `path` opened with `options`, rendered back as csv lines.
+std::string rows_of(const std::string& path,
+                    const analysis::SourceOptions& options) {
+  const analysis::OpenedSource opened = analysis::open_source(path, options);
+  const analysis::LogSource source = opened.source();
+  std::string text;
+  for (std::size_t p = 0; p < source.partitions(); ++p)
+    source.scan_partition(p, [&](const analysis::Record& r) {
+      proxy::LogRecordView row;
+      row.time = r.time;
+      row.proxy_index = r.proxy_index;
+      row.user_hash = r.user_hash;
+      row.user_agent = r.agent;
+      row.method = r.method;
+      row.scheme = r.scheme;
+      row.host = r.host;
+      row.port = r.port;
+      row.path = r.path;
+      row.query = r.query;
+      row.categories = r.categories;
+      row.filter_result = r.result;
+      row.exception = r.exception;
+      row.status = r.status;
+      if (r.has_dest_ip) row.dest_ip = net::Ipv4Addr{r.dest_ip};
+      proxy::append_csv(row, text);
+    });
+  return text;
+}
+
+TEST_F(OpenFixture, CrlfAndBlankLinesOpenLikeTheLfOriginal) {
+  // Every csv reader shares one line framing: a CRLF log and a log with
+  // blank lines (here, one at the end) hold the same rows as the LF
+  // original, for the strict open as much as for the lenient one.
+  std::ifstream in{fx().csv_path(), std::ios::binary};
+  const std::string lf{std::istreambuf_iterator<char>{in}, {}};
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf.push_back('\r');
+    crlf.push_back(c);
+  }
+  const auto crlf_path = file("crlf.csv", crlf);
+  const auto blank_path = file("blank.csv", lf + "\n");
+  for (const bool lenient : {false, true}) {
+    const std::string want =
+        rows_of(fx().csv_path(), {.lenient = lenient});
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(rows_of(crlf_path, {.lenient = lenient}), want) << lenient;
+    EXPECT_EQ(rows_of(blank_path, {.lenient = lenient}), want) << lenient;
+  }
+  const auto blank = analysis::open_source(blank_path, {.lenient = true});
+  EXPECT_EQ(blank.read_stats().empty_lines, 1u);
+  EXPECT_EQ(blank.read_stats().skipped_total(), 0u);
 }
 
 TEST_F(OpenFixture, UnsupportedContainerVersion) {

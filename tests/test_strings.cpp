@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "util/csv.h"
 #include "util/strings.h"
 
@@ -11,47 +16,50 @@ namespace {
 
 using namespace syrwatch::util;
 
-// --- csv_parse correctness on externally produced lines --------------------
+// --- csv_split correctness on externally produced lines --------------------
 
-TEST(CsvParse, StripsCrlfTailFromLastField) {
-  // std::getline leaves the '\r' of a CRLF-terminated line in place; the
-  // parser must not hand it to the last field.
-  EXPECT_EQ(csv_parse("a,b,c\r"), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(csv_parse("a\r"), (std::vector<std::string>{"a"}));
-  EXPECT_EQ(csv_parse("\r"), (std::vector<std::string>{""}));
+/// The fields csv_split finds on `line`, copied out; an error fails the
+/// calling test.
+std::vector<std::string> split_fields(std::string_view line) {
+  std::array<std::string_view, 32> views;
+  std::string scratch;
+  const CsvSplit split = csv_split(line, views, scratch);
+  EXPECT_EQ(split.error, CsvError::kNone) << line;
+  return {views.begin(), views.begin() + split.count};
+}
+
+CsvError split_error(std::string_view line) {
+  std::array<std::string_view, 32> views;
+  std::string scratch;
+  return csv_split(line, views, scratch).error;
+}
+
+TEST(CsvSplit, StripsCrlfTailFromLastField) {
+  // A line reader leaves the '\r' of a CRLF-terminated line in place; the
+  // splitter must not hand it to the last field.
+  EXPECT_EQ(split_fields("a,b,c\r"),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(split_fields("a\r"), (std::vector<std::string>{"a"}));
+  EXPECT_EQ(split_fields("\r"), (std::vector<std::string>{""}));
   // A quoted carriage return is field data, not a terminator.
-  EXPECT_EQ(csv_parse("a,\"b\r\""), (std::vector<std::string>{"a", "b\r"}));
+  EXPECT_EQ(split_fields("a,\"b\r\""),
+            (std::vector<std::string>{"a", "b\r"}));
   // Only one terminator CR is stripped; an inner bare CR stays.
-  EXPECT_EQ(csv_parse("a\rb,c\r"), (std::vector<std::string>{"a\rb", "c"}));
+  EXPECT_EQ(split_fields("a\rb,c\r"),
+            (std::vector<std::string>{"a\rb", "c"}));
 }
 
-TEST(CsvParse, RejectsGarbageAfterClosingQuote) {
-  EXPECT_THROW(csv_parse("\"ab\"x"), CsvParseError);
-  EXPECT_THROW(csv_parse("a,\"b\"c,d"), CsvParseError);
-  try {
-    csv_parse("\"ab\"x");
-    FAIL() << "expected CsvParseError";
-  } catch (const CsvParseError& error) {
-    EXPECT_EQ(error.kind(), CsvError::kMalformedQuote);
-  }
+TEST(CsvSplit, RejectsGarbageAfterClosingQuote) {
+  EXPECT_EQ(split_error("\"ab\"x"), CsvError::kMalformedQuote);
+  EXPECT_EQ(split_error("a,\"b\"c,d"), CsvError::kMalformedQuote);
   // The well-formed spellings around it keep parsing.
-  EXPECT_EQ(csv_parse("\"ab\",x"), (std::vector<std::string>{"ab", "x"}));
-  EXPECT_EQ(csv_parse("\"a\"\"b\""), (std::vector<std::string>{"a\"b"}));
+  EXPECT_EQ(split_fields("\"ab\",x"), (std::vector<std::string>{"ab", "x"}));
+  EXPECT_EQ(split_fields("\"a\"\"b\""), (std::vector<std::string>{"a\"b"}));
 }
 
-TEST(CsvParse, ClassifiesQuoteDamage) {
-  try {
-    csv_parse("\"never closed");
-    FAIL() << "expected CsvParseError";
-  } catch (const CsvParseError& error) {
-    EXPECT_EQ(error.kind(), CsvError::kUnbalancedQuote);
-  }
-  try {
-    csv_parse("a\"b");
-    FAIL() << "expected CsvParseError";
-  } catch (const CsvParseError& error) {
-    EXPECT_EQ(error.kind(), CsvError::kMalformedQuote);
-  }
+TEST(CsvSplit, ClassifiesQuoteDamage) {
+  EXPECT_EQ(split_error("\"never closed"), CsvError::kUnbalancedQuote);
+  EXPECT_EQ(split_error("a\"b"), CsvError::kMalformedQuote);
 }
 
 TEST(ToLower, AsciiOnly) {

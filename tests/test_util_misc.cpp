@@ -3,10 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/histogram.h"
@@ -89,26 +92,61 @@ TEST(SimTime, HourOfDay) {
 
 // --- CSV --------------------------------------------------------------------
 
+std::string escaped(std::string_view field) {
+  std::string out;
+  csv_append_escaped(out, field);
+  return out;
+}
+
 TEST(Csv, EscapeOnlyWhenNeeded) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("with,comma"), "\"with,comma\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(escaped("plain"), "plain");
+  EXPECT_EQ(escaped("with,comma"), "\"with,comma\"");
+  EXPECT_EQ(escaped("say \"hi\""), "\"say \"\"hi\"\"\"");
+  std::string out = "kept,";
+  csv_append_escaped(out, "x");
+  EXPECT_EQ(out, "kept,x");  // appends, never clears
 }
 
 TEST(Csv, JoinParseRoundTrip) {
   const std::vector<std::string> fields{"a", "b,c", "d\"e", "", "f"};
-  const auto line = csv_join(fields);
-  EXPECT_EQ(csv_parse(line), fields);
+  std::string line;
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i != 0) line.push_back(',');
+    csv_append_escaped(line, fields[i]);
+  }
+  std::array<std::string_view, 8> views;
+  std::string scratch;
+  const CsvSplit split = csv_split(line, views, scratch);
+  ASSERT_EQ(split.error, CsvError::kNone);
+  EXPECT_EQ(std::vector<std::string>(views.begin(),
+                                     views.begin() + split.count),
+            fields);
 }
 
 TEST(Csv, ParsePlain) {
-  const auto fields = csv_parse("x,y,,z");
-  ASSERT_EQ(fields.size(), 4u);
-  EXPECT_EQ(fields[2], "");
+  std::array<std::string_view, 8> views;
+  std::string scratch;
+  const CsvSplit split = csv_split("x,y,,z", views, scratch);
+  ASSERT_EQ(split.count, 4u);
+  EXPECT_EQ(views[2], "");
 }
 
-TEST(Csv, UnbalancedQuoteThrows) {
-  EXPECT_THROW(csv_parse("\"oops"), std::invalid_argument);
+TEST(Csv, UnbalancedQuoteIsAnError) {
+  std::array<std::string_view, 8> views;
+  std::string scratch;
+  EXPECT_EQ(csv_split("\"oops", views, scratch).error,
+            CsvError::kUnbalancedQuote);
+}
+
+TEST(Csv, CountsFieldsPastTheSpan) {
+  // Fields beyond the span are counted, not stored: a caller learns the
+  // real column count without room for every field.
+  std::array<std::string_view, 2> views;
+  std::string scratch;
+  const CsvSplit split = csv_split("a,b,c,d", views, scratch);
+  EXPECT_EQ(split.error, CsvError::kNone);
+  EXPECT_EQ(split.count, 4u);
+  EXPECT_EQ(views[1], "b");
 }
 
 // --- StringPool --------------------------------------------------------------
@@ -135,6 +173,23 @@ TEST(StringPool, ViewsStableAcrossGrowth) {
   for (int i = 0; i < 10000; ++i) pool.intern("filler" + std::to_string(i));
   EXPECT_EQ(view, "stable");
   EXPECT_EQ(pool.view(id).data(), view.data());
+}
+
+TEST(StringPool, IdsSurviveGrowthInFirstSightOrder) {
+  // The index grows (and re-places every id) many times over: every
+  // string keeps its first-sight id, and lookup agrees with intern.
+  StringPool pool;
+  for (int i = 0; i < 20000; ++i)
+    ASSERT_EQ(pool.intern("s" + std::to_string(i)),
+              static_cast<StringPool::Id>(i + 1));
+  for (int i = 0; i < 20000; ++i) {
+    const std::string s = "s" + std::to_string(i);
+    EXPECT_EQ(pool.intern(s), static_cast<StringPool::Id>(i + 1)) << s;
+    EXPECT_EQ(pool.lookup(s), static_cast<StringPool::Id>(i + 1)) << s;
+  }
+  EXPECT_EQ(pool.size(), 20001u);
+  EXPECT_EQ(pool.intern(""), StringPool::kEmpty);
+  EXPECT_EQ(pool.lookup("s20000"), StringPool::kNotFound);
 }
 
 TEST(StringPool, LookupWithoutIntern) {

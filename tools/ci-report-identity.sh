@@ -8,14 +8,20 @@
 #   3. report on a copy of the container with one flipped byte in a
 #      column page (block 0's time page) must exit non-zero with the
 #      "(malformed)" refusal: the footer and index are intact, so this is
-#      damage inside an indexed block, not a torn tail.
+#      damage inside an indexed block, not a torn tail;
+#   4. the csv codec (DESIGN.md §4.15) through every writer and the
+#      shared line framing: `convert` col → csv, and `generate
+#      --checkpoint-dir` (the spool formatter), must reproduce log.csv
+#      byte for byte, and report on a CRLF copy of log.csv must equal
+#      report on log.csv.
 #
 # Usage:
 #   tools/ci-report-identity.sh [build-dir]   # default: build/
 #
 # tools/ci-sanitize.sh runs it on the ASan+UBSan tree: the scan adapter
 # indexes id → string tables without bounds checks, which is safe only
-# because the decoder and the string pool validate every id.
+# because the decoder and the string pool validate every id, and the csv
+# parser hands out views into a reused read chunk.
 
 set -euo pipefail
 
@@ -69,4 +75,21 @@ if ! grep -q "(malformed)" "${workdir}/damaged.err"; then
   exit 1
 fi
 echo "    refused: $(cat "${workdir}/damaged.err")"
-echo "==> report identity and damage handling OK"
+
+echo "==> convert col -> csv reproduces log.csv"
+"${ctl}" convert "${workdir}/log.col" "${workdir}/converted.csv" >/dev/null
+cmp "${workdir}/log.csv" "${workdir}/converted.csv" ||
+  { echo "FAIL: converted csv differs from log.csv" >&2; exit 1; }
+
+echo "==> generate --checkpoint-dir reproduces log.csv"
+"${ctl}" generate --out "${workdir}/spooled.csv" --requests 200000 \
+  --seed 2011 --checkpoint-dir "${workdir}/ckpt" >/dev/null
+cmp "${workdir}/log.csv" "${workdir}/spooled.csv" ||
+  { echo "FAIL: checkpointed csv differs from log.csv" >&2; exit 1; }
+
+echo "==> report on a CRLF copy of log.csv"
+sed 's/$/\r/' "${workdir}/log.csv" >"${workdir}/crlf.csv"
+"${ctl}" report "${workdir}/crlf.csv" --seed 2011 >"${workdir}/report.crlf"
+cmp "${workdir}/report.csv.1" "${workdir}/report.crlf" ||
+  { echo "FAIL: report on the CRLF log differs" >&2; exit 1; }
+echo "==> report identity, damage handling and csv codec OK"

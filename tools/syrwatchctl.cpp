@@ -538,10 +538,12 @@ int cmd_generate(int argc, char** argv) {
   std::unique_ptr<colfmt::Writer> col;
   if (want_col) col = std::make_unique<colfmt::Writer>(col_path);
   std::uint64_t written = 0;
+  std::string line;  // one reused line buffer
   const auto sink = [&](const proxy::LogRecord& record) {
     if (out) {
-      out->write(proxy::to_csv(record));
-      out->write("\n");
+      line.clear();
+      proxy::append_csv(proxy::view_of(record), line);
+      out->write(line);
     }
     if (col) col->add(record);
     ++written;
@@ -808,58 +810,50 @@ int cmd_convert(int argc, char** argv) {
     util::AtomicFileWriter out{out_path};
     out.write(proxy::log_csv_header());
     out.write("\n");
+    std::string line;
     for (std::size_t b = 0; b < reader.block_count(); ++b) {
       const auto block = reader.decode(b);
       for (std::size_t r = 0; r < block.rows; ++r) {
-        out.write(proxy::to_csv(reader.record(block, r)));
-        out.write("\n");
+        line.clear();
+        proxy::append_csv(reader.record_view(block, r), line);
+        out.write(line);
         ++rows;
       }
     }
     info = out.commit();
   } else {
     direction = "csv -> col";
-    std::ifstream in{in_path};
+    std::ifstream in{in_path, std::ios::binary};
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    std::string line;
-    if (!std::getline(in, line)) {
-      std::fprintf(stderr, "syrwatchctl convert: %s is empty\n",
-                   in_path.c_str());
-      return 1;
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line != proxy::log_csv_header()) {
-      std::fprintf(stderr, "syrwatchctl convert: %s: not a syrwatch log "
-                           "(bad csv header)\n",
-                   in_path.c_str());
       return 1;
     }
     colfmt::WriterOptions options;
     options.block_rows = static_cast<std::size_t>(
         flags.get_u64("--block-rows", options.block_rows));
     colfmt::Writer writer{out_path, options};
-    std::uint64_t line_no = 1;
-    while (std::getline(in, line)) {
-      ++line_no;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      proxy::ParseDiagnosis diagnosis;
-      const auto record = proxy::from_csv(line, &diagnosis);
-      if (!record) {
-        writer.abandon();
-        std::fprintf(stderr,
-                     "syrwatchctl convert: %s line %llu: %s — conversion "
-                     "must be lossless, refusing to drop the row\n",
-                     in_path.c_str(),
-                     static_cast<unsigned long long>(line_no),
-                     std::string(proxy::to_string(diagnosis.error)).c_str());
-        return 1;
-      }
-      writer.add(*record);
-      ++rows;
+    proxy::LogLineReader reader;
+    try {
+      proxy::for_each_line(in, [&](std::string_view line) {
+        const proxy::LineKind kind = reader.frame(line);
+        if (!reader.stats().header_present)
+          throw std::runtime_error(in_path +
+                                   ": not a syrwatch log (bad csv header)");
+        if (kind == proxy::LineKind::kSkipped)
+          throw std::runtime_error(
+              in_path + " line " + std::to_string(reader.stats().lines) +
+              ": " + std::string(proxy::to_string(reader.diagnosis().error)) +
+              " — conversion must be lossless, refusing to drop the row");
+        if (kind != proxy::LineKind::kRecord) return;
+        writer.add(reader.record());
+        ++rows;
+      });
+      if (reader.stats().lines == 0)
+        throw std::runtime_error(in_path + " is empty");
+    } catch (const std::runtime_error& error) {
+      writer.abandon();
+      std::fprintf(stderr, "syrwatchctl convert: %s\n", error.what());
+      return 1;
     }
     info = writer.finish();
   }
