@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
+#include <sstream>
 
 #include "proxy/log_io.h"
+#include "util/checksum.h"
 #include "util/simtime.h"
 #include "util/strings.h"
 #include "workload/scenario.h"
@@ -209,6 +212,48 @@ TEST(Scenario, LeakFilterCanBeDisabled) {
   });
   EXPECT_TRUE(july_non_sg42);
   EXPECT_TRUE(august_hash);
+}
+
+// The generator's output, byte for byte. Each golden line pins the record
+// count and CRC32 of the csv `syrwatchctl generate` writes (header, then
+// one append_csv line per record) at a seed and fault profile, so any
+// change that moves one byte of the log -- a policy decision, an RNG
+// draw, a cache admission -- fails here.
+TEST(GenerateGolden, CsvBytesArePinned) {
+  std::ifstream golden{SYRWATCH_GOLDEN_DIR "/generate_crc.txt"};
+  ASSERT_TRUE(golden) << "missing golden generate_crc.txt";
+  std::size_t cases = 0;
+  for (std::string line; std::getline(golden, line);) {
+    if (line.empty() || line.front() == '#') continue;
+    std::istringstream fields{line};
+    std::uint64_t seed = 0;
+    std::string profile;
+    std::uint64_t records = 0;
+    std::string crc;
+    ASSERT_TRUE(fields >> seed >> profile >> records >> crc) << line;
+
+    ScenarioConfig config;
+    config.total_requests = 20'000;
+    config.seed = seed;
+    config.fault_profile = profile;
+    config.threads = 2;
+    SyriaScenario scenario{config};
+    util::Crc32 digest;
+    digest.update(proxy::log_csv_header());
+    digest.update("\n");
+    std::uint64_t emitted = 0;
+    std::string buffer;
+    scenario.run([&](const proxy::LogRecord& record) {
+      buffer.clear();
+      proxy::append_csv(proxy::view_of(record), buffer);
+      digest.update(buffer);
+      ++emitted;
+    });
+    EXPECT_EQ(emitted, records) << line;
+    EXPECT_EQ(util::to_hex32(digest.value()), crc) << line;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 3u);
 }
 
 }  // namespace
