@@ -43,91 +43,53 @@ std::vector<RedirectHost> redirect_hosts(const LogSource& source,
   return out;
 }
 
-namespace {
-
-struct PendingRedirect {
-  std::int64_t deadline = 0;  // last timestamp that can still resolve it
-  std::uint64_t user = 0;
-  std::string_view host;
-};
-
-struct HeadRow {
-  std::int64_t time = 0;
-  std::uint64_t user = 0;
-  std::string_view host;
-};
-
-}  // namespace
-
 std::uint64_t redirect_followups(const LogSource& source,
                                  const RedirectFollowupOptions& options,
                                  std::size_t threads) {
   const std::int64_t window_seconds = options.window_seconds;
-  // Records arrive in emission order — time-sorted up to jitter inside one
-  // generation slot — so "a same-user request to a different host within
-  // the window" is a forward scan. Each partition resolves what it
-  // can locally; redirects whose window crosses the partition end become
-  // pendings, and each partition also keeps its head rows (time within
-  // window_seconds of its first row) — since times are non-decreasing, any
-  // row that can resolve an earlier partition's pending lies in that head.
-  struct Partial {
-    std::uint64_t resolved = 0;
-    std::vector<PendingRedirect> pendings;
-    std::vector<HeadRow> heads;
-    std::int64_t first_time = 0;
-    std::int64_t last_time = 0;
-    bool has_rows = false;
+  // Records arrive in emission order, which is time-sorted only up to
+  // jitter inside a generation slot, so the rule reads no order: a
+  // redirect by user u != 0 to host h at time t is followed up when u has
+  // a row to a host other than h stamped in [t, t + window]. One scan
+  // collects the (few) redirects, a second marks each redirect some row
+  // follows up. Marks fold by OR, so the count is the same for any row
+  // order, partition layout and thread count.
+  struct Redirect {
+    std::int64_t time = 0;
+    std::uint64_t user = 0;
+    std::string_view host;
   };
-  auto partials = scan_partials<Partial>(
-      source, threads, [&](Partial& p, const Record& r) {
-        if (!p.has_rows) {
-          p.has_rows = true;
-          p.first_time = r.time;
-        }
-        p.last_time = r.time;
-        if (r.time <= p.first_time + window_seconds)
-          p.heads.push_back({r.time, r.user_hash, r.host});
-        // A row past a pending's deadline expires it; a matching row within
-        // the deadline resolves it. Order against step below keeps the
-        // original i+1 semantics: a redirect never resolves itself.
-        std::erase_if(p.pendings, [&](const PendingRedirect& pending) {
-          if (r.time > pending.deadline) return true;  // unresolved
-          if (r.user_hash == pending.user && r.host != pending.host) {
-            ++p.resolved;
-            return true;
-          }
-          return false;
-        });
-        if (r.exception == proxy::ExceptionId::kPolicyRedirect &&
-            r.user_hash != 0)
-          p.pendings.push_back(
-              {r.time + window_seconds, r.user_hash, r.host});
-      });
+  std::vector<Redirect> redirects;
+  for (const auto& part : scan_partials<std::vector<Redirect>>(
+           source, threads, [](std::vector<Redirect>& p, const Record& r) {
+             if (r.exception == proxy::ExceptionId::kPolicyRedirect &&
+                 r.user_hash != 0)
+               p.push_back({r.time, r.user_hash, r.host});
+           }))
+    redirects.insert(redirects.end(), part.begin(), part.end());
+  if (redirects.empty()) return 0;
 
-  std::uint64_t resolved = 0;
-  std::vector<PendingRedirect> carry;
-  for (Partial& p : partials) {
-    resolved += p.resolved;
-    if (p.has_rows) {
-      for (const HeadRow& row : p.heads) {
-        std::erase_if(carry, [&](const PendingRedirect& pending) {
-          if (row.time > pending.deadline) return true;  // unresolved
-          if (row.user == pending.user && row.host != pending.host) {
-            ++resolved;
-            return true;
-          }
-          return false;
-        });
-      }
-      // Rows beyond the head all sit past any carried deadline; a pending
-      // that this partition's tail outruns can never resolve later either.
-      std::erase_if(carry, [&](const PendingRedirect& pending) {
-        return pending.deadline < p.last_time;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_user;
+  for (std::size_t i = 0; i < redirects.size(); ++i)
+    by_user[redirects[i].user].push_back(static_cast<std::uint32_t>(i));
+  const auto marks = scan_partials<std::vector<std::uint8_t>>(
+      source, threads, [&](std::vector<std::uint8_t>& p, const Record& r) {
+        if (r.user_hash == 0) return;
+        const auto it = by_user.find(r.user_hash);
+        if (it == by_user.end()) return;
+        if (p.empty()) p.assign(redirects.size(), 0);
+        for (const std::uint32_t i : it->second) {
+          const Redirect& redirect = redirects[i];
+          if (r.host != redirect.host && r.time >= redirect.time &&
+              r.time - redirect.time <= window_seconds)
+            p[i] = 1;
+        }
       });
-    }
-    carry.insert(carry.end(), p.pendings.begin(), p.pendings.end());
-  }
-  return resolved;
+  std::vector<std::uint8_t> followed(redirects.size(), 0);
+  for (const auto& p : marks)
+    for (std::size_t i = 0; i < p.size(); ++i) followed[i] |= p[i];
+  return static_cast<std::uint64_t>(
+      std::count(followed.begin(), followed.end(), std::uint8_t{1}));
 }
 
 }  // namespace syrwatch::analysis

@@ -25,8 +25,10 @@ std::vector<RedirectHost> redirect_hosts(
 
 /// §5.3's negative finding: redirected clients never re-appear with a
 /// follow-up request within `window_seconds`, implying the redirect target
-/// bypasses the logged proxies. Returns the number of redirects for which
-/// a same-user request to a *different* host follows within the window.
+/// bypasses the logged proxies. Returns the number of redirects (by a
+/// user with a client hash) for which the same user has a request to a
+/// *different* host stamped within [t, t + window_seconds] of the
+/// redirect's time t. Row order does not matter.
 std::uint64_t redirect_followups(
     const LogSource& source, const RedirectFollowupOptions& options = {},
     std::size_t threads = 1);

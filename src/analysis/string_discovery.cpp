@@ -1,13 +1,13 @@
 #include "analysis/string_discovery.h"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "util/strings.h"
+#include "util/substring_matcher.h"
 
 namespace syrwatch::analysis {
 
@@ -86,101 +86,6 @@ Tallies tally(const std::vector<CensoredRow>& censored,
   }
   return t;
 }
-
-/// Multi-pattern substring search (Aho–Corasick) over tokens, i.e.
-/// non-empty [a-z0-9] strings, compiled into a complete DFA. Text is
-/// ASCII-case-folded as it streams, so it is never copied; a byte outside
-/// the token alphabet can be part of no match and sends the automaton
-/// back to the root. Read-only once built: scan workers share one.
-class TokenMatcher {
- public:
-  explicit TokenMatcher(const std::vector<std::string>& patterns) {
-    // The trie. A child is never the root, so 0 marks "no child" until
-    // the completion below turns it into a real transition.
-    std::vector<std::vector<std::uint32_t>> outputs(1);
-    next_.assign(kAlphabet, 0);
-    for (std::size_t id = 0; id < patterns.size(); ++id) {
-      std::size_t state = 0;
-      for (const char c : patterns[id]) {
-        const std::size_t slot = state * kAlphabet + symbol(c);
-        if (next_[slot] == 0) {
-          next_[slot] = static_cast<std::uint32_t>(outputs.size());
-          outputs.emplace_back();
-          next_.resize(next_.size() + kAlphabet, 0);
-        }
-        state = next_[slot];
-      }
-      outputs[state].push_back(static_cast<std::uint32_t>(id));
-    }
-    // Breadth-first completion: a state's failure link is shallower, so
-    // its row and its output set are final before the state is reached.
-    // Each state inherits the outputs of its failure link — the patterns
-    // that are proper suffixes of what it has matched.
-    std::vector<std::uint32_t> fail(outputs.size(), 0);
-    std::vector<std::uint32_t> queue;
-    for (std::size_t sym = 0; sym < kAlphabet; ++sym)
-      if (next_[sym] != 0) queue.push_back(next_[sym]);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const std::uint32_t state = queue[head];
-      const auto& inherited = outputs[fail[state]];
-      outputs[state].insert(outputs[state].end(), inherited.begin(),
-                            inherited.end());
-      for (std::size_t sym = 0; sym < kAlphabet; ++sym) {
-        std::uint32_t& to = next_[state * kAlphabet + sym];
-        const std::uint32_t via_fail = next_[fail[state] * kAlphabet + sym];
-        if (to == 0) {
-          to = via_fail;
-        } else {
-          fail[to] = via_fail;
-          queue.push_back(to);
-        }
-      }
-    }
-    out_begin_.push_back(0);
-    for (const auto& out : outputs) {
-      out_.insert(out_.end(), out.begin(), out.end());
-      out_begin_.push_back(static_cast<std::uint32_t>(out_.size()));
-    }
-  }
-
-  /// Streams `text` from `state` (0 = the root), sets hits[i] for every
-  /// pattern i that ends inside it, and returns the state after it, so a
-  /// match may span consecutive calls.
-  std::uint32_t feed(std::uint32_t state, std::string_view text,
-                     std::vector<std::uint8_t>& hits) const {
-    for (const char c : text) {
-      const std::uint8_t sym = symbol(c);
-      if (sym == kNoSymbol) {
-        state = 0;
-        continue;
-      }
-      state = next_[state * kAlphabet + sym];
-      for (std::uint32_t k = out_begin_[state]; k < out_begin_[state + 1];
-           ++k)
-        hits[out_[k]] = 1;
-    }
-    return state;
-  }
-
- private:
-  static constexpr std::size_t kAlphabet = 36;  // 0-9, a-z
-  static constexpr std::uint8_t kNoSymbol = 0xFF;
-  static constexpr std::array<std::uint8_t, 256> kSymbols = [] {
-    std::array<std::uint8_t, 256> table{};
-    table.fill(kNoSymbol);
-    for (int i = 0; i < 10; ++i) table['0' + i] = static_cast<std::uint8_t>(i);
-    for (int i = 0; i < 26; ++i)
-      table['a' + i] = table['A' + i] = static_cast<std::uint8_t>(10 + i);
-    return table;
-  }();
-  static std::uint8_t symbol(char c) noexcept {
-    return kSymbols[static_cast<unsigned char>(c)];
-  }
-
-  std::vector<std::uint32_t> next_;       // state * kAlphabet + symbol
-  std::vector<std::uint32_t> out_begin_;  // state -> [begin, end) in out_
-  std::vector<std::uint32_t> out_;        // pattern ids
-};
 
 /// String → dense index, looked up by string_view without a copy.
 struct StringHash {
@@ -293,7 +198,7 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
   // lower-cased filter texts would. Record::domain is already the
   // registrable domain of the lower-cased host. Flags fold by OR, so the
   // result is the same for any partition layout and thread count.
-  const TokenMatcher matcher{tokens};
+  const util::SubstringMatcher matcher{tokens};
   const std::size_t domain_offset = tokens.size();
   const std::size_t host_offset = domain_offset + domain_index.size();
   const std::size_t flag_count = host_offset + host_index.size();
@@ -305,8 +210,10 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
       source, threads, [&](AllowedHits& h, const Record& r) {
         if (r.cls != proxy::TrafficClass::kAllowed) return;
         if (h.flags.size() != flag_count) h.flags.assign(flag_count, 0);
-        matcher.feed(matcher.feed(0, r.host, h.flags), r.path, h.flags);
-        matcher.feed(0, r.query, h.flags);
+        const auto hit = [&](std::uint32_t id) { h.flags[id] = 1; };
+        matcher.feed(matcher.feed(util::SubstringMatcher::kStart, r.host, hit),
+                     r.path, hit);
+        matcher.feed(util::SubstringMatcher::kStart, r.query, hit);
         if (const auto it = domain_index.find(r.domain);
             it != domain_index.end())
           h.flags[domain_offset + it->second] = 1;

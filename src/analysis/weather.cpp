@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "util/strings.h"
+#include "util/substring_matcher.h"
 
 namespace syrwatch::analysis {
 
@@ -48,40 +49,63 @@ std::vector<KeywordWeather> keyword_weather(
     reports.push_back(std::move(report));
   }
 
-  // Dense per-keyword/per-bin counters; addition folds.
+  // Dense per-keyword/per-bin counters; addition folds. A row's host,
+  // path and "?query" stream through one case-folding automaton over the
+  // keywords, so no lower-cased text is built; `counted` holds the last
+  // row each keyword was counted for, so a keyword occurring twice in a
+  // row counts once. An empty keyword, which the matcher never reports,
+  // matches every row.
+  const util::SubstringMatcher matcher{keywords};
+  std::vector<std::uint32_t> empty_keywords;
+  for (std::size_t k = 0; k < keywords.size(); ++k)
+    if (keywords[k].empty())
+      empty_keywords.push_back(static_cast<std::uint32_t>(k));
   struct KeywordBins {
     std::vector<std::uint64_t> censored, matched;
   };
-  using Partial = std::vector<KeywordBins>;
+  struct Partial {
+    std::vector<KeywordBins> bins;
+    std::vector<std::uint64_t> counted;
+    std::uint64_t rows = 0;
+  };
   const auto partials = scan_partials<Partial>(
       source, threads, [&](Partial& p, const Record& r) {
-        if (p.empty()) {
-          p.resize(reports.size());
-          for (auto& kb : p) {
+        if (p.bins.empty()) {
+          p.bins.resize(reports.size());
+          for (auto& kb : p.bins) {
             kb.censored.assign(bins, 0);
             kb.matched.assign(bins, 0);
           }
+          p.counted.assign(reports.size(), 0);
         }
         if (r.time < start || r.time >= end) return;
         if (r.cls != proxy::TrafficClass::kCensored &&
             r.cls != proxy::TrafficClass::kAllowed)
           return;
-        const std::string text = util::to_lower(r.filter_text());
         const auto bin =
             static_cast<std::size_t>((r.time - start) / bin_seconds);
-        for (std::size_t k = 0; k < reports.size(); ++k) {
-          if (text.find(reports[k].keyword) == std::string::npos) continue;
-          ++p[k].matched[bin];
-          if (r.cls == proxy::TrafficClass::kCensored) ++p[k].censored[bin];
-        }
+        const bool censored = r.cls == proxy::TrafficClass::kCensored;
+        const std::uint64_t row = ++p.rows;
+        const auto count = [&](std::uint32_t k) {
+          if (p.counted[k] == row) return;
+          p.counted[k] = row;
+          ++p.bins[k].matched[bin];
+          if (censored) ++p.bins[k].censored[bin];
+        };
+        std::uint32_t state =
+            matcher.feed(util::SubstringMatcher::kStart, r.host, count);
+        state = matcher.feed(state, r.path, count);
+        if (!r.query.empty())
+          matcher.feed(matcher.feed(state, "?", count), r.query, count);
+        for (const std::uint32_t k : empty_keywords) count(k);
       });
 
   for (const Partial& p : partials) {
-    if (p.empty()) continue;
+    if (p.bins.empty()) continue;
     for (std::size_t k = 0; k < reports.size(); ++k) {
       for (std::size_t bin = 0; bin < bins; ++bin) {
-        reports[k].censored[bin] += p[k].censored[bin];
-        reports[k].matched[bin] += p[k].matched[bin];
+        reports[k].censored[bin] += p.bins[k].censored[bin];
+        reports[k].matched[bin] += p.bins[k].matched[bin];
       }
     }
   }

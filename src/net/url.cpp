@@ -1,5 +1,7 @@
 #include "net/url.h"
 
+#include <charconv>
+
 #include "util/strings.h"
 
 namespace syrwatch::net {
@@ -38,19 +40,26 @@ std::string Url::extension() const {
 }
 
 std::string Url::to_string() const {
-  std::string out{syrwatch::net::to_string(scheme)};
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void Url::append_to(std::string& out) const {
+  out += syrwatch::net::to_string(scheme);
   out += "://";
   out += host;
   if (port != default_port(scheme)) {
+    char digits[8];
+    const auto end = std::to_chars(digits, digits + sizeof digits, port).ptr;
     out += ':';
-    out += std::to_string(port);
+    out.append(digits, end);
   }
   out += path;
   if (!query.empty()) {
     out += '?';
     out += query;
   }
-  return out;
 }
 
 std::string Url::filter_text() const {

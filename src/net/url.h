@@ -35,6 +35,9 @@ struct Url {
 
   /// "http://host:port/path?query" (port elided when default).
   std::string to_string() const;
+  /// Appends to_string()'s bytes to `out` — the form a caller reusing one
+  /// buffer per request (the proxy's cache key) wants.
+  void append_to(std::string& out) const;
 
   /// Host + path + "?" + query — the exact text the keyword filter scans
   /// (§5.4: string filtering relies on cs-host, cs-uri-path, cs-uri-query).

@@ -13,7 +13,7 @@ ResponseCache::ResponseCache(std::size_t capacity, std::int64_t ttl_seconds)
     throw std::invalid_argument("ResponseCache: negative ttl");
 }
 
-const ResponseCache::Entry* ResponseCache::find(const std::string& url_key,
+const ResponseCache::Entry* ResponseCache::find(std::string_view url_key,
                                                 std::int64_t now) noexcept {
   const auto it = map_.find(url_key);
   if (it == map_.end()) {
@@ -32,7 +32,7 @@ const ResponseCache::Entry* ResponseCache::find(const std::string& url_key,
   return &it->second->entry;
 }
 
-void ResponseCache::admit(const std::string& url_key, Entry entry,
+void ResponseCache::admit(std::string_view url_key, Entry entry,
                           std::int64_t now) {
   if (ttl_ != 0 && entry.expires_at == 0) entry.expires_at = now + ttl_;
   const auto it = map_.find(url_key);
@@ -45,7 +45,7 @@ void ResponseCache::admit(const std::string& url_key, Entry entry,
     map_.erase(lru_.back().key);
     lru_.pop_back();
   }
-  lru_.push_front(Node{url_key, entry});
+  lru_.push_front(Node{std::string(url_key), entry});
   map_.emplace(lru_.front().key, lru_.begin());
 }
 

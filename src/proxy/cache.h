@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,11 +33,11 @@ class ResponseCache {
 
   /// Lookup at simulation time `now`; a live hit refreshes recency,
   /// an expired entry is dropped and reported as a miss.
-  const Entry* find(const std::string& url_key, std::int64_t now) noexcept;
+  const Entry* find(std::string_view url_key, std::int64_t now) noexcept;
 
   /// Inserts or refreshes an entry, stamping expiry from `now`, evicting
   /// the least recently used entry when full.
-  void admit(const std::string& url_key, Entry entry, std::int64_t now);
+  void admit(std::string_view url_key, Entry entry, std::int64_t now);
 
   std::size_t size() const noexcept { return map_.size(); }
   std::size_t capacity() const noexcept { return capacity_; }
@@ -65,8 +67,17 @@ class ResponseCache {
   };
   std::size_t capacity_;
   std::int64_t ttl_;
+  /// Lets map_ be probed with a string_view, without building a key.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
   std::list<Node> lru_;  // front = most recent
-  std::unordered_map<std::string, std::list<Node>::iterator> map_;
+  std::unordered_map<std::string, std::list<Node>::iterator, KeyHash,
+                     std::equal_to<>>
+      map_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -117,7 +117,9 @@ LogRecord SgProxy::process(const Request& request) {
 
   // 1. Cache: a hit short-circuits filtering and replays the stored
   //    outcome, logged as PROXIED.
-  const std::string url_key = record.url.to_string();
+  url_key_.clear();
+  record.url.append_to(url_key_);
+  const std::string_view url_key = url_key_;
   if (const ResponseCache::Entry* hit = cache_.find(url_key, request.time)) {
     obs::add(obs_.cache_hits);
     record.filter_result = FilterResult::kProxied;

@@ -111,6 +111,8 @@ class SgProxy {
   const policy::CustomCategoryList* custom_categories_;
   SgProxyConfig config_;
   ResponseCache cache_;
+  /// The cache key of the request in process(): one buffer, reused.
+  std::string url_key_;
   ErrorModel errors_;
   const fault::FaultSchedule* faults_ = nullptr;
   util::Rng rng_;

@@ -5,14 +5,6 @@
 
 namespace syrwatch::util {
 
-namespace {
-
-char ascii_lower(char c) noexcept {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
-}  // namespace
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(), ascii_lower);

@@ -7,6 +7,11 @@
 
 namespace syrwatch::util {
 
+/// ASCII lower-casing of one byte; every other byte is returned as is.
+constexpr char ascii_lower(char c) noexcept {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// ASCII lower-casing (the log fields we match against are ASCII URLs).
 std::string to_lower(std::string_view s);
 

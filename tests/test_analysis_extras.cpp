@@ -417,6 +417,30 @@ TEST(Weather, ErrorsAndProxiedExcluded) {
   EXPECT_EQ(reports[0].matched[0], 0u);
 }
 
+TEST(Weather, KeywordsAcrossUrlPiecesAndEmptyKeyword) {
+  Dataset dataset;
+  auto add_at = [&](const char* url, bool censored) {
+    auto record = rec(url, censored ? proxy::ExceptionId::kPolicyDenied
+                                    : proxy::ExceptionId::kNone);
+    record.time = kT0 + 10;
+    dataset.add(record);
+  };
+  add_at("http://a.com/x?y=1", true);       // "x?y" spans path and query
+  add_at("http://a.com/proxyproxy", false);  // twice in one row counts once
+  add_at("http://b.com/", false);
+  const std::vector<std::string> keywords{"X?Y", "proxy", "", "a.com/"};
+  const auto reports =
+      analysis::keyword_weather(dataset, keywords, {{kT0, kT0 + 3600}});
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[0].keyword, "x?y");
+  EXPECT_EQ(reports[0].matched[0], 1u);
+  EXPECT_EQ(reports[0].censored[0], 1u);
+  EXPECT_EQ(reports[1].matched[0], 1u);
+  EXPECT_EQ(reports[2].matched[0], 3u);  // the empty keyword matches every row
+  EXPECT_EQ(reports[2].censored[0], 1u);
+  EXPECT_EQ(reports[3].matched[0], 2u);  // spans host and path
+}
+
 TEST(Weather, RejectsBadWindow) {
   Dataset dataset;
   const std::vector<std::string> keywords{"proxy"};

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/proxy_compare.h"
 #include "analysis/redirects.h"
 #include "analysis/temporal.h"
+#include "util/rng.h"
 #include "util/simtime.h"
 
 namespace {
@@ -203,6 +207,83 @@ TEST(Redirects, DetectsFollowupInsideWindow) {
                   proxy::ExceptionId::kPolicyRedirect, 0, 5));
   dataset.add(rec("http://landing.sy/", kT0 + 1, {}, 0, 5));
   EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 1u);
+}
+
+// Emission order is time-sorted only up to jitter inside a 300 s slot. A
+// forward scan missed both of these; the rule reads only user, host and
+// time.
+TEST(Redirects, FollowupEmittedBeforeItsRedirectCounts) {
+  Dataset dataset;
+  dataset.add(rec("http://landing.sy/", kT0 + 1, {}, 0, 5));
+  dataset.add(rec("http://upload.youtube.com/u", kT0,
+                  proxy::ExceptionId::kPolicyRedirect, 0, 5));
+  EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 1u);
+}
+
+TEST(Redirects, LaterStampedRowDoesNotExpireAPendingRedirect) {
+  Dataset dataset;
+  dataset.add(rec("http://upload.youtube.com/u", kT0,
+                  proxy::ExceptionId::kPolicyRedirect, 0, 5));
+  dataset.add(rec("http://other.com/", kT0 + 200, {}, 0, 9));  // past t + 2
+  dataset.add(rec("http://landing.sy/", kT0 + 2, {}, 0, 5));
+  EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 1u);
+}
+
+TEST(Redirects, WindowBoundsAndHostRule) {
+  Dataset dataset;
+  dataset.add(rec("http://upload.youtube.com/u", kT0 + 10,
+                  proxy::ExceptionId::kPolicyRedirect, 0, 5));
+  dataset.add(rec("http://before.sy/", kT0 + 9, {}, 0, 5));   // before t
+  dataset.add(rec("http://late.sy/", kT0 + 13, {}, 0, 5));    // after t + 2
+  dataset.add(rec("http://upload.youtube.com/v", kT0 + 11, {}, 0, 5));
+  dataset.add(rec("http://landing.sy/", kT0 + 11, {}, 0, 6));  // other user
+  EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 0u);
+  dataset.add(rec("http://landing.sy/", kT0 + 12, {}, 0, 5));  // t + 2
+  EXPECT_EQ(redirect_followups(dataset, {.window_seconds = 2}), 1u);
+  // Rows without a client hash never follow up, nor are redirected users.
+  Dataset anonymous;
+  anonymous.add(rec("http://upload.youtube.com/u", kT0,
+                    proxy::ExceptionId::kPolicyRedirect, 0, 0));
+  anonymous.add(rec("http://landing.sy/", kT0 + 1, {}, 0, 0));
+  EXPECT_EQ(redirect_followups(anonymous, {.window_seconds = 2}), 0u);
+}
+
+TEST(Redirects, CountIsTheSameForAnyOrderWithinASlot) {
+  // Redirects and same-user traffic jittered inside 300 s slots, across
+  // more rows than one 64Ki-row partition holds so the OR-fold of
+  // partitions is exercised; shuffling rows within each slot, at 1 and 4
+  // threads, must not move the count.
+  util::Rng rng{8};
+  std::vector<proxy::LogRecord> rows;
+  for (int i = 0; i < 90'000; ++i) {
+    const std::int64_t slot = kT0 + 300 * (i / 400);
+    const std::uint64_t user = 1 + rng.uniform(60);
+    const bool redirect = rng.bernoulli(0.01);
+    rows.push_back(rec(redirect ? "http://upload.youtube.com/u"
+                                : (rng.bernoulli(0.5) ? "http://landing.sy/"
+                                                      : "http://a.com/"),
+                       slot + static_cast<std::int64_t>(rng.uniform(300)),
+                       redirect ? proxy::ExceptionId::kPolicyRedirect
+                                : proxy::ExceptionId::kNone,
+                       0, user));
+  }
+  const auto count_of = [](const std::vector<proxy::LogRecord>& records,
+                           std::size_t threads) {
+    Dataset dataset;
+    for (const auto& record : records) dataset.add(record);
+    return redirect_followups(dataset, {.window_seconds = 2}, threads);
+  };
+  const std::uint64_t reference = count_of(rows, 1);
+  EXPECT_GT(reference, 0u);
+  EXPECT_EQ(count_of(rows, 4), reference);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t begin = 0; begin < rows.size(); begin += 400) {
+      const auto first = rows.begin() + static_cast<std::ptrdiff_t>(begin);
+      std::shuffle(first, first + 400, rng);
+    }
+    EXPECT_EQ(count_of(rows, 1), reference) << "round " << round;
+    EXPECT_EQ(count_of(rows, 4), reference) << "round " << round;
+  }
 }
 
 }  // namespace

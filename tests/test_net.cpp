@@ -147,6 +147,20 @@ TEST(Url, RoundTripThroughString) {
   }
 }
 
+TEST(Url, AppendToExtendsABuffer) {
+  std::string buffer = "key:";
+  const auto url = Url::parse("tcp://5.6.7.8:65535");
+  ASSERT_TRUE(url);
+  url->append_to(buffer);
+  EXPECT_EQ(buffer, "key:tcp://5.6.7.8:65535");
+  const auto query = Url::parse("https://b.org:8443/x?y=z");
+  ASSERT_TRUE(query);
+  buffer.clear();
+  query->append_to(buffer);
+  EXPECT_EQ(buffer, query->to_string());
+  EXPECT_EQ(buffer, "https://b.org:8443/x?y=z");
+}
+
 TEST(Url, Extension) {
   Url url;
   url.path = "/download/SkypeSetup.exe";

@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "policy/custom_category.h"
 #include "policy/engine.h"
 #include "policy/schedule.h"
 #include "policy/syria.h"
 #include "tor/relay_directory.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -430,6 +436,250 @@ TEST(ProxyName, Formatting) {
   EXPECT_EQ(proxy_name(0), "SG-42");
   EXPECT_EQ(proxy_name(6), "SG-48");
   EXPECT_THROW(proxy_name(7), std::out_of_range);
+}
+
+// --- Compiled evaluation against the linear walk ---------------------------
+
+/// The reference: the first rule, in index order, that matches in
+/// isolation — the semantics evaluate() compiles.
+PolicyDecision linear_evaluate(const PolicyEngine& engine,
+                               const FilterRequest& request, util::Rng& rng) {
+  for (std::uint32_t i = 0; i < engine.rules().size(); ++i) {
+    if (engine.rule_matches(i, request, rng))
+      return {engine.rule(i).action, i};
+  }
+  return {};
+}
+
+/// Compiled and linear evaluation from equal RNG states: same decision,
+/// and the same RNG state afterwards (so every later draw agrees too).
+class CompiledVsLinear {
+ public:
+  explicit CompiledVsLinear(std::uint64_t seed)
+      : compiled_rng_(seed), linear_rng_(seed) {}
+
+  void check(const PolicyEngine& engine, const FilterRequest& request,
+             const std::string& context) {
+    const PolicyDecision compiled = engine.evaluate(request, compiled_rng_);
+    const PolicyDecision linear = linear_evaluate(engine, request, linear_rng_);
+    ++requests_;
+    if (compiled.rule_index != PolicyDecision::kNoRule)
+      ++decided_by_[engine.rule(compiled.rule_index).matcher.index()];
+    const bool same = compiled.rule_index == linear.rule_index &&
+                      compiled.action == linear.action &&
+                      compiled_rng_.save_state() == linear_rng_.save_state();
+    if (!same && failures_++ < 5) {
+      ADD_FAILURE() << context << " url " << request.url->to_string()
+                    << ": compiled rule " << compiled.rule_index
+                    << ", linear rule " << linear.rule_index;
+    }
+  }
+
+  std::uint64_t requests() const { return requests_; }
+  std::uint64_t failures() const { return failures_; }
+  std::uint64_t decided_by(std::size_t kind) const { return decided_by_[kind]; }
+
+ private:
+  util::Rng compiled_rng_;
+  util::Rng linear_rng_;
+  std::uint64_t requests_ = 0;
+  std::uint64_t failures_ = 0;
+  std::array<std::uint64_t, kRuleKindCount> decided_by_{};
+};
+
+TEST(CompiledPolicy, MatchesLinearWalkOnGeneratedTraffic) {
+  // Every record of a 200k-request run, through each proxy's engine as
+  // built and after the December 2012 update (scheduled Tor rules, then
+  // an always-on endpoint rule and a port rule).
+  workload::ScenarioConfig config;
+  config.total_requests = 200'000;
+  config.seed = 2011;
+  config.threads = 2;
+  workload::SyriaScenario scenario{config};
+  const SyriaPolicy& summer = scenario.policy();
+  SyriaPolicy december = summer;
+  apply_december_2012_update(december, scenario.relays());
+
+  CompiledVsLinear checker{7};
+  scenario.run([&](const proxy::LogRecord& record) {
+    const FilterRequest request{&record.url, record.dest_ip, record.time,
+                                summer.custom_categories.classify(record.url)};
+    for (std::size_t p = 0; p < kProxyCount; ++p) {
+      checker.check(summer.proxies[p].engine, request, proxy_name(p));
+      checker.check(december.proxies[p].engine, request,
+                    proxy_name(p) + " after December 2012");
+    }
+  });
+  EXPECT_GT(checker.requests(), 14u * 100'000u);
+  EXPECT_EQ(checker.failures(), 0u);
+  // The corpus reaches every table but the port rule's, which only
+  // catches a 9001 endpoint no relay rule covers.
+  for (const std::string_view kind :
+       {"keyword", "domain", "subnet", "ip", "category", "endpoint_set"}) {
+    const auto at = std::find(kRuleKindNames.begin(), kRuleKindNames.end(),
+                              kind) - kRuleKindNames.begin();
+    EXPECT_GT(checker.decided_by(static_cast<std::size_t>(at)), 0u) << kind;
+  }
+}
+
+/// Seeded rule lists and requests built from one pool of fragments, so
+/// rules and URLs collide often: empty keywords (match everything) and
+/// domains (match nothing), ".", "..", leading dots, upper case,
+/// duplicates, UTF-8, keywords spanning '/' and '?', IP-literal and
+/// trailing-dot hosts, an empty path with a query.
+class RandomPolicy {
+ public:
+  explicit RandomPolicy(std::uint64_t seed) : rng_(seed) {}
+
+  Rule rule(const std::vector<Rule>& earlier) {
+    if (!earlier.empty() && rng_.bernoulli(0.1))
+      return earlier[rng_.uniform(earlier.size())];  // a duplicate
+    const auto action =
+        rng_.bernoulli(0.2) ? PolicyAction::kRedirect : PolicyAction::kDeny;
+    switch (rng_.uniform(7)) {
+      case 0: return {KeywordRule{pick(kKeywords)}, action, "keyword"};
+      case 1: return {DomainRule{pick(kDomains)}, action, "domain"};
+      case 2:
+        return {SubnetRule{net::Ipv4Subnet{address(),
+                                           static_cast<int>(pick(kPrefixes))}},
+                action, "subnet"};
+      case 3: return {IpRule{address()}, action, "ip"};
+      case 4: return {CategoryRule{pick(kCategories)}, action, "category"};
+      case 5: return {PortRule{pick(kPorts)}, action, "port"};
+      default: {
+        auto endpoints = std::make_shared<std::unordered_set<std::uint64_t>>();
+        for (std::uint64_t n = 1 + rng_.uniform(3); n-- > 0;)
+          endpoints->insert(EndpointSetRule::key(address(), pick(kPorts)));
+        const double p = pick(kIntensities);
+        const OnOffSchedule schedule =
+            p < 0.0 ? OnOffSchedule{rng_(), 3600, 0.5, 0.2, 0.9}
+                    : OnOffSchedule::constant(p);
+        return {EndpointSetRule{std::move(endpoints), schedule}, action,
+                "endpoint"};
+      }
+    }
+  }
+
+  /// A URL; `dest` receives the destination address a request carries.
+  net::Url url(std::optional<net::Ipv4Addr>& dest) {
+    net::Url url;
+    url.scheme = static_cast<net::Scheme>(rng_.uniform(3));
+    url.port = pick(kPorts);
+    dest.reset();
+    if (rng_.bernoulli(0.25)) {
+      const net::Ipv4Addr ip = address();
+      url.host = ip.to_string();
+      if (rng_.bernoulli(0.8)) dest = ip;
+    } else {
+      for (std::uint64_t n = 1 + rng_.uniform(4); n-- > 0;) {
+        url.host += pick(kLabels);
+        if (n != 0) url.host += '.';
+      }
+      if (rng_.bernoulli(0.15)) url.host += '.';
+      if (rng_.bernoulli(0.05)) url.host.insert(0, ".");
+      if (rng_.bernoulli(0.3)) dest = address();
+    }
+    url.path = pick(kPaths);
+    url.query = pick(kQueries);
+    return url;
+  }
+
+  std::string_view category() { return pick(kCategories); }
+  std::int64_t time() {
+    return static_cast<std::int64_t>(rng_.uniform(86'400 * 3));
+  }
+  bool coin() { return rng_.bernoulli(0.5); }
+
+ private:
+  template <typename T, std::size_t N>
+  const T& pick(const std::array<T, N>& items) {
+    return items[rng_.uniform(N)];
+  }
+  net::Ipv4Addr address() { return *net::Ipv4Addr::parse(pick(kAddresses)); }
+
+  static constexpr std::array<const char*, 20> kKeywords{
+      "",    "proxy", "PROXY", "Israel", "he",       "she",  "hers",
+      "his", "a/b",   "/x",    "x?y",    "?",        "/",    "?q=",
+      "\xc3\xa9", "caf\xc3\xa9", "com/", ".com", "a", "IL/"};
+  static constexpr std::array<const char*, 20> kDomains{
+      "",          ".",         "..",           ".il",   ".IL",
+      "il",        "co.il",     "skype.com",    "SKYPE.COM",
+      "com",       ".com",      "a.b",          "b",     "1.2.3.4",
+      ".4",        "caf\xc3\xa9.sy", "skype.com.", "www.skype.com",
+      "proxy.net", "a..b"};
+  static constexpr std::array<const char*, 16> kLabels{
+      "www", "skype", "com", "il", "co", "Skype", "COM", "proxy",
+      "his", "a",     "b",   "caf\xc3\xa9", "sy", "net", "", "IL"};
+  static constexpr std::array<const char*, 8> kPaths{
+      "", "", "/", "/a/b", "/proxy.php", "/x", "/She", "/caf\xc3\xa9"};
+  static constexpr std::array<const char*, 7> kQueries{
+      "", "", "q=1", "y", "hers", "x?y", "ISRAEL"};
+  static constexpr std::array<const char*, 5> kAddresses{
+      "1.2.3.4", "1.2.3.5", "84.229.3.4", "10.0.0.1", "212.150.1.10"};
+  static constexpr std::array<int, 6> kPrefixes{0, 8, 16, 24, 31, 32};
+  static constexpr std::array<std::uint16_t, 4> kPorts{80, 443, 9001, 8080};
+  static constexpr std::array<const char*, 4> kCategories{
+      "", "Blocked sites", "blocked sites", "other"};
+  static constexpr std::array<double, 5> kIntensities{0.0, 0.3, 0.7, 1.0,
+                                                      -1.0};
+
+  util::Rng rng_;
+};
+
+TEST(CompiledPolicy, MatchesLinearWalkOnRandomRuleLists) {
+  CompiledVsLinear checker{11};
+  for (std::uint64_t list = 0; list < 400; ++list) {
+    RandomPolicy random{list};
+    std::vector<Rule> rules(1 + list % 40);
+    for (std::size_t i = 0; i < rules.size(); ++i)
+      rules[i] = random.rule({rules.begin(), rules.begin() + i});
+    // Half through the constructor, half one add() at a time.
+    PolicyEngine engine;
+    if (list % 2 == 0) {
+      engine = PolicyEngine{rules};
+    } else {
+      for (const Rule& rule : rules) engine.add(rule);
+    }
+    ASSERT_EQ(engine.rules().size(), rules.size());
+    for (int r = 0; r < 200; ++r) {
+      std::optional<net::Ipv4Addr> dest;
+      const net::Url url = random.url(dest);
+      const FilterRequest request{&url, dest, random.time(),
+                                  random.category()};
+      checker.check(engine, request, "rule list " + std::to_string(list));
+    }
+  }
+  EXPECT_EQ(checker.requests(), 400u * 200u);
+  EXPECT_EQ(checker.failures(), 0u);
+  for (std::size_t kind = 0; kind < kRuleKindCount; ++kind)
+    EXPECT_GT(checker.decided_by(kind), 0u) << kRuleKindNames[kind];
+}
+
+TEST(CompiledPolicy, EdgeCasesOfTheCompiledTables) {
+  PolicyEngine engine;
+  const auto empty_domain =
+      engine.add({DomainRule{""}, PolicyAction::kDeny, ""});
+  const auto dot = engine.add({DomainRule{"."}, PolicyAction::kDeny, ""});
+  const auto tld = engine.add({DomainRule{".IL"}, PolicyAction::kDeny, ""});
+  const auto word = engine.add({KeywordRule{"X?Y"}, PolicyAction::kDeny, ""});
+  const auto empty_keyword =
+      engine.add({KeywordRule{""}, PolicyAction::kRedirect, ""});
+  util::Rng rng{1};
+  const auto decide = [&](const char* text) {
+    const net::Url url = url_of(text);
+    return engine.evaluate(request_for(url), rng).rule_index;
+  };
+  EXPECT_NE(empty_domain, decide("http://a.com/"));
+  EXPECT_EQ(decide("http://a.com./"), dot);          // trailing-dot host
+  EXPECT_EQ(decide("http://www.Panet.CO.il/"), tld);  // any case
+  EXPECT_EQ(decide("http://a.com/x?y=1"), word);      // spans the '?'
+  EXPECT_EQ(decide("http://a.com/x"), empty_keyword);  // matches anything
+  net::Url no_path = url_of("http://a.com/");
+  no_path.path.clear();
+  no_path.query = "y";
+  // Empty path: the text is "a.com?y", which has no "x?y".
+  EXPECT_EQ(engine.evaluate(request_for(no_path), rng).rule_index,
+            empty_keyword);
 }
 
 }  // namespace
