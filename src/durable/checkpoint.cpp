@@ -486,7 +486,7 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
   workload::RunControl control;
   control.cancel = options.cancel;
   control.start_batch = manifest.next_batch;
-  control.proxy_mask = options.proxy_mask;
+  control.batch_source = options.batch_source;
   if (options.record_keys)
     control.keyed_sink = [&](std::uint64_t key, const proxy::LogRecord&) {
       append_key_le(batch_keys, key);

@@ -79,10 +79,12 @@ struct CheckpointOptions {
   /// a crash between commits, which is how the crash-injection tests abort
   /// mid-run.
   std::function<void(std::size_t committed_batch)> after_commit;
-  /// Farm proxies this run owns (workload::RunControl::proxy_mask). The
-  /// multi-process shard worker's knob: all-ones (the default) is the
-  /// ordinary whole-farm run.
-  std::uint64_t proxy_mask = ~std::uint64_t{0};
+  /// Where the run takes each batch's routed requests from
+  /// (workload::RunControl::batch_source). The multi-process shard
+  /// worker's knob: it reads them from its coordinator. Unset (the
+  /// default), the scenario generates them itself.
+  std::function<bool(std::size_t b, workload::RoutedBatch& batch)>
+      batch_source;
   /// Also maintain merge_keys.bin — the spool's 8-byte-LE-per-record merge
   /// key sidecar, committed in the same batch rhythm (a manifest always
   /// describes exactly as many keys as committed spool records). Shard

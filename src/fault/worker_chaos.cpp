@@ -25,7 +25,17 @@ std::string WorkerChaosPlan::describe() const {
   std::string out;
   for (const WorkerChaosEvent& event : events) {
     if (!out.empty()) out += "; ";
-    out += event.kind == WorkerChaosEvent::Kind::kKill ? "kill" : "stall";
+    switch (event.kind) {
+      case WorkerChaosEvent::Kind::kKill:
+        out += "kill";
+        break;
+      case WorkerChaosEvent::Kind::kStall:
+        out += "stall";
+        break;
+      case WorkerChaosEvent::Kind::kGarble:
+        out += "garble";
+        break;
+    }
     out += " worker " + std::to_string(event.worker) + " after batch " +
            std::to_string(event.after_batch);
   }
@@ -35,10 +45,11 @@ std::string WorkerChaosPlan::describe() const {
 WorkerChaosPlan make_worker_chaos(std::string_view name, std::uint64_t seed,
                                   std::size_t workers,
                                   std::size_t total_batches) {
-  if (name != "none" && name != "worker-chaos" && name != "worker-stall")
-    throw std::invalid_argument("unknown worker-chaos profile \"" +
-                                std::string(name) +
-                                "\" (try: none, worker-chaos, worker-stall)");
+  if (name != "none" && name != "worker-chaos" && name != "worker-stall" &&
+      name != "worker-garble")
+    throw std::invalid_argument(
+        "unknown worker-chaos profile \"" + std::string(name) +
+        "\" (try: none, worker-chaos, worker-stall, worker-garble)");
   WorkerChaosPlan plan;
   if (name == "none" || workers == 0 || total_batches == 0) return plan;
   const std::uint64_t root = util::mix64(seed ^ 0xC4A0'5C4A05ULL);
@@ -58,6 +69,14 @@ WorkerChaosPlan make_worker_chaos(std::string_view name, std::uint64_t seed,
     return plan;
   }
   WorkerChaosEvent event;
+  if (name == "worker-garble") {
+    event.worker = util::mix64(root ^ 0x6A4B) % workers;
+    event.after_batch =
+        draw_batch(util::mix64(root ^ 0x6A4C), total_batches);
+    event.kind = WorkerChaosEvent::Kind::kGarble;
+    plan.events.push_back(event);
+    return plan;
+  }
   event.worker = util::mix64(root ^ 0x57A1) % workers;
   event.after_batch = draw_batch(util::mix64(root ^ 0x57A2), total_batches);
   event.kind = WorkerChaosEvent::Kind::kStall;
@@ -67,7 +86,7 @@ WorkerChaosPlan make_worker_chaos(std::string_view name, std::uint64_t seed,
 
 const std::vector<std::string>& worker_chaos_names() {
   static const std::vector<std::string> names{"none", "worker-chaos",
-                                              "worker-stall"};
+                                              "worker-stall", "worker-garble"};
   return names;
 }
 

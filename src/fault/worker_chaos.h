@@ -23,9 +23,12 @@ struct WorkerChaosEvent {
     kKill,   ///< SIGKILL the worker after it reports this batch done.
     kStall,  ///< Worker sleeps at this batch boundary (first attempt only),
              ///< long enough to trip a configured heartbeat timeout.
+    kGarble,  ///< The coordinator flips one byte of this batch's data frame
+              ///< to the worker (first attempt only).
   };
   std::size_t worker = 0;
-  /// The event fires when the worker's batch with this index completes.
+  /// The event fires when the worker's batch with this index completes
+  /// (kGarble: when this batch is sent).
   std::size_t after_batch = 0;
   Kind kind = Kind::kKill;
 };
@@ -45,6 +48,9 @@ struct WorkerChaosPlan {
 ///   worker-stall  one worker sleeps at a hash-drawn boundary on its first
 ///                 attempt, tripping the heartbeat timeout instead of
 ///                 dying — exercises liveness detection, not just waitpid
+///   worker-garble one worker receives one corrupted data frame on its
+///                 first attempt — exercises the frame decoder's refusal,
+///                 the worker's error exit and the restart behind it
 /// Throws std::invalid_argument for an unknown name.
 WorkerChaosPlan make_worker_chaos(std::string_view name, std::uint64_t seed,
                                   std::size_t workers,

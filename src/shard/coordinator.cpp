@@ -37,6 +37,11 @@ std::uint64_t now_ms() {
           .count());
 }
 
+/// Batches the coordinator queues for a worker beyond the newest one it
+/// reported: enough to generate batch k+1 while the workers filter batch
+/// k, few enough that a slow worker bounds the queued frames.
+constexpr std::size_t kBatchesAhead = 2;
+
 /// Supervisor-side state of one shard worker.
 struct WorkerProc {
   enum class State : std::uint8_t {
@@ -53,9 +58,18 @@ struct WorkerProc {
   std::string directory;
   State state = State::kIdle;
   pid_t pid = -1;
-  int pipe_fd = -1;
+  int status_fd = -1;  ///< worker→coordinator status frames (read end)
+  int data_fd = -1;    ///< coordinator→worker batch frames (write end)
   util::FrameReader reader;
-  bool frames_seen = false;
+  /// HELLO arrived, so next_input is the worker's own next_batch.
+  bool hello_seen = false;
+  /// The next batch to queue for this worker.
+  std::size_t next_input = 0;
+  /// One past the newest batch the worker reported on its status pipe.
+  std::size_t next_report = 0;
+  /// Data-channel bytes not yet written, from outbox_sent on.
+  std::string outbox;
+  std::size_t outbox_sent = 0;
   std::uint64_t last_frame_ms = 0;
   std::size_t attempts = 0;
   std::size_t restarts_used = 0;
@@ -63,11 +77,37 @@ struct WorkerProc {
   /// Pending chaos kills: (fire at committed batch >= first, fired).
   std::vector<std::pair<std::size_t, bool>> kills;
   std::size_t stall_after_batch = static_cast<std::size_t>(-1);
+  std::size_t garble_batch = static_cast<std::size_t>(-1);
 
   bool unresolved() const noexcept {
     return state == State::kIdle || state == State::kRunning ||
            state == State::kBackoff;
   }
+
+  /// Input is queued that the worker has not yet reported on: only then
+  /// does its silence count against the heartbeat.
+  bool owes_progress() const noexcept {
+    return hello_seen && next_input > next_report;
+  }
+};
+
+/// SIGPIPE ignored for the guard's lifetime, the previous disposition
+/// restored after: run_sharded writes into pipes whose reader may have
+/// just died, and bench/e2e calls it in-process.
+class SigpipeIgnored {
+ public:
+  SigpipeIgnored() noexcept {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ::sigaction(SIGPIPE, &ignore, &saved_);
+  }
+  ~SigpipeIgnored() { ::sigaction(SIGPIPE, &saved_, nullptr); }
+  SigpipeIgnored(const SigpipeIgnored&) = delete;
+  SigpipeIgnored& operator=(const SigpipeIgnored&) = delete;
+
+ private:
+  struct sigaction saved_ {};
 };
 
 }  // namespace
@@ -98,13 +138,12 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
     throw std::runtime_error("shard: commit_interval must be >= 1");
 
   const std::string fingerprint = durable::config_fingerprint(options.config);
-  std::size_t total_batches = 0;
-  {
-    // Constructed once for batch_count (a pure function of the config) —
-    // and as an early validation of the config itself, before any fork.
-    workload::SyriaScenario probe{options.config};
-    total_batches = probe.batch_count();
-  }
+  // The one scenario of the run: it validates the config before any fork,
+  // generates every batch, and reaches each worker through fork().
+  workload::SyriaScenario scenario{options.config};
+  const std::string initial_farm_state = scenario.farm().save_state();
+  scenario.set_obs(options.obs);
+  const std::size_t total_batches = scenario.batch_count();
 
   const fs::path dir{options.directory};
   std::error_code ec;
@@ -174,10 +213,17 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
   }
   for (const fault::WorkerChaosEvent& event : chaos.events) {
     if (event.worker >= procs.size()) continue;
-    if (event.kind == fault::WorkerChaosEvent::Kind::kKill)
-      procs[event.worker].kills.emplace_back(event.after_batch, false);
-    else
-      procs[event.worker].stall_after_batch = event.after_batch;
+    switch (event.kind) {
+      case fault::WorkerChaosEvent::Kind::kKill:
+        procs[event.worker].kills.emplace_back(event.after_batch, false);
+        break;
+      case fault::WorkerChaosEvent::Kind::kStall:
+        procs[event.worker].stall_after_batch = event.after_batch;
+        break;
+      case fault::WorkerChaosEvent::Kind::kGarble:
+        procs[event.worker].garble_batch = event.after_batch;
+        break;
+    }
   }
 
   // Shards already resolved before any fork: surplus workers that own no
@@ -220,24 +266,42 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
     manifest.save(manifest_path);
   }
 
+  const SigpipeIgnored sigpipe_ignored;
+  std::uint64_t data_bytes = 0;
+
   const auto spawn = [&](WorkerProc& proc) {
-    util::Pipe pipe = util::make_pipe();
+    util::Pipe status = util::make_pipe();
+    util::Pipe data;
+    try {
+      data = util::make_pipe();
+    } catch (...) {
+      util::close_fd(status.read_fd);
+      util::close_fd(status.write_fd);
+      throw;
+    }
     std::fflush(nullptr);  // no duplicated buffered stdio in the child
     const pid_t pid = ::fork();
     if (pid < 0) {
-      util::close_fd(pipe.read_fd);
-      util::close_fd(pipe.write_fd);
+      for (const int fd : {status.read_fd, status.write_fd, data.read_fd,
+                           data.write_fd})
+        util::close_fd(fd);
       throw std::runtime_error(std::string("shard: fork: ") +
                                std::strerror(errno));
     }
     if (pid == 0) {
-      // Child: drop every coordinator-side fd, run the shard, _Exit (no
-      // destructors or atexit — the parent owns those).
-      util::close_fd(pipe.read_fd);
-      for (const WorkerProc& other : procs)
-        if (other.pipe_fd >= 0) util::close_fd(other.pipe_fd);
+      // Child: drop every coordinator-side fd — another worker's data
+      // pipe held open here would hide the coordinator's death from that
+      // worker — run the shard, _Exit (no destructors or atexit — the
+      // parent owns those).
+      util::close_fd(status.read_fd);
+      util::close_fd(data.write_fd);
+      for (const WorkerProc& other : procs) {
+        util::close_fd(other.status_fd);
+        util::close_fd(other.data_fd);
+      }
       WorkerSpec spec;
-      spec.config = options.config;
+      spec.scenario = &scenario;
+      spec.initial_farm_state = &initial_farm_state;
       spec.worker = proc.index;
       spec.workers = options.workers;
       spec.proxy_mask = proc.mask;
@@ -249,14 +313,22 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
         spec.stall_seconds = static_cast<unsigned>(
             std::max<std::uint64_t>(1, options.heartbeat_ms * 4 / 1000));
       }
-      std::_Exit(run_worker(spec, pipe.write_fd));
+      std::_Exit(run_worker(spec, status.write_fd, data.read_fd));
     }
-    util::close_fd(pipe.write_fd);
-    util::set_nonblocking(pipe.read_fd);
+    util::close_fd(status.write_fd);
+    util::close_fd(data.read_fd);
+    util::set_nonblocking(status.read_fd);
+    util::set_nonblocking(data.write_fd);
+    util::grow_pipe(data.write_fd);
     proc.pid = pid;
-    proc.pipe_fd = pipe.read_fd;
+    proc.status_fd = status.read_fd;
+    proc.data_fd = data.write_fd;
     proc.reader = util::FrameReader{};
-    proc.frames_seen = false;
+    proc.hello_seen = false;
+    proc.next_input = 0;
+    proc.next_report = 0;
+    proc.outbox.clear();
+    proc.outbox_sent = 0;
     proc.last_frame_ms = now_ms();
     ++proc.attempts;
     ++result.spawns;
@@ -267,11 +339,41 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
     if (proc.pid > 0) ::kill(proc.pid, SIGKILL);
   };
 
-  // Resolve a dead child (pipe EOF already seen): reap, then decide
-  // completed / interrupted / backoff-restart / abandoned.
+  // Writes queued input until the pipe is full. A worker that died
+  // mid-write (EPIPE) loses its queue here; the EOF on its status pipe
+  // drives the reap and restart.
+  const auto flush = [&](WorkerProc& proc) {
+    while (proc.data_fd >= 0 && proc.outbox_sent < proc.outbox.size()) {
+      const ssize_t wrote =
+          ::write(proc.data_fd, proc.outbox.data() + proc.outbox_sent,
+                  proc.outbox.size() - proc.outbox_sent);
+      if (wrote > 0) {
+        proc.outbox_sent += static_cast<std::size_t>(wrote);
+        data_bytes += static_cast<std::uint64_t>(wrote);
+        continue;
+      }
+      if (wrote < 0 && errno == EINTR) continue;
+      if (wrote < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      break;
+    }
+    proc.outbox.clear();
+    proc.outbox_sent = 0;
+  };
+
+  // Ends a worker's input: its data pipe closes, its queue is dropped.
+  const auto close_input = [](WorkerProc& proc) {
+    util::close_fd(proc.data_fd);
+    proc.data_fd = -1;
+    proc.outbox.clear();
+    proc.outbox_sent = 0;
+  };
+
+  // Resolve a dead child (status pipe EOF already seen): reap, then
+  // decide completed / interrupted / backoff-restart / abandoned.
   const auto reap = [&](WorkerProc& proc, bool cancelling) {
-    util::close_fd(proc.pipe_fd);
-    proc.pipe_fd = -1;
+    util::close_fd(proc.status_fd);
+    proc.status_fd = -1;
+    close_input(proc);
     int status = 0;
     pid_t reaped;
     do {
@@ -306,6 +408,47 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
     ++result.shards_abandoned;
   };
 
+  // Phase 1 for the workers: generates the lowest batch a live worker
+  // still needs — once for every worker waiting on it, and again only for
+  // a restarted worker catching up — and queues each its own proxies'
+  // requests. Waits for every live worker's HELLO (which names where it
+  // starts), and while any worker at that batch has kBatchesAhead batches
+  // unreported. Returns true when it queued a batch.
+  workload::RoutedBatch batch;
+  bool have_batch = false;
+  const auto feed = [&]() {
+    const auto waiting = [&](const WorkerProc& proc) {
+      return proc.state == WorkerProc::State::kRunning && proc.hello_seen &&
+             proc.next_input < total_batches;
+    };
+    std::size_t b = total_batches;
+    for (const WorkerProc& proc : procs) {
+      if (proc.state == WorkerProc::State::kRunning && !proc.hello_seen)
+        return false;
+      if (waiting(proc)) b = std::min(b, proc.next_input);
+    }
+    if (b == total_batches) return false;
+    for (const WorkerProc& proc : procs)
+      if (waiting(proc) && proc.next_input == b &&
+          proc.next_input >= proc.next_report + kBatchesAhead)
+        return false;
+    if (!have_batch || batch.index != b) {
+      have_batch = scenario.generate_batch(b, batch, options.cancel);
+      if (!have_batch) return false;  // cancelled mid-batch
+    }
+    for (WorkerProc& proc : procs) {
+      if (!waiting(proc) || proc.next_input != b) continue;
+      if (!proc.owes_progress()) proc.last_frame_ms = now_ms();
+      proc.outbox.erase(0, proc.outbox_sent);
+      proc.outbox_sent = 0;
+      append_batch_frame(batch, proc.mask, proc.outbox);
+      if (proc.attempts == 1 && b == proc.garble_batch)
+        proc.outbox.back() ^= 0x5A;  // worker-garble: the CRC must catch it
+      ++proc.next_input;
+    }
+    return true;
+  };
+
   bool cancelling = false;
   const auto any_unresolved = [&] {
     for (const WorkerProc& proc : procs)
@@ -318,15 +461,19 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
 
     if (!cancelling && options.cancel && options.cancel->cancelled()) {
       // Fan the stop out: every live worker gets SIGTERM (its own handler
-      // turns that into a cooperative cancel + checkpoint flush), pending
-      // restarts are dropped.
+      // turns that into a cooperative cancel + checkpoint flush) and the
+      // end of its input, which stops it the same way should the signal
+      // land before its handler is installed; pending restarts are
+      // dropped.
       cancelling = true;
       for (WorkerProc& proc : procs) {
-        if (proc.state == WorkerProc::State::kRunning && proc.pid > 0)
+        if (proc.state == WorkerProc::State::kRunning && proc.pid > 0) {
           ::kill(proc.pid, SIGTERM);
-        else if (proc.state == WorkerProc::State::kIdle ||
-                 proc.state == WorkerProc::State::kBackoff)
+          close_input(proc);
+        } else if (proc.state == WorkerProc::State::kIdle ||
+                   proc.state == WorkerProc::State::kBackoff) {
           proc.state = WorkerProc::State::kInterrupted;
+        }
       }
     }
 
@@ -338,25 +485,21 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
         spawn(proc);
     }
 
-    if (options.heartbeat_ms > 0) {
-      for (WorkerProc& proc : procs) {
-        if (proc.state != WorkerProc::State::kRunning || !proc.frames_seen)
-          continue;
-        if (now - proc.last_frame_ms <= options.heartbeat_ms) continue;
-        ++result.heartbeat_misses;
-        hard_kill(proc);
-        // One miss, one kill: the EOF → reap path takes it from here.
-        proc.last_frame_ms = now;
-      }
-    }
+    const bool fed = !cancelling && feed();
+    for (WorkerProc& proc : procs)
+      if (proc.state == WorkerProc::State::kRunning) flush(proc);
 
     std::vector<pollfd> fds;
     std::vector<WorkerProc*> polled;
     for (WorkerProc& proc : procs) {
-      if (proc.state != WorkerProc::State::kRunning || proc.pipe_fd < 0)
+      if (proc.state != WorkerProc::State::kRunning || proc.status_fd < 0)
         continue;
-      fds.push_back({proc.pipe_fd, POLLIN, 0});
+      fds.push_back({proc.status_fd, POLLIN, 0});
       polled.push_back(&proc);
+      if (proc.outbox_sent < proc.outbox.size()) {
+        fds.push_back({proc.data_fd, POLLOUT, 0});
+        polled.push_back(&proc);
+      }
     }
     if (fds.empty()) {
       // Nothing live — only backoff timers (or a cancel) to wait out.
@@ -364,7 +507,8 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
       ::nanosleep(&nap, nullptr);
       continue;
     }
-    const int ready = ::poll(fds.data(), fds.size(), 50);
+    // Right after queuing a batch, only look: the next one may be ready.
+    const int ready = ::poll(fds.data(), fds.size(), fed ? 0 : 50);
     if (ready < 0) {
       if (errno == EINTR) continue;  // signal — loop re-checks cancel
       throw std::runtime_error(std::string("shard: poll: ") +
@@ -373,31 +517,71 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
     for (std::size_t i = 0; i < fds.size(); ++i) {
       if (fds[i].revents == 0) continue;
       WorkerProc& proc = *polled[i];
+      if (fds[i].fd != proc.status_fd) {
+        if (proc.state == WorkerProc::State::kRunning) flush(proc);
+        continue;
+      }
       bool open = true;
       try {
-        open = proc.reader.pump(proc.pipe_fd);
+        open = proc.reader.pump(proc.status_fd);
       } catch (const std::runtime_error&) {
-        // Garbage on the status channel: the worker is insane; treat as
-        // dead (its checkpoint, not its chatter, is the real record).
+        // Unreadable status channel: the worker is insane; treat as dead
+        // (its checkpoint, not its chatter, is the real record).
         hard_kill(proc);
         open = false;
       }
-      while (auto payload = proc.reader.next()) {
-        const auto message = decode(*payload);
-        if (!message) continue;
-        proc.frames_seen = true;
-        proc.last_frame_ms = now_ms();
-        if (message->type == MessageType::kBatchDone) {
-          for (auto& [after_batch, fired] : proc.kills) {
-            if (fired || proc.attempts != 1) continue;
-            if (message->batch < after_batch) continue;
-            fired = true;
-            ++result.kills_injected;
-            hard_kill(proc);
+      try {
+        while (const auto payload = proc.reader.next()) {
+          const auto message = decode(*payload);
+          if (!message) continue;
+          proc.last_frame_ms = now_ms();
+          switch (message->type) {
+            case MessageType::kHello:
+              proc.hello_seen = true;
+              proc.next_input = static_cast<std::size_t>(
+                  std::min<std::uint64_t>(message->status, total_batches));
+              proc.next_report = proc.next_input;
+              break;
+            case MessageType::kBatchDone:
+              for (auto& [after_batch, fired] : proc.kills) {
+                if (fired || proc.attempts != 1) continue;
+                if (message->batch < after_batch) continue;
+                fired = true;
+                ++result.kills_injected;
+                hard_kill(proc);
+              }
+              [[fallthrough]];
+            case MessageType::kHeartbeat:
+              proc.next_report = std::max<std::size_t>(
+                  proc.next_report,
+                  static_cast<std::size_t>(
+                      std::min<std::uint64_t>(message->batch,
+                                              total_batches - 1)) +
+                      1);
+              break;
+            case MessageType::kShutdown:
+              break;
           }
         }
+      } catch (const util::FrameError&) {
+        hard_kill(proc);
+        open = false;
       }
       if (!open) reap(proc, cancelling);
+    }
+
+    if (options.heartbeat_ms > 0) {
+      const std::uint64_t checked = now_ms();
+      for (WorkerProc& proc : procs) {
+        if (proc.state != WorkerProc::State::kRunning ||
+            !proc.owes_progress())
+          continue;
+        if (checked - proc.last_frame_ms <= options.heartbeat_ms) continue;
+        ++result.heartbeat_misses;
+        hard_kill(proc);
+        // One miss, one kill: the EOF → reap path takes it from here.
+        proc.last_frame_ms = checked;
+      }
     }
   }
 
@@ -410,6 +594,7 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
              result.kills_injected);
     obs::add(obs::counter(ctx, "shard.shards_abandoned"),
              result.shards_abandoned);
+    obs::add(obs::counter(ctx, "shard.data_bytes"), data_bytes);
   }
 
   const bool all_resolved_clean = [&] {

@@ -11,11 +11,11 @@ namespace syrwatch::shard {
 /// The unit of sharding is the *proxy*, not the time slot: each simulated
 /// SG appliance carries sequential state (LRU cache, RNG) that depends on
 /// every prior batch, so a proxy's whole timeline must live in one
-/// process. Generation and routing are pure functions every worker
-/// duplicates; a worker simply skips requests routed to proxies it does
-/// not own (workload::RunControl::proxy_mask). With seven proxies the farm
-/// shards usefully up to --workers 7; beyond that the surplus workers own
-/// nothing and exit immediately.
+/// process. Generation and routing are pure functions the coordinator
+/// runs once; each worker receives only the requests routed to the
+/// proxies it owns. With seven proxies the farm shards usefully up to
+/// --workers 7; beyond that the surplus workers own nothing and are never
+/// spawned.
 ///
 /// Assignment is rendezvous (highest-random-weight) hashing on
 /// (seed, proxy, worker): stateless, a pure function any process can

@@ -1,10 +1,15 @@
 #include "shard/worker.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
+
+#include <poll.h>
 
 #include "durable/checkpoint.h"
 #include "shard/plan.h"
@@ -23,9 +28,45 @@ void send(int fd, const Message& message) {
   util::write_frame(fd, encode(message));
 }
 
+/// The worker's end of the data channel.
+class BatchFeed {
+ public:
+  BatchFeed(int fd, std::uint64_t proxy_mask,
+            const util::CancelToken& cancel)
+      : fd_(fd), proxy_mask_(proxy_mask), cancel_(cancel) {
+    util::set_nonblocking(fd_);
+  }
+
+  /// Waits for the next batch frame and decodes it into `batch`. False
+  /// when the channel reached EOF (a torn last frame included) or the
+  /// worker was cancelled; throws util::FrameError on a malformed frame.
+  bool next(workload::RoutedBatch& batch) {
+    for (;;) {
+      if (const auto frame = reader_.next()) {
+        decode_batch_frame(*frame, proxy_mask_, batch);
+        return true;
+      }
+      if (eof_ || cancel_.cancelled()) return false;
+      pollfd ready{fd_, POLLIN, 0};
+      const int n = ::poll(&ready, 1, 50);
+      if (n < 0 && errno != EINTR)
+        throw std::runtime_error(std::string("shard worker: poll: ") +
+                                 std::strerror(errno));
+      if (n > 0) eof_ = !reader_.pump(fd_);
+    }
+  }
+
+ private:
+  int fd_;
+  std::uint64_t proxy_mask_;
+  const util::CancelToken& cancel_;
+  util::FrameReader reader_{kMaxBatchFrame};
+  bool eof_ = false;
+};
+
 }  // namespace
 
-int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
+int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept {
   try {
     // The parent's CancelToken (and its signal bindings) died with the
     // fork; give this process its own so the coordinator's SIGTERM
@@ -35,7 +76,10 @@ int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
     util::install_stop_signals(cancel);
     util::ignore_sigpipe();
 
-    workload::SyriaScenario scenario{spec.config};
+    workload::SyriaScenario& scenario = *spec.scenario;
+    // A worker's counters die with its process; keep its phases off the
+    // copy of the coordinator's registry it inherited.
+    scenario.set_obs(nullptr);
 
     durable::CheckpointOptions options;
     options.directory = spec.directory;
@@ -43,15 +87,26 @@ int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
     // manifest's existence is the resume signal. A fresh coordinator run
     // starts with empty shard dirs, so this never mistakes one for the
     // other.
-    options.resume = std::filesystem::exists(
-        std::filesystem::path{spec.directory} /
-        durable::RunManifest::kFileName);
+    const std::string manifest_path =
+        (std::filesystem::path{spec.directory} /
+         durable::RunManifest::kFileName)
+            .string();
+    options.resume = std::filesystem::exists(manifest_path);
+    const std::uint64_t next_batch =
+        options.resume ? durable::RunManifest::load(manifest_path).next_batch
+                       : 0;
+    if (next_batch == 0)
+      scenario.farm().restore_state(*spec.initial_farm_state);
     options.cancel = &cancel;
     options.command = worker_command(spec.worker, spec.workers,
                                      spec.proxy_mask);
     options.commit_interval = spec.commit_interval;
-    options.proxy_mask = spec.proxy_mask;
     options.record_keys = true;
+    BatchFeed feed{data_fd, spec.proxy_mask, cancel};
+    options.batch_source = [&feed](std::size_t,
+                                   workload::RoutedBatch& batch) {
+      return feed.next(batch);
+    };
 
     std::uint64_t records = 0;
     const bool fresh_attempt = !options.resume;
@@ -60,7 +115,7 @@ int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
       beat.type = MessageType::kHeartbeat;
       beat.worker = spec.worker;
       beat.batch = batch;
-      send(pipe_fd, beat);
+      send(status_fd, beat);
       if (fresh_attempt && batch == spec.stall_after_batch &&
           spec.stall_seconds > 0)
         std::this_thread::sleep_for(
@@ -72,14 +127,14 @@ int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
       done.worker = spec.worker;
       done.batch = batch;
       done.status = records;
-      send(pipe_fd, done);
+      send(status_fd, done);
     };
 
     Message hello;
     hello.type = MessageType::kHello;
     hello.worker = spec.worker;
-    hello.status = options.resume ? 1 : 0;
-    send(pipe_fd, hello);
+    hello.status = next_batch;
+    send(status_fd, hello);
 
     const durable::CheckpointedRun run = durable::run_checkpointed(
         scenario, options,
@@ -90,7 +145,7 @@ int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept {
     bye.worker = spec.worker;
     bye.batch = run.manifest.next_batch;
     bye.status = run.completed ? 0 : 1;
-    send(pipe_fd, bye);
+    send(status_fd, bye);
     return run.completed ? kWorkerCompleted : kWorkerInterrupted;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "shard worker %zu: %s\n", spec.worker,

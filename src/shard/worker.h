@@ -14,11 +14,20 @@ namespace syrwatch::shard {
 
 /// Exit codes run_worker returns (and the coordinator interprets).
 inline constexpr int kWorkerCompleted = 0;    ///< shard fully generated
-inline constexpr int kWorkerInterrupted = 3;  ///< cancelled; resumable
+inline constexpr int kWorkerInterrupted = 3;  ///< cancelled or input lost;
+                                              ///< resumable
 inline constexpr int kWorkerError = 1;        ///< exception; message on stderr
 
 struct WorkerSpec {
-  workload::ScenarioConfig config;
+  /// The scenario the worker filters with: the coordinator's own,
+  /// inherited through fork(). The coordinator only generates and routes,
+  /// which never advances a proxy, so its farm is as built.
+  workload::SyriaScenario* scenario = nullptr;
+  /// The farm state the scenario was built with (save_state() before the
+  /// first route). A worker starting at batch 0 restores it, so that the
+  /// failover tallies the coordinator's routing ran up before the fork do
+  /// not leak into the shard's checkpoints.
+  const std::string* initial_farm_state = nullptr;
   std::size_t worker = 0;
   std::size_t workers = 1;
   std::uint64_t proxy_mask = 0;
@@ -34,10 +43,14 @@ struct WorkerSpec {
 
 /// Runs the shard to completion (or cancellation) inside the current
 /// process: reinstalls SIGINT/SIGTERM onto a fresh post-fork CancelToken,
-/// ignores SIGPIPE (an orphaned worker keeps spooling durably), decides
-/// fresh-vs-resume by the presence of its own manifest, and streams
-/// HELLO / HEARTBEAT / BATCH_DONE / SHUTDOWN over `pipe_fd`. Never throws:
-/// an exception is reported on stderr and becomes kWorkerError.
-int run_worker(const WorkerSpec& spec, int pipe_fd) noexcept;
+/// ignores SIGPIPE, decides fresh-vs-resume by the presence of its own
+/// manifest, sends HELLO with the manifest's next_batch over `status_fd`,
+/// then filters the batch frames the coordinator writes to `data_fd`,
+/// reporting HEARTBEAT / BATCH_DONE / SHUTDOWN as it goes. When `data_fd`
+/// reaches EOF before the last batch (the coordinator is gone), the worker
+/// commits what it has, marks its manifest interrupted and returns
+/// kWorkerInterrupted. Never throws: an exception — a malformed data
+/// frame included — is reported on stderr and becomes kWorkerError.
+int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept;
 
 }  // namespace syrwatch::shard

@@ -59,9 +59,8 @@ class CancelToken {
 void install_stop_signals(CancelToken& token) noexcept;
 
 /// SIG_IGNs SIGPIPE in the calling process. A worker whose coordinator
-/// died mid-run keeps generating into its durable spool (the work is
-/// recoverable) instead of being killed by the next status write into the
-/// broken pipe.
+/// died mid-run commits its progress and stops when its input runs out,
+/// instead of being killed by the next status write into the broken pipe.
 void ignore_sigpipe() noexcept;
 
 }  // namespace syrwatch::util

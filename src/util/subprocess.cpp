@@ -27,6 +27,14 @@ void set_nonblocking(int fd) {
                              std::strerror(errno));
 }
 
+void grow_pipe(int fd) noexcept {
+#ifdef F_SETPIPE_SZ
+  ::fcntl(fd, F_SETPIPE_SZ, 1 << 20);
+#else
+  static_cast<void>(fd);
+#endif
+}
+
 void close_fd(int fd) noexcept {
   if (fd < 0) return;
   // POSIX leaves the fd state unspecified after EINTR; retrying close on
@@ -64,8 +72,27 @@ bool write_frame(int fd, std::string_view payload) noexcept {
   return true;
 }
 
+std::size_t begin_frame(std::string& out) {
+  const std::size_t start = out.size();
+  out.append(4, '\0');
+  return start;
+}
+
+void finish_frame(std::string& out, std::size_t start) {
+  const std::size_t size = out.size() - start - 4;
+  if (size > 0xFFFFFFFFu)
+    throw std::length_error("frame payload of " + std::to_string(size) +
+                            " bytes does not fit a u32 length prefix");
+  for (int i = 0; i < 4; ++i)
+    out[start + i] = static_cast<char>((size >> (8 * i)) & 0xFF);
+}
+
 bool FrameReader::pump(int fd) {
-  char chunk[4096];
+  // Compact once per pump, not once per frame: erasing each consumed frame
+  // from the front made draining n buffered frames O(n × buffer size).
+  buffer_.erase(0, consumed_);
+  consumed_ = 0;
+  char chunk[1 << 16];
   for (;;) {
     const ssize_t got = ::read(fd, chunk, sizeof chunk);
     if (got > 0) {
@@ -80,22 +107,22 @@ bool FrameReader::pump(int fd) {
   }
 }
 
-std::optional<std::string> FrameReader::next() {
-  if (buffer_.size() < 4) return std::nullopt;
+std::optional<std::string_view> FrameReader::next() {
+  const std::size_t available = buffer_.size() - consumed_;
+  if (available < 4) return std::nullopt;
+  const char* const frame = buffer_.data() + consumed_;
   const auto byte = [&](std::size_t i) {
-    return static_cast<std::uint32_t>(
-        static_cast<unsigned char>(buffer_[i]));
+    return static_cast<std::uint32_t>(static_cast<unsigned char>(frame[i]));
   };
   const std::uint32_t size =
       byte(0) | (byte(1) << 8) | (byte(2) << 16) | (byte(3) << 24);
-  if (size > kMaxFramePayload)
-    throw std::runtime_error("pipe frame: oversized length prefix (" +
-                             std::to_string(size) + " bytes)");
-  if (buffer_.size() < 4 + static_cast<std::size_t>(size))
-    return std::nullopt;
-  std::string payload = buffer_.substr(4, size);
-  buffer_.erase(0, 4 + static_cast<std::size_t>(size));
-  return payload;
+  if (size > max_payload_)
+    throw FrameError("pipe frame: oversized length prefix (" +
+                     std::to_string(size) + " bytes, limit " +
+                     std::to_string(max_payload_) + ")");
+  if (available - 4 < size) return std::nullopt;
+  consumed_ += 4 + static_cast<std::size_t>(size);
+  return std::string_view{frame + 4, size};
 }
 
 }  // namespace syrwatch::util

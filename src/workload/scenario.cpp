@@ -1,6 +1,8 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "fault/profiles.h"
 #include "obs/trace.h"
@@ -107,23 +109,46 @@ SyriaScenario::SyriaScenario(ScenarioConfig config)
   components_.push_back(make_tor(kTorShare, &users_, &relays_));
   components_.push_back(make_bittorrent(kBitTorrentShare, &users_,
                                         &torrents_, &categorizer_));
+
+  // Resolve each component's share boost once: probing the map with a
+  // freshly allocated std::string key inside the slot loop was one heap
+  // allocation per component per slot per day.
+  boosts_.assign(components_.size(), 1.0);
+  for (std::size_t c = 0; c < components_.size(); ++c) {
+    const auto it =
+        config_.share_boosts.find(std::string(components_[c]->name()));
+    if (it != config_.share_boosts.end()) boosts_[c] = it->second;
+  }
+
+  // Normalize the diurnal curve over the whole window so the base shares
+  // integrate to the configured total. Everything downstream of the plan
+  // is a pure function of the shard ordinal, so the emitted log is
+  // invariant to the thread count.
+  const auto& days = observation_days();
+  const std::int64_t slot = config_.slot_seconds;
+  const auto slots_per_day =
+      static_cast<std::size_t>(util::kSecondsPerDay / slot);
+  double norm = 0.0;
+  for (const std::int64_t day : days) {
+    for (std::size_t s = 0; s < slots_per_day; ++s)
+      norm += diurnal_.intensity(day + static_cast<std::int64_t>(s) * slot +
+                                 slot / 2);
+  }
+  plan_.reserve(days.size() * slots_per_day);
+  const double total = static_cast<double>(config_.total_requests);
+  for (const std::int64_t day : days) {
+    const bool filtered_day = config_.apply_leak_filter && sg42_only_day(day);
+    const bool keep_hashes = !config_.apply_leak_filter || user_hash_day(day);
+    for (std::size_t s = 0; s < slots_per_day; ++s) {
+      const std::int64_t start = day + static_cast<std::int64_t>(s) * slot;
+      const double base =
+          total * diurnal_.intensity(start + slot / 2) / norm;
+      plan_.push_back({start, base, filtered_day, keep_hashes});
+    }
+  }
 }
 
 namespace {
-
-/// One (day, slot) unit of work for the generation phase.
-struct SlotPlan {
-  std::int64_t start = 0;
-  double base = 0.0;        // expected requests for an all-components share 1
-  bool filtered_day = false;  // leak keeps only SG-42 on this day
-  bool keep_hashes = true;    // client hashes survive only on July 22–23
-};
-
-/// Generated, routed traffic of one slot, before proxy processing.
-struct Shard {
-  std::vector<proxy::Request> requests;  // generation order
-  std::vector<std::uint8_t> proxy_of;    // routing decision per request
-};
 
 /// A filtered log line tagged with its deterministic merge key:
 /// (shard ordinal << 32) | sequence-within-shard. Keys are unique because
@@ -136,71 +161,74 @@ struct Processed {
 }  // namespace
 
 std::size_t SyriaScenario::batch_count() const noexcept {
-  const auto slots_per_day = static_cast<std::size_t>(
-      util::kSecondsPerDay / config_.slot_seconds);
-  const std::size_t shards = observation_days().size() * slots_per_day;
-  return (shards + kShardsPerBatch - 1) / kShardsPerBatch;
+  return (plan_.size() + kShardsPerBatch - 1) / kShardsPerBatch;
+}
+
+bool SyriaScenario::generate_batch(std::size_t b, RoutedBatch& batch,
+                                   const util::CancelToken* cancel) const {
+  const std::size_t batch_start = b * kShardsPerBatch;
+  if (batch_start >= plan_.size())
+    throw std::out_of_range("SyriaScenario::generate_batch: batch " +
+                            std::to_string(b) + " of " +
+                            std::to_string(batch_count()));
+  const std::size_t n_shards =
+      std::min(kShardsPerBatch, plan_.size() - batch_start);
+  const std::int64_t slot = config_.slot_seconds;
+  const std::size_t n_components = components_.size();
+  obs::StageStats* const gen_stage =
+      obs::stage(obs_, "scenario.generate_shard");
+  obs::Counter* const generated = obs::counter(obs_, "scenario.generated");
+
+  batch.index = b;
+  batch.shards.resize(n_shards);
+  // One shard per work item. Each (shard, component) pair owns an
+  // independent child RNG, so shards never contend and the draw sequence
+  // is execution-order-free.
+  return util::parallel_for(
+      n_shards, util::resolve_threads(config_.threads),
+      [&](std::size_t i) {
+        const obs::StageTimer timer{gen_stage};
+        const std::size_t ordinal = batch_start + i;
+        const SlotPlan& sp = plan_[ordinal];
+        RoutedShard& shard = batch.shards[i];
+        shard.requests.clear();
+        shard.proxy_of.clear();
+        shard.sequence.clear();
+        const std::int64_t mid = sp.start + slot / 2;
+        for (std::size_t c = 0; c < n_components; ++c) {
+          util::Rng rng = stream_root_.split(
+              static_cast<std::uint64_t>(ordinal) * n_components + c);
+          const double mean = sp.base * components_[c]->share() *
+                              boosts_[c] * components_[c]->modulation(mid);
+          const std::uint64_t count = rng.poisson(mean);
+          for (std::uint64_t k = 0; k < count; ++k) {
+            const std::int64_t t =
+                sp.start + static_cast<std::int64_t>(rng.uniform(
+                               static_cast<std::uint64_t>(slot)));
+            proxy::Request request = components_[c]->generate(t, rng);
+            shard.proxy_of.push_back(
+                static_cast<std::uint8_t>(farm_.route(request)));
+            shard.requests.push_back(std::move(request));
+          }
+        }
+        obs::add(generated, shard.requests.size());
+      },
+      cancel);
 }
 
 void SyriaScenario::run(const LogCallback& sink) { run(sink, RunControl{}); }
 
 bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
-  const auto& days = observation_days();
-  const std::int64_t slot = config_.slot_seconds;
-  const auto slots_per_day =
-      static_cast<std::size_t>(util::kSecondsPerDay / slot);
-
-  // Normalize the diurnal curve over the whole window so the base shares
-  // integrate to the configured total.
-  double norm = 0.0;
-  for (const std::int64_t day : days) {
-    for (std::size_t s = 0; s < slots_per_day; ++s)
-      norm += diurnal_.intensity(day + static_cast<std::int64_t>(s) * slot +
-                                 slot / 2);
-  }
-
-  // Resolve each component's share boost once: probing the map with a
-  // freshly allocated std::string key inside the slot loop was one heap
-  // allocation per component per slot per day.
-  std::vector<double> boosts(components_.size(), 1.0);
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    const auto it =
-        config_.share_boosts.find(std::string(components_[c]->name()));
-    if (it != config_.share_boosts.end()) boosts[c] = it->second;
-  }
-
-  // Slot plan, day-major: the position in this vector is the shard
-  // ordinal, which seeds the per-shard RNG streams and forms the high
-  // half of the merge key. Everything downstream is a pure function of
-  // it, so the emitted log is invariant to the thread count.
-  std::vector<SlotPlan> plan;
-  plan.reserve(days.size() * slots_per_day);
-  const double total = static_cast<double>(config_.total_requests);
-  for (const std::int64_t day : days) {
-    const bool filtered_day = config_.apply_leak_filter && sg42_only_day(day);
-    const bool keep_hashes = !config_.apply_leak_filter || user_hash_day(day);
-    for (std::size_t s = 0; s < slots_per_day; ++s) {
-      const std::int64_t start = day + static_cast<std::int64_t>(s) * slot;
-      const double base =
-          total * diurnal_.intensity(start + slot / 2) / norm;
-      plan.push_back({start, base, filtered_day, keep_hashes});
-    }
-  }
-
   const std::size_t threads = util::resolve_threads(config_.threads);
-  const std::size_t n_components = components_.size();
   const std::size_t n_proxies = farm_.proxy_count();
 
   // Observability instruments, all nullptr when detached. Stage timers run
   // at shard/batch granularity (never per request) so the < 2% overhead
   // budget of DESIGN.md §4.7 holds; counters are relaxed atomics that no
   // simulated decision reads, so the emitted log is identical either way.
-  obs::StageStats* const gen_stage =
-      obs::stage(obs_, "scenario.generate_shard");
   obs::StageStats* const proc_stage =
       obs::stage(obs_, "scenario.process_proxy_batch");
   obs::StageStats* const merge_stage = obs::stage(obs_, "scenario.merge");
-  obs::Counter* const generated = obs::counter(obs_, "scenario.generated");
   obs::Counter* const emitted = obs::counter(obs_, "scenario.emitted");
   if (obs_ != nullptr) {
     obs_->registry().gauge("scenario.threads").set(
@@ -213,49 +241,28 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
   // ordinal and per-proxy processing order follows the merge key. The
   // batch is also the durability unit — control.start_batch skips whole
   // batches on resume, and cancellation never emits a partial one.
-  std::vector<Shard> batch(std::min(kShardsPerBatch, plan.size()));
+  RoutedBatch batch;
   std::vector<std::vector<Processed>> per_proxy(n_proxies);
 
-  for (std::size_t batch_start = 0; batch_start < plan.size();
-       batch_start += kShardsPerBatch) {
-    const std::size_t batch_index = batch_start / kShardsPerBatch;
-    if (batch_index < control.start_batch) continue;
+  for (std::size_t b = control.start_batch; b < batch_count(); ++b) {
     if (control.cancel != nullptr && control.cancel->cancelled())
       return false;
+    const std::size_t batch_start = b * kShardsPerBatch;
     const std::size_t n_shards =
-        std::min(kShardsPerBatch, plan.size() - batch_start);
+        std::min(kShardsPerBatch, plan_.size() - batch_start);
 
-    // Phase 1 — generate + route, one shard per work item. Each
-    // (shard, component) pair owns an independent child RNG, so shards
-    // never contend and the draw sequence is execution-order-free.
-    const bool generated_all =
-        util::parallel_for(n_shards, threads, [&](std::size_t i) {
-      const obs::StageTimer timer{gen_stage};
-      const std::size_t ordinal = batch_start + i;
-      const SlotPlan& sp = plan[ordinal];
-      Shard& shard = batch[i];
-      shard.requests.clear();
-      shard.proxy_of.clear();
-      const std::int64_t mid = sp.start + slot / 2;
-      for (std::size_t c = 0; c < n_components; ++c) {
-        util::Rng rng = stream_root_.split(
-            static_cast<std::uint64_t>(ordinal) * n_components + c);
-        const double mean = sp.base * components_[c]->share() * boosts[c] *
-                            components_[c]->modulation(mid);
-        const std::uint64_t count = rng.poisson(mean);
-        for (std::uint64_t k = 0; k < count; ++k) {
-          const std::int64_t t =
-              sp.start + static_cast<std::int64_t>(rng.uniform(
-                             static_cast<std::uint64_t>(slot)));
-          proxy::Request request = components_[c]->generate(t, rng);
-          shard.proxy_of.push_back(
-              static_cast<std::uint8_t>(farm_.route(request)));
-          shard.requests.push_back(std::move(request));
-        }
-      }
-      obs::add(generated, shard.requests.size());
-        }, control.cancel);
-    if (!generated_all) return false;
+    // Phase 1 — generate + route, here or in the process feeding us.
+    if (control.batch_source) {
+      if (!control.batch_source(b, batch)) return false;
+      if (batch.index != b || batch.shards.size() != n_shards)
+        throw std::runtime_error(
+            "scenario: batch source delivered batch " +
+            std::to_string(batch.index) + " with " +
+            std::to_string(batch.shards.size()) + " shards, expected batch " +
+            std::to_string(b) + " with " + std::to_string(n_shards));
+    } else if (!generate_batch(b, batch, control.cancel)) {
+      return false;
+    }
 
     // A cancellation must land here, before phase 2 touches any proxy:
     // phase 1 is pure (RNG streams derive from shard ordinals), so its
@@ -281,14 +288,13 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
       const obs::StageTimer timer{proc_stage};
       std::vector<Processed>& out = per_proxy[p];
       out.clear();
-      // Sharded runs own a subset of the farm: an unowned proxy's queue is
-      // dropped whole, leaving its sequential state untouched (some other
-      // process owns and advances it).
+      // An unowned proxy's queue is dropped whole, leaving its sequential
+      // state untouched (some other process owns and advances it).
       if (((control.proxy_mask >> p) & 1) == 0) return;
       proxy::SgProxy& appliance = farm_.proxy(p);
       for (std::size_t i = 0; i < n_shards; ++i) {
-        const Shard& shard = batch[i];
-        const SlotPlan& sp = plan[batch_start + i];
+        const RoutedShard& shard = batch.shards[i];
+        const SlotPlan& sp = plan_[batch_start + i];
         const std::uint64_t hi = static_cast<std::uint64_t>(batch_start + i)
                                  << 32;
         for (std::size_t k = 0; k < shard.requests.size(); ++k) {
@@ -296,7 +302,9 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
           proxy::LogRecord record = appliance.process(shard.requests[k]);
           if (sp.filtered_day && p != 0) continue;
           if (!sp.keep_hashes) record.user_hash = 0;
-          out.push_back({hi | k, std::move(record)});
+          const std::uint64_t sequence =
+              shard.sequence.empty() ? k : shard.sequence[k];
+          out.push_back({hi | sequence, std::move(record)});
         }
       }
     });
@@ -328,7 +336,7 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
       }
       obs::add(emitted, merged);
     }
-    if (control.on_batch) control.on_batch(batch_index);
+    if (control.on_batch) control.on_batch(b);
   }
   return true;
 }

@@ -76,6 +76,25 @@ struct ScenarioConfig {
 
 using LogCallback = std::function<void(const proxy::LogRecord&)>;
 
+/// Routed traffic of one (day, slot) generation shard, before any proxy
+/// has seen it: phase 1's output.
+struct RoutedShard {
+  std::vector<proxy::Request> requests;  ///< generation order
+  std::vector<std::uint8_t> proxy_of;    ///< routing decision per request
+  /// Generation sequence of each request within its shard, the low half
+  /// of its merge key. Empty when `requests` is the whole shard, so that
+  /// requests[k] has sequence k; a sharded worker's copy holds only its
+  /// own proxies' requests and keeps their sequences here.
+  std::vector<std::uint32_t> sequence;
+};
+
+/// Phase 1 of one batch: shards[i] is generation shard
+/// index * kShardsPerBatch + i.
+struct RoutedBatch {
+  std::size_t index = 0;
+  std::vector<RoutedShard> shards;
+};
+
 /// Knobs for a controlled run: cooperative cancellation, batch-granular
 /// resumption, and a per-batch completion hook — the surface the durable
 /// checkpoint layer drives. None of these can change *what* a batch emits
@@ -95,14 +114,21 @@ struct RunControl {
   /// its batch here. May throw — the exception propagates out of run()
   /// (that is exactly what a mid-run crash looks like to a resumer).
   std::function<void(std::size_t completed_batch)> on_batch;
-  /// Bitmask of farm proxies this run owns (bit p = proxy index p). The
-  /// unit of multi-process sharding (src/shard): generation and routing
-  /// are untouched — they are pure functions shared by every shard — but
-  /// requests routed to an unowned proxy are never processed, so that
-  /// proxy's sequential state (cache, RNG) never advances here and the
-  /// emitted log is exactly the owned proxies' sub-log of the full run,
-  /// in the full run's order. All-ones (the default) is the whole farm.
+  /// Bitmask of farm proxies this run processes (bit p = proxy index p).
+  /// Requests routed to an unowned proxy are never processed, so that
+  /// proxy's sequential state (cache, RNG) never advances and the
+  /// emitted log is exactly the owned proxies' sub-log of the full run, in
+  /// the full run's order. All-ones (the default) is the whole farm; 0
+  /// runs generation and routing alone.
   std::uint64_t proxy_mask = ~std::uint64_t{0};
+  /// Where each batch's routed requests come from. Unset, the run
+  /// generates them itself (generate_batch). A shard worker (src/shard)
+  /// sets it to read batch `b` from its coordinator: the hook fills
+  /// `batch` with batch b's requests and returns true, or returns false
+  /// when no more input will come, which stops the run like a
+  /// cancellation, before any proxy sees the batch. The hook may throw;
+  /// the exception propagates out of run().
+  std::function<bool(std::size_t b, RoutedBatch& batch)> batch_source;
   /// Optional keyed tap, invoked immediately before `sink` for every
   /// emitted record with the record's deterministic merge key
   /// ((shard ordinal << 32) | generation sequence). Keys are what the
@@ -130,6 +156,16 @@ class SyriaScenario {
   /// function of the config (observation days × slots per day).
   std::size_t batch_count() const noexcept;
 
+  /// Phase 1 of run() for batch `b`: generates each of its shards and
+  /// routes every request. A pure function of the config and `b`, so any
+  /// process holding an identically configured scenario produces the same
+  /// batch, in any order and as often as it likes (only the farm's
+  /// failover tallies and the obs counters count every call). Uses
+  /// config().threads workers. Returns false when `cancel` fired first;
+  /// `batch` is then incomplete and must not be processed.
+  bool generate_batch(std::size_t b, RoutedBatch& batch,
+                      const util::CancelToken* cancel = nullptr) const;
+
   /// Generates the whole observation window. Uses config().threads
   /// workers; the sink is always invoked from the calling thread, in
   /// deterministic (day, slot, component, sequence) order, regardless of
@@ -137,9 +173,10 @@ class SyriaScenario {
   void run(const LogCallback& sink);
 
   /// Controlled variant: honors control.cancel, starts at
-  /// control.start_batch, and reports batch completions via
-  /// control.on_batch. Returns true when the window completed, false when
-  /// cancellation stopped it early (the sink then saw a whole number of
+  /// control.start_batch, takes batches from control.batch_source when
+  /// set, and reports batch completions via control.on_batch. Returns true
+  /// when the window completed, false when cancellation (or the end of the
+  /// batch source) stopped it early (the sink then saw a whole number of
   /// batches — never a partial one).
   bool run(const LogCallback& sink, const RunControl& control);
 
@@ -175,6 +212,14 @@ class SyriaScenario {
   }
 
  private:
+  /// One (day, slot) unit of work for the generation phase.
+  struct SlotPlan {
+    std::int64_t start = 0;
+    double base = 0.0;  ///< expected requests for an all-components share 1
+    bool filtered_day = false;  ///< leak keeps only SG-42 on this day
+    bool keep_hashes = true;    ///< client hashes survive only on July 22–23
+  };
+
   ScenarioConfig config_;
   UserModel users_;
   DomainCatalog catalog_;
@@ -194,6 +239,12 @@ class SyriaScenario {
   /// run() only derives children via Rng::split, so generation shards are
   /// independent of each other and of execution order.
   util::Rng stream_root_;
+  /// Slot plan, day-major: the position in this vector is the shard
+  /// ordinal, which seeds the per-shard RNG streams and forms the high
+  /// half of the merge key.
+  std::vector<SlotPlan> plan_;
+  /// Each component's share boost (config.share_boosts), by component.
+  std::vector<double> boosts_;
 };
 
 }  // namespace syrwatch::workload

@@ -1,15 +1,22 @@
 // Multi-process sharded farm: deterministic proxy assignment, the
-// worker→coordinator frame protocol, worker-chaos plans, the supervising
-// coordinator (real fork/SIGKILL/restart/resume), graceful degradation
-// after an exhausted restart budget, and the k-way spool merge — including
-// the headline contract that `--workers N` emits a log byte-identical to
-// the single-process run, even across injected worker deaths.
+// status and data frame protocols (round trips and a seeded mutation
+// sweep of every decoder), worker-chaos plans, the worker fed through its
+// data pipe, the supervising coordinator (real fork/SIGKILL/restart/
+// resume), graceful degradation after an exhausted restart budget, and
+// the k-way spool merge — including the headline contract that
+// `--workers N` emits a log byte-identical to the single-process run,
+// even across injected worker deaths and corrupted data frames.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -26,7 +33,10 @@
 #include "shard/merge.h"
 #include "shard/plan.h"
 #include "shard/protocol.h"
+#include "shard/worker.h"
 #include "util/cancel.h"
+#include "util/checksum.h"
+#include "util/rng.h"
 #include "util/subprocess.h"
 #include "workload/scenario.h"
 
@@ -156,6 +166,13 @@ TEST(ShardProtocol, EncodeDecodeRoundTrip) {
     EXPECT_EQ(decoded->batch, message.batch);
     EXPECT_EQ(decoded->status, message.status);
   }
+  // HELLO's status is the first batch the worker will execute: its
+  // manifest's next_batch, which is where the coordinator starts feeding.
+  const auto hello =
+      shard::decode(shard::encode({shard::MessageType::kHello, 2, 0, 17}));
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->type, shard::MessageType::kHello);
+  EXPECT_EQ(hello->status, 17u);
 }
 
 TEST(ShardProtocol, DecodeRejectsMalformedPayloads) {
@@ -207,6 +224,373 @@ TEST(ShardProtocol, FrameReaderRejectsOversizedPrefix) {
   util::close_fd(pipe.write_fd);
 }
 
+TEST(ShardProtocol, FrameReaderDrainsTenThousandFramesFromOnePump) {
+  // Consumed frames are dropped once per pump, not once per frame: one
+  // pump holding 10,000 frames drains in one linear pass.
+  const fs::path path =
+      fs::path(::testing::TempDir()) / "syrwatch_ten_thousand_frames.bin";
+  constexpr std::uint64_t kFrames = 10'000;
+  {
+    std::string stream;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      const std::size_t start = util::begin_frame(stream);
+      stream += shard::encode({shard::MessageType::kHeartbeat, 1, i, 0});
+      util::finish_frame(stream, start);
+    }
+    std::ofstream out{path, std::ios::binary};
+    out << stream;
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  util::FrameReader reader;
+  EXPECT_FALSE(reader.pump(fd));  // the whole file, then EOF
+  std::uint64_t drained = 0;
+  while (const auto payload = reader.next()) {
+    const auto message = shard::decode(*payload);
+    ASSERT_TRUE(message.has_value());
+    ASSERT_EQ(message->batch, drained);
+    ++drained;
+  }
+  EXPECT_EQ(drained, kFrames);
+  EXPECT_EQ(reader.pending_bytes(), 0u);
+  util::close_fd(fd);
+  fs::remove(path);
+}
+
+// --- data channel: batch frames ---------------------------------------------
+
+bool same_request(const proxy::Request& a, const proxy::Request& b) {
+  return a.time == b.time && a.user_id == b.user_id &&
+         a.user_agent == b.user_agent && a.method == b.method &&
+         a.url == b.url && a.dest_ip == b.dest_ip &&
+         a.cacheable == b.cacheable &&
+         std::bit_cast<std::uint64_t>(a.dest_unreachable_prob) ==
+             std::bit_cast<std::uint64_t>(b.dest_unreachable_prob) &&
+         a.inner_path == b.inner_path && a.inner_query == b.inner_query;
+}
+
+/// The payload of `batch`'s frame for `mask`, without its length prefix.
+std::string batch_payload(const workload::RoutedBatch& batch,
+                          std::uint64_t mask) {
+  std::string frame;
+  shard::append_batch_frame(batch, mask, frame);
+  return frame.substr(4);
+}
+
+constexpr std::uint64_t kAllProxies =
+    (std::uint64_t{1} << policy::kProxyCount) - 1;
+
+TEST(ShardDataChannel, BatchFrameCarriesEachWorkersShareExactly) {
+  const auto config = small_config(20'000, 2);
+  const workload::SyriaScenario scenario{config};
+  workload::RoutedBatch batch;
+  ASSERT_TRUE(scenario.generate_batch(3, batch));
+  const std::size_t workers = 3;
+  std::size_t delivered = 0;
+  std::size_t total = 0;
+  for (const workload::RoutedShard& shard : batch.shards)
+    total += shard.requests.size();
+  for (std::size_t w = 0; w < workers; ++w) {
+    const std::uint64_t mask =
+        shard::proxy_mask_for(config.seed, w, workers, policy::kProxyCount);
+    const std::string payload = batch_payload(batch, mask);
+    workload::RoutedBatch decoded;
+    shard::decode_batch_frame(payload, mask, decoded);
+    EXPECT_EQ(decoded.index, 3u);
+    ASSERT_EQ(decoded.shards.size(), batch.shards.size());
+    for (std::size_t i = 0; i < batch.shards.size(); ++i) {
+      const workload::RoutedShard& full = batch.shards[i];
+      const workload::RoutedShard& mine = decoded.shards[i];
+      std::size_t next = 0;
+      for (std::size_t k = 0; k < full.requests.size(); ++k) {
+        if (((mask >> full.proxy_of[k]) & 1) == 0) continue;
+        ASSERT_LT(next, mine.requests.size());
+        EXPECT_EQ(mine.sequence[next], k);
+        EXPECT_EQ(mine.proxy_of[next], full.proxy_of[k]);
+        EXPECT_TRUE(same_request(mine.requests[next], full.requests[k]))
+            << "shard " << i << " request " << k;
+        ++next;
+      }
+      EXPECT_EQ(next, mine.requests.size());
+      delivered += mine.requests.size();
+    }
+    // Re-encoding what a worker received reproduces its frame: the
+    // decoder keeps every sequence, so nothing about the merge key is
+    // lost in transit.
+    EXPECT_EQ(batch_payload(decoded, mask), payload);
+  }
+  EXPECT_EQ(delivered, total);
+}
+
+TEST(ShardDataChannel, DecoderRefusesAProxyOutsideTheMask) {
+  const workload::SyriaScenario scenario{small_config(20'000, 1)};
+  workload::RoutedBatch batch;
+  ASSERT_TRUE(scenario.generate_batch(5, batch));
+  const std::string payload = batch_payload(batch, kAllProxies);
+  workload::RoutedBatch decoded;
+  EXPECT_THROW(shard::decode_batch_frame(payload, kAllProxies & ~1u, decoded),
+               util::FrameError);
+}
+
+// --- seeded mutation sweep of every shard decoder ---------------------------
+
+/// A frame payload small enough to mutate at every byte: a few requests of
+/// a real run, chosen so every optional field is present somewhere.
+workload::RoutedBatch small_batch() {
+  const workload::SyriaScenario scenario{small_config(60'000, 1)};
+  workload::RoutedBatch small;
+  small.index = 2;
+  small.shards.resize(3);
+  bool have_ip = false, have_unreachable = false, have_https = false;
+  workload::RoutedBatch full;
+  for (std::size_t b = 0; b < scenario.batch_count(); ++b) {
+    EXPECT_TRUE(scenario.generate_batch(b, full));
+    for (std::size_t i = 0; i < full.shards.size(); ++i) {
+      const workload::RoutedShard& shard = full.shards[i];
+      for (std::size_t k = 0; k < shard.requests.size(); ++k) {
+        const proxy::Request& request = shard.requests[k];
+        const bool wanted =
+            (b == 0 && i < 3 && k < 3) || (!have_ip && request.dest_ip) ||
+            (!have_unreachable && request.dest_unreachable_prob > 0.0) ||
+            (!have_https && request.url.scheme == net::Scheme::kHttps);
+        if (!wanted) continue;
+        have_ip |= request.dest_ip.has_value();
+        have_unreachable |= request.dest_unreachable_prob > 0.0;
+        have_https |= request.url.scheme == net::Scheme::kHttps;
+        workload::RoutedShard& into = small.shards[std::min<std::size_t>(i, 2)];
+        into.sequence.push_back(static_cast<std::uint32_t>(
+            into.sequence.empty() ? k : into.sequence.back() + 1 + k % 3));
+        into.requests.push_back(request);
+        into.proxy_of.push_back(shard.proxy_of[k]);
+      }
+    }
+  }
+  EXPECT_TRUE(have_ip && have_unreachable && have_https);
+  return small;
+}
+
+/// Rewrites the leading CRC32 after a forgery, so the structural checks
+/// behind the checksum are what the input exercises.
+void reseal(std::string& payload) {
+  const std::uint32_t crc =
+      util::crc32_of(std::string_view{payload}.substr(4));
+  for (int i = 0; i < 4; ++i)
+    payload[i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+}
+
+enum class Outcome { kRefused, kExact };
+
+/// decode_batch_frame must refuse `payload` with a FrameError or accept
+/// exactly what the bytes encode: accepted content re-encodes to the same
+/// bytes. Anything else — another exception, a crash — fails the test.
+Outcome check_batch_decoder(const std::string& payload) {
+  workload::RoutedBatch decoded;
+  try {
+    shard::decode_batch_frame(payload, kAllProxies, decoded);
+  } catch (const util::FrameError&) {
+    return Outcome::kRefused;
+  }
+  EXPECT_EQ(batch_payload(decoded, kAllProxies), payload)
+      << "accepted bytes it does not encode";
+  return Outcome::kExact;
+}
+
+std::string varint(std::uint64_t value) {
+  std::string out;
+  while (value >= 0x80) {
+    out += static_cast<char>((value & 0x7F) | 0x80);
+    value >>= 7;
+  }
+  out += static_cast<char>(value);
+  return out;
+}
+
+TEST(ShardFuzz, BatchFrameDecoderRefusesOrReadsExactly) {
+  const workload::RoutedBatch batch = small_batch();
+  const std::string payload = batch_payload(batch, kAllProxies);
+  ASSERT_EQ(check_batch_decoder(payload), Outcome::kExact);
+  util::Rng rng{0x5EED'F00D};
+
+  // Truncation at every byte, and single-byte flips at every byte: the
+  // checksum refuses all of them.
+  for (std::size_t cut = 0; cut < payload.size(); ++cut)
+    EXPECT_EQ(check_batch_decoder(payload.substr(0, cut)), Outcome::kRefused)
+        << "truncated to " << cut;
+  for (std::size_t at = 0; at < payload.size(); ++at) {
+    std::string flipped = payload;
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 + rng.uniform(255)));
+    EXPECT_EQ(check_batch_decoder(flipped), Outcome::kRefused)
+        << "flip at " << at;
+  }
+
+  // Forged bytes behind a valid checksum — every length, count, index and
+  // flag the payload holds — reach the structural checks.
+  std::size_t refused = 0;
+  for (std::size_t at = 4; at < payload.size(); ++at) {
+    for (int round = 0; round < 3; ++round) {
+      std::string forged = payload;
+      forged[at] = static_cast<char>(rng.uniform(256));
+      reseal(forged);
+      refused += check_batch_decoder(forged) == Outcome::kRefused;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+
+  // Forged headers: the counts are bounded by the payload before
+  // anything is allocated for them.
+  const std::string header = std::string(4, '\0') + 'B' + varint(batch.index);
+  const std::string counts = varint(batch.shards.size());
+  const std::size_t body_at = header.size() + counts.size();
+  for (const std::uint64_t shards :
+       {std::uint64_t{0}, std::uint64_t{129}, std::uint64_t{1} << 40}) {
+    std::string forged = header + varint(shards) + payload.substr(body_at);
+    reseal(forged);
+    EXPECT_EQ(check_batch_decoder(forged), Outcome::kRefused) << shards;
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 32, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    std::string forged = header + counts + varint(count) +
+                         payload.substr(body_at + varint(
+                             batch.shards[0].requests.size()).size());
+    reseal(forged);
+    EXPECT_EQ(check_batch_decoder(forged), Outcome::kRefused) << count;
+  }
+  {
+    // A non-minimal varint for the batch index decodes to the same value
+    // through different bytes: refused.
+    std::string forged = std::string(4, '\0') + 'B' +
+                         static_cast<char>(0x80 | batch.index) + '\0' +
+                         payload.substr(header.size());
+    reseal(forged);
+    EXPECT_EQ(check_batch_decoder(forged), Outcome::kRefused);
+  }
+  {
+    std::string forged = payload + '\0';
+    reseal(forged);
+    EXPECT_EQ(check_batch_decoder(forged), Outcome::kRefused);
+  }
+  {
+    // A string-table entry repeating an earlier one: the encoder would
+    // have written a reference, so the bytes are not its output.
+    workload::RoutedBatch pair;
+    pair.shards.resize(1);
+    for (const char* agent : {"agent-one", "agent-two"}) {
+      proxy::Request request;
+      request.user_agent = agent;
+      request.url.host = "example.org";
+      pair.shards[0].requests.push_back(request);
+      pair.shards[0].proxy_of.push_back(0);
+    }
+    std::string forged = batch_payload(pair, kAllProxies);
+    ASSERT_EQ(check_batch_decoder(forged), Outcome::kExact);
+    forged.replace(forged.find("agent-two"), 9, "agent-one");
+    reseal(forged);
+    EXPECT_EQ(check_batch_decoder(forged), Outcome::kRefused);
+  }
+}
+
+TEST(ShardFuzz, StatusDecoderRefusesOrReadsExactly) {
+  util::Rng rng{0xDEC0DE};
+  for (const auto type :
+       {shard::MessageType::kHello, shard::MessageType::kBatchDone,
+        shard::MessageType::kHeartbeat, shard::MessageType::kShutdown}) {
+    const std::string payload =
+        shard::encode({type, rng(), rng(), rng()});
+    for (std::size_t cut = 0; cut < payload.size(); ++cut)
+      EXPECT_FALSE(shard::decode(payload.substr(0, cut)).has_value());
+    for (std::size_t extra = 1; extra <= 8; ++extra)
+      EXPECT_FALSE(
+          shard::decode(payload + std::string(extra, 'x')).has_value());
+    for (std::size_t at = 0; at < payload.size(); ++at) {
+      for (int round = 0; round < 8; ++round) {
+        std::string forged = payload;
+        forged[at] = static_cast<char>(rng.uniform(256));
+        // Fixed width, no slack: whatever decodes re-encodes exactly.
+        if (const auto message = shard::decode(forged)) {
+          EXPECT_EQ(shard::encode(*message), forged);
+        }
+      }
+    }
+  }
+}
+
+/// What a fresh reader makes of `bytes` once their writer has closed: the
+/// payloads it yields, in order, until the stream ends or it refuses one.
+struct Drained {
+  std::vector<std::string> payloads;
+  bool refused = false;
+  std::size_t pending = 0;  ///< unconsumed bytes, when not refused
+};
+
+Drained drain(std::string_view bytes, std::size_t limit) {
+  util::Pipe pipe = util::make_pipe();
+  util::set_nonblocking(pipe.read_fd);
+  EXPECT_EQ(::write(pipe.write_fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  util::close_fd(pipe.write_fd);
+  util::FrameReader reader{limit};
+  EXPECT_FALSE(reader.pump(pipe.read_fd));
+  util::close_fd(pipe.read_fd);
+  Drained out;
+  try {
+    while (const auto payload = reader.next())
+      out.payloads.emplace_back(*payload);
+    out.pending = reader.pending_bytes();
+  } catch (const util::FrameError&) {
+    out.refused = true;
+  }
+  return out;
+}
+
+TEST(ShardFuzz, FrameReaderYieldsOnlyWholeFramesOrRefuses) {
+  const std::vector<std::string> payloads{
+      shard::encode({shard::MessageType::kHello, 0, 0, 3}), "",
+      std::string(300, 'q'),
+      shard::encode({shard::MessageType::kShutdown, 0, 9, 0})};
+  std::string stream;
+  std::vector<std::size_t> ends;
+  for (const std::string& payload : payloads) {
+    const std::size_t start = util::begin_frame(stream);
+    stream += payload;
+    util::finish_frame(stream, start);
+    ends.push_back(stream.size());
+  }
+  // Truncation at every byte: the whole frames before the cut, in order,
+  // and the rest held back as pending.
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    const Drained got = drain(std::string_view{stream}.substr(0, cut), 512);
+    std::size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= cut) ++whole;
+    ASSERT_FALSE(got.refused) << "cut at " << cut;
+    ASSERT_EQ(got.payloads.size(), whole) << "cut at " << cut;
+    for (std::size_t i = 0; i < whole; ++i)
+      EXPECT_EQ(got.payloads[i], payloads[i]);
+    EXPECT_EQ(got.pending, cut - (whole == 0 ? 0 : ends[whole - 1]));
+  }
+  // Forged and oversized length prefixes: a prefix beyond the limit is a
+  // FrameError; one within it frames exactly the bytes that follow (what
+  // the rest of the stream then frames is forged too).
+  util::Rng rng{0xF4A3E};
+  for (int round = 0; round < 200; ++round) {
+    std::string forged = stream;
+    const std::uint32_t size =
+        round < 100 ? static_cast<std::uint32_t>(rng.uniform(1024))
+                    : static_cast<std::uint32_t>(rng());
+    for (int i = 0; i < 4; ++i)
+      forged[i] = static_cast<char>((size >> (8 * i)) & 0xFF);
+    const Drained got = drain(forged, 512);
+    if (size > 512) {
+      EXPECT_TRUE(got.refused && got.payloads.empty()) << size;
+    } else if (size + 4 > forged.size()) {
+      EXPECT_TRUE(!got.refused && got.payloads.empty()) << size;
+      EXPECT_EQ(got.pending, forged.size());
+    } else {
+      ASSERT_FALSE(got.payloads.empty()) << size;
+      EXPECT_EQ(got.payloads[0], forged.substr(4, size));
+    }
+  }
+}
+
 // --- worker chaos plans ----------------------------------------------------
 
 TEST(WorkerChaos, NamedPlansAreDeterministicAndBounded) {
@@ -234,6 +618,159 @@ TEST(WorkerChaos, NamedPlansAreDeterministicAndBounded) {
   const auto stall = fault::make_worker_chaos("worker-stall", 9, 4, 21);
   ASSERT_EQ(stall.events.size(), 1u);
   EXPECT_EQ(stall.events[0].kind, fault::WorkerChaosEvent::Kind::kStall);
+
+  const auto garble = fault::make_worker_chaos("worker-garble", 9, 4, 21);
+  ASSERT_EQ(garble.events.size(), 1u);
+  EXPECT_EQ(garble.events[0].kind, fault::WorkerChaosEvent::Kind::kGarble);
+  EXPECT_LT(garble.events[0].worker, 4u);
+  EXPECT_GE(garble.events[0].after_batch, 1u);
+}
+
+// --- worker: fed through its data pipe --------------------------------------
+
+/// SIGPIPE ignored while a test writes to a worker's data pipe.
+struct SigpipeIgnored {
+  struct sigaction saved {};
+  SigpipeIgnored() {
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ::sigaction(SIGPIPE, &ignore, &saved);
+  }
+  ~SigpipeIgnored() { ::sigaction(SIGPIPE, &saved, nullptr); }
+  SigpipeIgnored(const SigpipeIgnored&) = delete;
+  SigpipeIgnored& operator=(const SigpipeIgnored&) = delete;
+};
+
+/// A run_worker child forked from the test, with the test holding the
+/// coordinator's ends of its two pipes.
+struct ForkedWorker {
+  pid_t pid = -1;
+  int status_fd = -1;
+  int data_fd = -1;
+
+  ForkedWorker(workload::SyriaScenario& scenario,
+               const std::string& initial_state,
+               const std::string& directory) {
+    const util::Pipe status = util::make_pipe();
+    const util::Pipe data = util::make_pipe();
+    std::fflush(nullptr);
+    pid = ::fork();
+    if (pid == 0) {
+      util::close_fd(status.read_fd);
+      util::close_fd(data.write_fd);
+      shard::WorkerSpec spec;
+      spec.scenario = &scenario;
+      spec.initial_farm_state = &initial_state;
+      spec.worker = 0;
+      spec.workers = 1;
+      spec.proxy_mask = kAllProxies;
+      spec.directory = directory;
+      spec.commit_interval = 8;
+      std::_Exit(shard::run_worker(spec, status.write_fd, data.read_fd));
+    }
+    util::close_fd(status.write_fd);
+    util::close_fd(data.read_fd);
+    status_fd = status.read_fd;
+    data_fd = data.write_fd;
+  }
+
+  bool send(std::string_view bytes) const {
+    return ::write(data_fd, bytes.data(), bytes.size()) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// Closes the data pipe (the coordinator's death, as the worker sees
+  /// it) and returns the worker's exit code.
+  int finish() {
+    util::close_fd(data_fd);
+    data_fd = -1;
+    int status = 0;
+    ::waitpid(pid, &status, 0);
+    pid = -1;
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+
+  /// The first status frame: the worker's HELLO.
+  std::optional<shard::Message> hello() const {
+    char byte;
+    std::string frame;
+    while (frame.size() < 4 + 25 && ::read(status_fd, &byte, 1) == 1)
+      frame += byte;
+    if (frame.size() < 4 + 25) return std::nullopt;
+    return shard::decode(std::string_view{frame}.substr(4));
+  }
+
+  ~ForkedWorker() {
+    util::close_fd(status_fd);
+    util::close_fd(data_fd);
+    if (pid > 0) {  // a failed assertion skipped finish()
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+  ForkedWorker(const ForkedWorker&) = delete;
+  ForkedWorker& operator=(const ForkedWorker&) = delete;
+};
+
+TEST(ShardWorker, MalformedDataFrameExitsWorkerError) {
+  const SigpipeIgnored sigpipe;
+  workload::SyriaScenario scenario{small_config(12'000, 1)};
+  const std::string initial = scenario.farm().save_state();
+  TempDir dir{"worker_garbage"};
+  ForkedWorker worker{scenario, initial, (dir.path / "shard-00").string()};
+  const auto hello = worker.hello();
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->status, 0u);  // fresh: starts at batch 0
+  // A well-framed payload that is not a batch frame.
+  std::string frame;
+  const std::size_t start = util::begin_frame(frame);
+  frame += "not a batch frame";
+  util::finish_frame(frame, start);
+  ASSERT_TRUE(worker.send(frame));
+  EXPECT_EQ(worker.finish(), shard::kWorkerError);
+}
+
+TEST(ShardWorker, InputEofBeforeLastBatchCommitsAndInterrupts) {
+  const SigpipeIgnored sigpipe;
+  const auto config = small_config(12'000, 1);
+  const std::string expected = reference_log(config);
+  workload::SyriaScenario scenario{config};
+  const std::string initial = scenario.farm().save_state();
+  TempDir dir{"worker_eof"};
+  const std::string shard_dir = (dir.path / "shard-00").string();
+  workload::RoutedBatch batch;
+  const auto frame_of = [&](std::size_t b) {
+    EXPECT_TRUE(scenario.generate_batch(b, batch));
+    std::string frame;
+    shard::append_batch_frame(batch, kAllProxies, frame);
+    return frame;
+  };
+
+  // Three batches, then the coordinator "dies": the worker commits what
+  // it has (no commit was due at interval 8) and stops resumable.
+  {
+    ForkedWorker worker{scenario, initial, shard_dir};
+    for (std::size_t b = 0; b < 3; ++b) ASSERT_TRUE(worker.send(frame_of(b)));
+    EXPECT_EQ(worker.finish(), shard::kWorkerInterrupted);
+  }
+  const auto manifest = durable::RunManifest::load(
+      shard_dir + "/" + std::string(durable::RunManifest::kFileName));
+  EXPECT_EQ(manifest.state, "interrupted");
+  EXPECT_EQ(manifest.next_batch, 3u);
+
+  // A restarted worker says where it resumes, and fed from there its
+  // spool is the whole single-process log (it owns every proxy).
+  {
+    ForkedWorker worker{scenario, initial, shard_dir};
+    const auto hello = worker.hello();
+    ASSERT_TRUE(hello.has_value());
+    EXPECT_EQ(hello->status, 3u);
+    for (std::size_t b = 3; b < scenario.batch_count(); ++b)
+      ASSERT_TRUE(worker.send(frame_of(b)));
+    EXPECT_EQ(worker.finish(), shard::kWorkerCompleted);
+  }
+  EXPECT_EQ(slurp(shard_dir + "/log_spool.csv"), expected);
 }
 
 // --- coordinator: byte-identity --------------------------------------------
@@ -313,6 +850,33 @@ TEST(ShardFarm, HeartbeatTimeoutDetectsAStalledWorker) {
   EXPECT_GE(run.restarts, 1u);
   EXPECT_TRUE(run.degraded_shards.empty());
   EXPECT_EQ(slurp(options.out_path), expected);
+}
+
+TEST(ShardFarm, GarbledDataFrameRestartsBitIdentically) {
+  // The coordinator corrupts one data frame: the worker refuses it and
+  // exits kWorkerError, and its restart resumes from its checkpoint with
+  // regenerated input.
+  const auto config = small_config(20'000, 2);
+  const std::string expected = reference_log(config);
+  TempDir dir{"farm_garble"};
+  auto options = sharded_options(config, dir, 4);
+  options.worker_chaos = "worker-garble";
+  const auto run = shard::run_sharded(options);
+  ASSERT_TRUE(run.completed);
+  EXPECT_EQ(run.restarts, 1u);
+  EXPECT_TRUE(run.degraded_shards.empty());
+  EXPECT_EQ(slurp(options.out_path), expected);
+}
+
+TEST(ShardFarm, LeavesTheCallersSigpipeDispositionAlone) {
+  struct sigaction before {};
+  ::sigaction(SIGPIPE, nullptr, &before);
+  TempDir dir{"farm_sigpipe"};
+  auto options = sharded_options(small_config(8'000, 1), dir, 2);
+  ASSERT_TRUE(shard::run_sharded(options).completed);
+  struct sigaction after {};
+  ::sigaction(SIGPIPE, nullptr, &after);
+  EXPECT_EQ(after.sa_handler, before.sa_handler);
 }
 
 TEST(ShardFarm, ExhaustedRestartBudgetDegradesGracefully) {

@@ -5,7 +5,6 @@
 #   bench_parallel_pipeline  -> BENCH_pipeline.json
 #   bench_colfmt_scan        -> BENCH_colfmt.json
 #   bench_analyzer_matrix    -> BENCH_analysis.json
-#   bench_shard_farm         -> BENCH_shard.json
 #   bench_stream_sketch      -> BENCH_stream.json
 #
 # Each JSON file is google-benchmark's machine-readable output; the colfmt
@@ -37,7 +36,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 echo "==> [bench] build"
 cmake --build "${build_dir}" -j "${jobs}" \
       --target bench_parallel_pipeline bench_colfmt_scan \
-               bench_analyzer_matrix bench_shard_farm bench_stream_sketch
+               bench_analyzer_matrix bench_stream_sketch
 
 run_bench() {
   local name="$1" json="$2"
@@ -51,7 +50,6 @@ run_bench() {
 run_bench bench_parallel_pipeline BENCH_pipeline.json
 run_bench bench_colfmt_scan BENCH_colfmt.json
 run_bench bench_analyzer_matrix BENCH_analysis.json
-run_bench bench_shard_farm BENCH_shard.json
 run_bench bench_stream_sketch BENCH_stream.json
 
 echo "==> benchmark baselines written to ${out_dir}"

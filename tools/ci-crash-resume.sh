@@ -11,8 +11,11 @@
 # The sharded legs exercise the multi-process farm (--workers): real
 # SIGKILLed workers (--worker-chaos) must restart and merge byte-identical
 # to the single-process run; an exhausted restart budget must complete
-# degraded (exit 0, explicit [DEGRADED DATA]); and SIGTERM must stop the
-# whole farm gracefully into a resumable set of per-shard checkpoints.
+# degraded (exit 0, explicit [DEGRADED DATA]); SIGTERM must stop the
+# whole farm gracefully into a resumable set of per-shard checkpoints; and
+# a coordinator killed with SIGKILL must take no worker with it for long:
+# each loses its input, commits and exits, and the farm resumes
+# byte-identical.
 #
 # Usage:
 #   tools/ci-crash-resume.sh [build-dir]   # default: build/
@@ -171,6 +174,48 @@ if grep -q -- "--resume" "${sstop_dir}/log"; then
 fi
 cmp "${stop_dir}/out.csv" "${sstop_dir}/merged.csv" || {
   echo "error: resumed sharded run differs from single-process run" >&2
+  exit 1
+}
+
+echo "==> orphaned workers: kill -9 the coordinator, every worker stops"
+orphan_dir="${workdir}/orphaned"
+mkdir -p "${orphan_dir}"
+"${ctl}" generate --out "${orphan_dir}/merged.csv" --requests 400000 \
+    --workers 4 --checkpoint-dir "${orphan_dir}/ckpt" \
+    >"${orphan_dir}/log" 2>&1 &
+pid=$!
+# Kill only once a shard has demonstrably committed (as in the legs above).
+while kill -0 "${pid}" 2>/dev/null &&
+      ! compgen -G "${orphan_dir}/ckpt/shard-*/farm_state*.bin" >/dev/null; do
+  sleep 0.05
+done
+workers="$(pgrep -P "${pid}" || true)"
+kill -KILL "${pid}" 2>/dev/null || true
+wait "${pid}" 2>/dev/null || true
+[[ -n "${workers}" ]] || {
+  echo "error: the coordinator had no live worker to orphan" >&2; exit 1; }
+# A zombie has exited; only its reaping is left to whoever adopted it.
+running() {
+  [[ -r "/proc/$1/stat" ]] &&
+    [[ "$(awk '{print $3}' "/proc/$1/stat" 2>/dev/null)" != "Z" ]]
+}
+deadline=$((SECONDS + 5))
+for worker in ${workers}; do
+  while running "${worker}"; do
+    (( SECONDS < deadline )) || {
+      echo "error: worker ${worker} outlived its coordinator by 5 s" >&2
+      exit 1
+    }
+    sleep 0.05
+  done
+done
+echo "==> every orphaned worker stopped; resume the farm"
+"${ctl}" verify "${orphan_dir}/ckpt/shard-00" >/dev/null
+"${ctl}" generate --out "${orphan_dir}/merged.csv" --requests 400000 \
+    --workers 4 --checkpoint-dir "${orphan_dir}/ckpt" --resume >/dev/null
+cmp "${stop_dir}/out.csv" "${orphan_dir}/merged.csv" || {
+  echo "error: farm resumed after its coordinator's SIGKILL differs from" \
+       "the single-process run" >&2
   exit 1
 }
 

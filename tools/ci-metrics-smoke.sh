@@ -4,7 +4,9 @@
 # syrwatch.metrics.v1 JSON (schema tag, required keys, non-negative
 # counts, pipeline counter identities, phases summing to roughly the
 # total). Exercises both a full simulate→analyze run (profile) and the
-# generate→stats log round trip.
+# generate→stats log round trip, then the sharded farm: `generate
+# --workers 2` must report the generation its coordinator ran, request
+# for request the single-process count, and the data-channel bytes.
 #
 # Usage:
 #   tools/ci-metrics-smoke.sh [build-dir]   # default: build/
@@ -24,11 +26,11 @@ trap 'rm -rf "${workdir}"' EXIT
 command -v python3 >/dev/null || { echo "error: python3 required" >&2; exit 1; }
 
 validate() {
-  local file="$1" command="$2" mode="$3"
-  python3 - "$file" "$command" "$mode" <<'PY'
+  local file="$1" command="$2" mode="$3" reference="${4:-}"
+  python3 - "$file" "$command" "$mode" "$reference" <<'PY'
 import json, sys
 
-path, command, mode = sys.argv[1], sys.argv[2], sys.argv[3]
+path, command, mode, reference = sys.argv[1:5]
 with open(path) as handle:
     doc = json.load(handle)
 
@@ -88,6 +90,22 @@ if mode == "pipeline":
                     if k.startswith("policy.rule_hit."))
     if rule_hits != c("proxy.policy.denied") + c("proxy.policy.redirect"):
         die("per-kind rule hits do not sum to policy verdicts")
+elif mode == "sharded":
+    # The coordinator generates and routes once; its workers' proxy
+    # counters die with them, so only generation and shard.* are here.
+    with open(reference) as handle:
+        single = json.load(handle)["counters"]["scenario.generated"]
+    if counters.get("scenario.generated") != single:
+        die(f"scenario.generated {counters.get('scenario.generated')} != "
+            f"single-process {single}")
+    if "scenario.generate_shard" not in doc["stages"]:
+        die("no scenario.generate_shard stage")
+    if counters.get("farm.route.calls") != single:
+        die("farm.route.calls != scenario.generated")
+    if counters.get("shard.data_bytes", 0) <= 0:
+        die("shard.data_bytes is not positive")
+    if counters.get("shard.restarts", 0) != 0:
+        die("an undisturbed sharded run restarted a worker")
 elif mode == "reader":
     if c := counters.get("cli.rows_loaded", 0):
         pass
@@ -108,6 +126,13 @@ echo "==> generate --metrics (simulate -> log)"
 "${ctl}" generate --out "${workdir}/leak.csv" --requests 60000 \
     --metrics "${workdir}/generate.json" >/dev/null
 validate "${workdir}/generate.json" generate pipeline
+
+echo "==> generate --workers 2 --metrics (sharded farm)"
+"${ctl}" generate --out "${workdir}/sharded.csv" --requests 60000 \
+    --workers 2 --checkpoint-dir "${workdir}/shards" \
+    --metrics "${workdir}/sharded.json" >/dev/null
+cmp "${workdir}/leak.csv" "${workdir}/sharded.csv"
+validate "${workdir}/sharded.json" generate sharded "${workdir}/generate.json"
 
 echo "==> stats --metrics (log reader path)"
 "${ctl}" stats "${workdir}/leak.csv" --metrics "${workdir}/stats.json" \

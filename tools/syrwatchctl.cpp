@@ -22,8 +22,10 @@
 //       --workers N shards the farm across N supervised worker processes
 //       (requires --checkpoint-dir, csv format): each worker owns a
 //       deterministic subset of the proxies with its own durable
-//       checkpoint, a dead worker is restarted with capped exponential
-//       backoff and resumes from its own manifest, and the surviving
+//       checkpoint and filters only their requests, which the coordinator
+//       generates once and streams to it; a dead worker is restarted with
+//       capped exponential backoff and resumes from its own manifest, a
+//       worker whose coordinator died commits and stops, and the surviving
 //       spools k-way merge into --out — byte-identical to --workers 1 and
 //       to the single-process path when every shard survives. A shard
 //       that exhausts --restart-budget (default 3) is abandoned: the run
