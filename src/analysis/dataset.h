@@ -39,6 +39,8 @@ class ColumnStore {
   std::string_view text(std::uint32_t id) const noexcept {
     return (*strings_)[id];
   }
+  /// Entries of the id → text table.
+  std::size_t text_count() const noexcept { return strings_->size(); }
   /// Precondition: `id` occurs in some chunk's host column.
   const HostInfo& host(std::uint32_t id) const noexcept {
     return hosts_[host_slot_[id]];

@@ -230,38 +230,38 @@ void open_csv(const std::string& path, const SourceOptions& options,
               proxy::LogReadStats& read_stats) {
   std::ifstream in{path, std::ios::binary};
   if (!in) refuse(SourceOpenErrorCode::kNotFound, path, "cannot open");
-  dataset = std::make_unique<Dataset>();
-  if (options.lenient) {
-    read_stats = proxy::scan_log_lenient(
-        in, [&](const proxy::LogRecordView& record) { dataset->add(record); });
-    return;
+  if (!options.lenient) {
+    // Strict: typed refusals. Writers in this codebase always end logs
+    // with a newline, so a missing one is the signature of a
+    // crash-truncated artifact — refuse it as a torn tail *before*
+    // parsing, pointing the operator at --lenient.
+    const auto tail = last_byte(path);
+    if (!tail.has_value())
+      refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
+    if (*tail != '\n')
+      refuse(SourceOpenErrorCode::kTornTail, path,
+             "final line lacks a newline (truncated write?)");
   }
-  // Strict: typed refusals instead of read_log's untyped throw. Writers
-  // in this codebase always end logs with a newline, so a missing one is
-  // the signature of a crash-truncated artifact — refuse it as a torn
-  // tail *before* parsing, pointing the operator at --lenient.
-  const auto tail = last_byte(path);
-  if (!tail.has_value())
-    refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
-  if (*tail != '\n')
-    refuse(SourceOpenErrorCode::kTornTail, path,
-           "final line lacks a newline (truncated write?)");
+  dataset = std::make_unique<Dataset>();
+  // Workers parse ahead; rows are added here, on one thread in line
+  // order, so every id and row is the one a serial load produces.
   proxy::LogLineReader reader;
-  proxy::for_each_line(in, [&](std::string_view line) {
-    const proxy::LineKind kind = reader.frame(line);
-    if (!reader.stats().header_present)
-      refuse(SourceOpenErrorCode::kBadMagic, path,
-             "first line is not the log CSV header");
-    if (kind == proxy::LineKind::kRecord) {
-      dataset->add(reader.record());
-    } else if (kind == proxy::LineKind::kSkipped) {
-      refuse(SourceOpenErrorCode::kMalformed, path,
-             "line " + std::to_string(reader.stats().lines) + ": " +
-                 std::string{proxy::to_string(reader.diagnosis().error)});
-    }
-  });
-  if (reader.stats().lines == 0)
-    refuse(SourceOpenErrorCode::kBadMagic, path, "empty file, no header");
+  const proxy::LogReadStats stats = proxy::read_log_ahead(
+      in, options.threads, reader,
+      [&](proxy::LineKind kind, const proxy::ParsedLine& line) {
+        if (!options.lenient) {
+          if (!reader.stats().header_present)
+            refuse(SourceOpenErrorCode::kBadMagic, path,
+                   "first line is not the log CSV header");
+          if (kind == proxy::LineKind::kSkipped)
+            refuse(SourceOpenErrorCode::kMalformed, path,
+                   "line " + std::to_string(reader.stats().lines) + ": " +
+                       std::string{proxy::to_string(line.diagnosis.error)});
+        }
+        if (kind == proxy::LineKind::kRecord) dataset->add(line.record);
+      },
+      options.obs);
+  if (options.lenient) read_stats = stats;
 }
 
 }  // namespace

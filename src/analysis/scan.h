@@ -11,6 +11,7 @@
 
 #include "analysis/columnar.h"
 #include "analysis/dataset.h"
+#include "obs/context.h"
 #include "proxy/log_io.h"
 #include "util/parallel.h"
 
@@ -24,8 +25,9 @@ namespace syrwatch::analysis {
 /// worker fills a private Partial from one partition's records in row
 /// order, and the analyzer's fold merges the partials in partition order.
 /// Because folds are required to be partition-layout independent
-/// (container partitions are its blocks, dataset partitions are 64Ki-row
-/// chunks) and to reproduce the sequential row scan's observable state,
+/// (partitions are slices of at most 16Ki rows of the store's chunks:
+/// container blocks, or the dataset's 64Ki-row chunks) and to reproduce
+/// the sequential row scan's observable state,
 /// every analyzer's output is byte-identical across backends and thread
 /// counts.
 
@@ -86,17 +88,27 @@ class LogSource {
   /// was constructed.
   std::uint64_t base_rows() const noexcept { return store_->rows(); }
 
-  /// Scan partitions: the store's chunks, contiguous and in row order. A
-  /// masked source keeps its base's partitions and simply yields fewer
-  /// records. The layout never depends on the thread count, so the
-  /// partial sequence an analyzer folds is the same for every `threads`.
-  std::size_t partitions() const noexcept { return store_->chunks().size(); }
+  /// Rows per scan partition, at most: a fixed constant, so that a
+  /// 64Ki-row chunk or block spreads over four workers.
+  static constexpr std::size_t kSliceRows = 16 * 1024;
+
+  /// Scan partitions: slices of at most kSliceRows rows, each inside one
+  /// of the store's chunks, contiguous and in row order. A masked source
+  /// keeps its base's partitions and simply yields fewer records. The
+  /// layout never depends on the thread count, so the partial sequence an
+  /// analyzer folds is the same for every `threads`.
+  std::size_t partitions() const noexcept {
+    std::size_t count = 0;
+    for (const colfmt::DecodedBlock& chunk : store_->chunks())
+      count += slices_of(chunk);
+    return count;
+  }
 
   /// One past the last base ordinal partition `p` covers — the bound
   /// scan_increment uses to skip fully-consumed partitions.
   std::uint64_t partition_base_end(std::size_t p) const noexcept {
-    const colfmt::DecodedBlock& chunk = store_->chunks()[p];
-    return chunk.row_base + chunk.rows;
+    const Slice slice = locate(p);
+    return slice.chunk->row_base + slice.end;
   }
 
   /// True min/max record timestamps. Precondition: rows() > 0. Stores
@@ -136,8 +148,9 @@ class LogSource {
   /// order. Thread-safe: scans only read.
   template <typename Fn>
   void scan_partition(std::size_t p, Fn&& fn) const {
-    const colfmt::DecodedBlock& chunk = store_->chunks()[p];
-    for (std::size_t i = 0; i < chunk.rows; ++i) {
+    const Slice slice = locate(p);
+    const colfmt::DecodedBlock& chunk = *slice.chunk;
+    for (std::size_t i = slice.begin; i < slice.end; ++i) {
       const std::uint64_t ordinal = chunk.row_base + i;
       if (mask_ && (*mask_)[static_cast<std::size_t>(ordinal)] == 0)
         continue;
@@ -146,6 +159,30 @@ class LogSource {
   }
 
  private:
+  /// Rows [begin, end) of one chunk: partition p.
+  struct Slice {
+    const colfmt::DecodedBlock* chunk;
+    std::size_t begin;
+    std::size_t end;
+  };
+
+  static std::size_t slices_of(const colfmt::DecodedBlock& chunk) noexcept {
+    return (chunk.rows + kSliceRows - 1) / kSliceRows;
+  }
+
+  /// Partition `p`'s chunk and rows. Precondition: p < partitions().
+  Slice locate(std::size_t p) const noexcept {
+    for (const colfmt::DecodedBlock& chunk : store_->chunks()) {
+      const std::size_t slices = slices_of(chunk);
+      if (p < slices) {
+        const std::size_t begin = p * kSliceRows;
+        return {&chunk, begin, std::min(begin + kSliceRows, chunk.rows)};
+      }
+      p -= slices;
+    }
+    return {nullptr, 0, 0};
+  }
+
   /// The one adapter: row `i` of a chunk as a Record.
   Record record(const colfmt::DecodedBlock& c, std::size_t i,
                 std::uint64_t ordinal) const {
@@ -297,9 +334,12 @@ struct SourceOptions {
   /// Recover damaged inputs (torn tails truncated, malformed rows
   /// skipped and tallied) instead of throwing.
   bool lenient = false;
-  /// Parallelizes the container's block decode (identical result for
-  /// any value).
+  /// Parallelizes the container's block decode and the csv parse
+  /// (identical result for any value).
   std::size_t threads = 1;
+  /// Receives the csv load's counters and stage timers
+  /// (proxy::read_log_ahead); null records nothing.
+  obs::Context* obs = nullptr;
 };
 
 /// An on-disk log opened for analysis: whichever store the bytes called
@@ -308,8 +348,11 @@ struct SourceOptions {
 /// handed to analyzers stay valid as long as this object lives.
 class OpenedSource {
  public:
-  LogSource source() const {
-    return columnar_ ? LogSource{*columnar_} : LogSource{*dataset_};
+  LogSource source() const { return LogSource{store()}; }
+  /// The store the bytes filled: the row Dataset or the container's.
+  const ColumnStore& store() const noexcept {
+    if (columnar_) return *columnar_;
+    return *dataset_;
   }
   std::uint64_t rows() const { return source().rows(); }
   bool is_columnar() const noexcept { return columnar_ != nullptr; }

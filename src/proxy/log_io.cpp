@@ -1,13 +1,18 @@
 #include "proxy/log_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <future>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/trace.h"
 #include "util/csv.h"
+#include "util/parallel.h"
 #include "util/simtime.h"
 
 namespace syrwatch::proxy {
@@ -336,24 +341,6 @@ bool LineBuffer::next(std::string_view& line) noexcept {
   return true;
 }
 
-bool for_each_line(std::istream& in,
-                   const std::function<void(std::string_view)>& on_line) {
-  LineBuffer lines;
-  std::string_view line;
-  for (;;) {
-    const std::span<char> space = lines.space();
-    in.read(space.data(), static_cast<std::streamsize>(space.size()));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (in.bad()) throw std::runtime_error("csv log: read error");
-    if (got == 0) break;
-    lines.filled(got);
-    while (lines.next(line)) on_line(line);
-  }
-  if (lines.partial().empty()) return false;
-  on_line(lines.partial());
-  return true;
-}
-
 void write_log(std::ostream& out, const std::vector<LogRecord>& records) {
   out << log_csv_header() << '\n';
   std::string line;
@@ -384,16 +371,15 @@ util::ArtifactInfo write_log_file(const std::string& path,
 std::vector<LogRecord> read_log(std::istream& in) {
   LogLineReader reader;
   std::vector<LogRecord> records;
-  for_each_line(in, [&](std::string_view line) {
-    const LineKind kind = reader.frame(line);
+  read_log_ahead(in, 1, reader, [&](LineKind kind, const ParsedLine& line) {
     if (!reader.stats().header_present)
       throw std::runtime_error("read_log: missing or unexpected header");
     if (kind == LineKind::kRecord) {
-      assign(records.emplace_back(), reader.record());
+      assign(records.emplace_back(), line.record);
     } else if (kind == LineKind::kSkipped) {
       throw std::runtime_error(
           "read_log: line " + std::to_string(reader.stats().lines) + ": " +
-          describe_failure(reader.diagnosis()) + ": " + std::string(line));
+          describe_failure(line.diagnosis) + ": " + std::string(line.text));
     }
   });
   if (!reader.stats().header_present)
@@ -425,32 +411,38 @@ std::string LogReadStats::summary() const {
   return out;
 }
 
-LineKind LogLineReader::frame(std::string_view line) {
-  ++stats_.lines;
+void parse_line(std::string_view line, ParsedLine& out,
+                std::string& scratch) {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  last_empty_ = line.empty();
+  out.text = line;
+  out.diagnosis = line.empty() ? ParseDiagnosis{}
+                               : parse_log_line(line, out.record, scratch);
+}
+
+LineKind LogLineReader::account(const ParsedLine& line) {
+  ++stats_.lines;
+  last_empty_ = line.text.empty();
   if (expect_header_) {
     expect_header_ = false;
-    if (line == log_csv_header()) {
+    if (line.text == log_csv_header()) {
       stats_.header_present = true;
       return LineKind::kHeader;
     }
     // Headerless (or header-damaged) log: try the line as data — a
     // truncated header is tallied as a skipped line.
   }
-  if (line.empty()) {
+  if (line.text.empty()) {
     ++stats_.empty_lines;
     return LineKind::kEmpty;
   }
   ++stats_.data_lines;
-  diagnosis_ = parse_log_line(line, record_, scratch_);
-  last_data_error_ = diagnosis_.error;
+  last_data_error_ = line.diagnosis.error;
   last_data_error_line_ = stats_.lines;
-  if (diagnosis_.error == ParseError::kNone) {
+  if (line.diagnosis.error == ParseError::kNone) {
     ++stats_.recovered;
     return LineKind::kRecord;
   }
-  const auto reason = static_cast<std::size_t>(diagnosis_.error);
+  const auto reason = static_cast<std::size_t>(line.diagnosis.error);
   ++stats_.skipped[reason];
   if (stats_.first_error_line[reason] == 0)
     stats_.first_error_line[reason] = stats_.lines;
@@ -464,14 +456,153 @@ void LogLineReader::finish(bool unterminated) noexcept {
        last_data_error_line_ == stats_.lines);
 }
 
+namespace {
+
+/// One newline-aligned slice of a window, parsed by one worker.
+struct Slice {
+  std::string_view bytes;
+  std::vector<ParsedLine> lines;
+  /// The doubled-quote fields of `lines`: a deque never moves a string.
+  std::deque<std::string> arena;
+  std::string scratch;
+};
+
+/// Whole lines of the log and, behind them, the start of the next one.
+struct Window {
+  std::string bytes;
+  std::size_t size = 0;  // bytes filled
+  std::size_t cut = 0;   // one past the last whole line
+  bool last = false;     // the stream ended: [0, cut) is its final line
+  std::vector<Slice> slices;
+
+  std::string_view partial() const noexcept {
+    return {bytes.data() + cut, size - cut};
+  }
+};
+
+/// Refills `window` with `carry` (the previous window's partial line) and
+/// the next kParseWindowBytes of `in`, reading on while no newline has
+/// come (a line longer than a window). At the end of the stream the
+/// partial line is the window's only, unterminated line.
+void fill(std::istream& in, std::string_view carry, Window& window) {
+  if (window.bytes.size() < carry.size() + kParseWindowBytes)
+    window.bytes.resize(carry.size() + kParseWindowBytes);
+  std::copy(carry.begin(), carry.end(), window.bytes.begin());
+  window.size = carry.size();
+  for (;;) {
+    const std::size_t from = window.size;
+    if (window.bytes.size() < from + kParseWindowBytes)
+      window.bytes.resize(from + kParseWindowBytes);
+    in.read(window.bytes.data() + from,
+            static_cast<std::streamsize>(kParseWindowBytes));
+    if (in.bad()) throw std::runtime_error("csv log: read error");
+    const auto got = static_cast<std::size_t>(in.gcount());
+    window.size += got;
+    const auto newline =
+        std::string_view{window.bytes.data() + from, got}.rfind('\n');
+    if (newline != std::string_view::npos) {
+      window.cut = from + newline + 1;
+      window.last = false;
+      return;
+    }
+    if (got == 0) {
+      window.cut = window.size;
+      window.last = true;
+      return;
+    }
+  }
+}
+
+void parse_slice(Slice& slice) {
+  slice.lines.clear();
+  slice.arena.clear();
+  std::string_view rest = slice.bytes;
+  while (!rest.empty()) {
+    const std::size_t end = std::min(rest.find('\n'), rest.size());
+    const std::string_view line = rest.substr(0, end);
+    rest.remove_prefix(std::min(end + 1, rest.size()));
+    ParsedLine& parsed = slice.lines.emplace_back();
+    parse_line(line, parsed, slice.scratch);
+    // A field unescaped into scratch must outlive the next line's parse.
+    if (!slice.scratch.empty())
+      parse_line(line, parsed, slice.arena.emplace_back());
+  }
+}
+
+/// fill, then parse the window's lines on `workers` threads, one
+/// newline-aligned slice each.
+void load(std::istream& in, std::string_view carry, Window& window,
+          std::size_t workers, obs::StageStats* parse_timer) {
+  fill(in, carry, window);
+  const std::string_view lines{window.bytes.data(), window.cut};
+  window.slices.resize(workers);
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < workers; ++s) {
+    std::size_t end = lines.size();
+    if (s + 1 < workers) {
+      // Past the newline that ends the line holding byte target - 1.
+      const std::size_t target = lines.size() / workers * (s + 1);
+      end = target <= begin
+                ? begin
+                : std::min(lines.find('\n', target - 1), lines.size() - 1) + 1;
+    }
+    window.slices[s].bytes = lines.substr(begin, end - begin);
+    begin = end;
+  }
+  util::parallel_for(workers, workers, [&](std::size_t s) {
+    const obs::StageTimer timer{parse_timer};
+    parse_slice(window.slices[s]);
+  });
+}
+
+}  // namespace
+
+LogReadStats read_log_ahead(
+    std::istream& in, std::size_t threads, LogLineReader& reader,
+    const std::function<void(LineKind, const ParsedLine&)>& on_line,
+    obs::Context* obs) {
+  obs::StageStats* const parse_timer = obs::stage(obs, "csv.parse_window");
+  obs::StageStats* const wait_timer = obs::stage(obs, "csv.append_wait");
+  const std::size_t workers = threads > 1 ? threads - 1 : 1;
+  std::array<Window, 2> windows;
+  Window* current = &windows[0];
+  Window* next = &windows[1];
+  load(in, {}, *current, workers, parse_timer);
+  for (;;) {
+    std::future<void> ahead;
+    if (!current->last)
+      ahead = std::async(
+          threads > 1 ? std::launch::async : std::launch::deferred,
+          [&in, carry = current->partial(), next, workers, parse_timer] {
+            load(in, carry, *next, workers, parse_timer);
+          });
+    for (const Slice& slice : current->slices)
+      for (const ParsedLine& line : slice.lines)
+        on_line(reader.account(line), line);
+    if (current->last) {
+      reader.finish(current->size != 0);
+      break;
+    }
+    {
+      const obs::StageTimer timer{wait_timer};
+      ahead.get();
+    }
+    std::swap(current, next);
+  }
+  const LogReadStats& stats = reader.stats();
+  obs::add(obs::counter(obs, "csv.lines"), stats.lines);
+  obs::add(obs::counter(obs, "csv.records"), stats.recovered);
+  obs::add(obs::counter(obs, "csv.skipped"), stats.skipped_total());
+  return stats;
+}
+
 LogReadStats scan_log_lenient(
     std::istream& in, const std::function<void(const LogRecordView&)>& sink) {
   LogLineReader reader;
-  const bool unterminated = for_each_line(in, [&](std::string_view line) {
-    if (reader.frame(line) == LineKind::kRecord) sink(reader.record());
-  });
-  reader.finish(unterminated);
-  return reader.stats();
+  return read_log_ahead(in, 1, reader,
+                        [&](LineKind kind, const ParsedLine& line) {
+                          if (kind == LineKind::kRecord) sink(line.record);
+                        });
 }
 
 LenientLog read_log_lenient(std::istream& in) {

@@ -13,6 +13,10 @@
 #include "proxy/log_record.h"
 #include "util/atomic_io.h"
 
+namespace syrwatch::obs {
+class Context;
+}
+
 namespace syrwatch::proxy {
 
 /// CSV serialization of log records in the leak's style: one line per
@@ -23,8 +27,9 @@ namespace syrwatch::proxy {
 /// One codec serves every writer and reader (DESIGN.md §4.15):
 /// append_csv formats a LogRecordView into a caller-owned buffer,
 /// parse_log_line splits a line in place into one, LineBuffer cuts a byte
-/// stream into lines without copying them, and LogLineReader frames each
-/// line (CRLF, header, blank lines, skip tally) the same way for all.
+/// stream into lines without copying them, LogLineReader frames each
+/// line (CRLF, header, blank lines, skip tally) the same way for all, and
+/// read_log_ahead reads a whole log, parsing a window ahead on workers.
 
 /// "date,time,s-ip,c-ip,cs-method,cs-host,..." header line.
 std::string log_csv_header();
@@ -99,12 +104,6 @@ class LineBuffer {
   std::size_t end_ = 0;      // end of the filled bytes
 };
 
-/// Reads `in` to its end in LineBuffer chunks, calling on_line for every
-/// line, including a final one that lacks its '\n'. Returns whether that
-/// final line lacked it. Throws std::runtime_error on a read error.
-bool for_each_line(std::istream& in,
-                   const std::function<void(std::string_view)>& on_line);
-
 /// Writes header + all records, then flushes. Throws std::runtime_error
 /// when the stream reports a write/flush failure — a full disk must not
 /// yield a silently truncated, parseable-looking log.
@@ -153,20 +152,44 @@ struct LogReadStats {
 /// What one line of a csv log is.
 enum class LineKind : std::uint8_t { kHeader, kEmpty, kRecord, kSkipped };
 
+/// One line of a csv log parsed without context: the pure half of
+/// LogLineReader::frame, which the parse-ahead reader runs on workers.
+struct ParsedLine {
+  /// The line without its '\n' and one trailing '\r'.
+  std::string_view text;
+  /// Of `text` as a data line (kNone for an empty line, which is not
+  /// parsed); `record` is meaningful when it is kNone.
+  ParseDiagnosis diagnosis;
+  LogRecordView record;
+};
+
+/// Strips one trailing '\r' from `line` (without its '\n') and parses the
+/// rest, unless it is empty, into `out`; a field with a doubled quote
+/// unescapes into `scratch`.
+void parse_line(std::string_view line, ParsedLine& out, std::string& scratch);
+
 /// The line framing every csv log reader shares: strips one trailing
 /// '\r', recognizes the header on the first line only (a headerless log's
 /// first line is tried as data), skips empty lines, parses every other
 /// line and tallies it in stats() — recovered, or skipped by reason.
 class LogLineReader {
  public:
-  /// Frames the next line (without its '\n').
-  LineKind frame(std::string_view line);
+  /// Frames the next line (without its '\n'): parse_line, then account.
+  LineKind frame(std::string_view line) {
+    parse_line(line, parsed_, scratch_);
+    return account(parsed_);
+  }
+  /// The stateful half of frame(), in line order: classifies a line
+  /// parse_line parsed and tallies it.
+  LineKind account(const ParsedLine& line);
 
-  /// The record of the last kRecord line; its views are valid until the
-  /// next frame() and while that line's bytes are unchanged.
-  const LogRecordView& record() const noexcept { return record_; }
-  /// Why the last kSkipped line failed.
-  const ParseDiagnosis& diagnosis() const noexcept { return diagnosis_; }
+  /// The record of the last kRecord line frame() saw; its views are valid
+  /// until the next frame() and while that line's bytes are unchanged.
+  const LogRecordView& record() const noexcept { return parsed_.record; }
+  /// Why the last line frame() saw failed, when it was kSkipped.
+  const ParseDiagnosis& diagnosis() const noexcept {
+    return parsed_.diagnosis;
+  }
   const LogReadStats& stats() const noexcept { return stats_; }
 
   /// The next line is a file's first again (a rotated spool), or not (a
@@ -178,15 +201,37 @@ class LogLineReader {
   void finish(bool unterminated) noexcept;
 
  private:
-  LogRecordView record_;
+  ParsedLine parsed_;  // frame()'s line
   std::string scratch_;
-  ParseDiagnosis diagnosis_;
   LogReadStats stats_;
   bool expect_header_ = true;
   bool last_empty_ = true;
   ParseError last_data_error_ = ParseError::kNone;
   std::uint64_t last_data_error_line_ = 0;
 };
+
+/// Bytes the parse-ahead reader reads per window; a window ends at the
+/// last newline in it, or holds one line longer than this.
+inline constexpr std::size_t kParseWindowBytes = std::size_t{1} << 20;
+
+/// The parse-ahead reader (DESIGN.md §4.15): reads `in` to its end in
+/// windows of whole lines. While `threads - 1` workers parse window k+1
+/// (parse_line over newline-aligned slices), the calling thread accounts
+/// window k's lines in order through `reader` and calls on_line with each
+/// line's kind and parse, whose views are valid during the call;
+/// reader.stats() counts that line already. threads <= 1 runs the same
+/// code inline.
+/// Memory stays at two windows. Finishes `reader` (a final line without
+/// its '\n' is a torn tail) and returns its stats. An exception from
+/// on_line propagates once the window in flight is parsed; a read error
+/// throws std::runtime_error. A non-null `obs` gets the counters
+/// csv.lines, csv.records and csv.skipped and the stage timers
+/// csv.parse_window (one worker's slice of a window) and csv.append_wait
+/// (the calling thread waiting for the next window).
+LogReadStats read_log_ahead(
+    std::istream& in, std::size_t threads, LogLineReader& reader,
+    const std::function<void(LineKind, const ParsedLine&)>& on_line,
+    obs::Context* obs = nullptr);
 
 /// The lenient read without the records: streams each recovered record
 /// to `sink` as a view, valid during the call.

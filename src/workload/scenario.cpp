@@ -43,15 +43,18 @@ constexpr double kSpecialsTotal =
 
 }  // namespace
 
+Environment::Environment(const ScenarioConfig& config)
+    : relays_(tor::RelayDirectory::synthesize(config.relay_count,
+                                              config.seed ^ 0x7042)),
+      torrents_(config.torrent_contents, config.seed),
+      geoip_(geo::build_world_geoip()) {}
+
 SyriaScenario::SyriaScenario(ScenarioConfig config)
     : config_(config),
       users_(config.user_population, config.seed),
       catalog_(config.catalog_tail, config.catalog_tail_weight, config.seed),
-      relays_(tor::RelayDirectory::synthesize(config.relay_count,
-                                              config.seed ^ 0x7042)),
-      torrents_(config.torrent_contents, config.seed),
-      geoip_(geo::build_world_geoip()),
-      policy_(policy::build_syria_policy(relays_, config.seed)),
+      environment_(config),
+      policy_(policy::build_syria_policy(relays(), config.seed)),
       farm_(&policy_, config.proxy_config, config.seed),
       faults_(fault::make_profile(config.fault_profile, config.seed)),
       stream_root_(util::mix64(config.seed ^ 0x5C3A)) {
@@ -98,17 +101,17 @@ SyriaScenario::SyriaScenario(ScenarioConfig config)
                                        &categorizer_));
   components_.push_back(
       make_suspected_misc(kSuspectedShare, &users_, &categorizer_));
-  components_.push_back(make_israel(kIsraelShare, &users_, &geoip_,
+  components_.push_back(make_israel(kIsraelShare, &users_, &geoip(),
                                     &categorizer_, config_.seed));
   components_.push_back(
-      make_direct_ip(kDirectIpShare, &users_, &geoip_, config_.seed));
+      make_direct_ip(kDirectIpShare, &users_, &geoip(), config_.seed));
   components_.push_back(make_anonymizers(kAnonymizerShare, &users_,
                                          &categorizer_, config_.seed));
   components_.push_back(
-      make_https_connect(kHttpsShare, &users_, &geoip_, config_.seed));
-  components_.push_back(make_tor(kTorShare, &users_, &relays_));
+      make_https_connect(kHttpsShare, &users_, &geoip(), config_.seed));
+  components_.push_back(make_tor(kTorShare, &users_, &relays()));
   components_.push_back(make_bittorrent(kBitTorrentShare, &users_,
-                                        &torrents_, &categorizer_));
+                                        &torrents(), &categorizer_));
 
   // Resolve each component's share boost once: probing the map with a
   // freshly allocated std::string key inside the slot loop was one heap

@@ -76,6 +76,23 @@ struct ScenarioConfig {
 
 using LogCallback = std::function<void(const proxy::LogRecord&)>;
 
+/// The lookup tables an analysis of the log consults — GeoIP ranges, the
+/// Tor relay directory and the torrent registry — deterministic in the
+/// config. SyriaScenario holds one; `syrwatchctl report` builds only this.
+class Environment {
+ public:
+  explicit Environment(const ScenarioConfig& config);
+
+  const tor::RelayDirectory& relays() const noexcept { return relays_; }
+  const TorrentRegistry& torrents() const noexcept { return torrents_; }
+  const geo::GeoIpDb& geoip() const noexcept { return geoip_; }
+
+ private:
+  tor::RelayDirectory relays_;
+  TorrentRegistry torrents_;
+  geo::GeoIpDb geoip_;
+};
+
 /// Routed traffic of one (day, slot) generation shard, before any proxy
 /// has seen it: phase 1's output.
 struct RoutedShard {
@@ -195,9 +212,13 @@ class SyriaScenario {
   const ScenarioConfig& config() const noexcept { return config_; }
   const UserModel& users() const noexcept { return users_; }
   const DomainCatalog& catalog() const noexcept { return catalog_; }
-  const tor::RelayDirectory& relays() const noexcept { return relays_; }
-  const TorrentRegistry& torrents() const noexcept { return torrents_; }
-  const geo::GeoIpDb& geoip() const noexcept { return geoip_; }
+  const tor::RelayDirectory& relays() const noexcept {
+    return environment_.relays();
+  }
+  const TorrentRegistry& torrents() const noexcept {
+    return environment_.torrents();
+  }
+  const geo::GeoIpDb& geoip() const noexcept { return environment_.geoip(); }
   const category::Categorizer& categorizer() const noexcept {
     return categorizer_;
   }
@@ -223,9 +244,7 @@ class SyriaScenario {
   ScenarioConfig config_;
   UserModel users_;
   DomainCatalog catalog_;
-  tor::RelayDirectory relays_;
-  TorrentRegistry torrents_;
-  geo::GeoIpDb geoip_;
+  Environment environment_;
   category::Categorizer categorizer_;
   policy::SyriaPolicy policy_;
   proxy::ProxyFarm farm_;

@@ -1,16 +1,21 @@
-// Dataset store: interning, classification, arrival order, chunking, and
-// the derived Table 1 views (derive_sources, masked views), all checked
-// through the LogSource records a scan sees.
+// Dataset store: interning, classification, arrival order, chunking, scan
+// slices, the derived Table 1 views (derive_sources, masked views), all
+// checked through the LogSource records a scan sees, and the csv load
+// through open_source at any thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/dataset.h"
 #include "analysis/scan.h"
+#include "proxy/log_io.h"
 #include "util/simtime.h"
 
 namespace {
@@ -62,23 +67,59 @@ TEST(Dataset, InternsRepeatedStrings) {
   EXPECT_EQ(records.front().path, "/home.php");
 }
 
-TEST(Dataset, ChunksRowsIntoFixedPartitions) {
+/// Partitions are contiguous, in row order, inside one chunk each and at
+/// most LogSource::kSliceRows rows long; returns their sizes.
+std::vector<std::uint64_t> checked_partitions(const LogSource& source) {
+  std::vector<std::uint64_t> sizes;
+  std::uint64_t expected = 0;
+  for (std::size_t p = 0; p < source.partitions(); ++p) {
+    const std::uint64_t first = expected;
+    source.scan_partition(p, [&](const Record& r) {
+      EXPECT_EQ(r.ordinal, expected++);
+    });
+    EXPECT_EQ(source.partition_base_end(p), expected) << p;
+    EXPECT_LE(expected - first, LogSource::kSliceRows) << p;
+    EXPECT_GT(expected - first, 0u) << p;
+    sizes.push_back(expected - first);
+  }
+  EXPECT_EQ(expected, source.base_rows());
+  return sizes;
+}
+
+TEST(Dataset, PartitionsAreSlicesOfChunks) {
   Dataset dataset;
   for (std::size_t i = 0; i < Dataset::kChunkRows + 3; ++i) {
     dataset.add(make_record("http://a.com/", at(8, 1) + i % 7,
                             proxy::FilterResult::kObserved,
                             proxy::ExceptionId::kNone));
   }
+  constexpr std::uint64_t kSlice = LogSource::kSliceRows;
+  EXPECT_EQ(checked_partitions(LogSource{dataset}),
+            (std::vector<std::uint64_t>{kSlice, kSlice, kSlice, kSlice, 3}));
+}
+
+TEST(Dataset, ScanIncrementOverAGrowingDatasetScansEachRowOnce) {
+  // Polls land mid-slice, on a slice edge and across a chunk edge.
+  Dataset dataset;
   const LogSource source{dataset};
-  ASSERT_EQ(source.partitions(), 2u);
-  EXPECT_EQ(source.partition_base_end(0), Dataset::kChunkRows);
-  EXPECT_EQ(source.partition_base_end(1), Dataset::kChunkRows + 3);
-  std::uint64_t expected = 0;
-  for (std::size_t p = 0; p < source.partitions(); ++p)
-    source.scan_partition(p, [&](const Record& r) {
-      EXPECT_EQ(r.ordinal, expected++);
+  std::vector<std::uint64_t> seen;
+  std::uint64_t high_water = 0;
+  std::uint64_t added = 0;
+  for (const std::uint64_t grow :
+       {std::uint64_t{0}, std::uint64_t{1000}, LogSource::kSliceRows - 1000,
+        std::uint64_t{1}, Dataset::kChunkRows, std::uint64_t{20'000}}) {
+    for (std::uint64_t i = 0; i < grow; ++i, ++added)
+      dataset.add(make_record("http://a.com/", at(8, 1) + added % 11,
+                              proxy::FilterResult::kObserved,
+                              proxy::ExceptionId::kNone));
+    high_water = scan_increment(source, high_water, [&](const Record& r) {
+      seen.push_back(r.ordinal);
     });
-  EXPECT_EQ(expected, Dataset::kChunkRows + 3);
+    EXPECT_EQ(high_water, added);
+    checked_partitions(source);
+  }
+  ASSERT_EQ(seen.size(), added);
+  for (std::uint64_t i = 0; i < added; ++i) ASSERT_EQ(seen[i], i);
 }
 
 TEST(Dataset, KeepsArrivalOrderAndTracksTimeBounds) {
@@ -254,6 +295,194 @@ TEST(DeriveSources, SampleDrawFollowsTimeOrderNotArrivalOrder) {
     return times;
   };
   EXPECT_EQ(sampled_times(forward), sampled_times(backward));
+}
+
+// --- csv loads at any thread count ------------------------------------------
+
+/// Lines of a csv log of over three parse windows, with what the
+/// windowing must keep whole: CRLF lines, blank lines, doubled-quote
+/// fields (the lines across the window boundaries among them) and one
+/// line longer than a window.
+std::vector<std::string> windowed_lines() {
+  std::vector<std::string> lines{proxy::log_csv_header() + "\n"};
+  std::size_t bytes = lines.front().size();
+  std::size_t boundary = proxy::kParseWindowBytes;
+  std::size_t crossing_quotes = 0;
+  for (int i = 0; bytes <= 3 * proxy::kParseWindowBytes; ++i) {
+    proxy::LogRecord record = make_record(
+        "http://a.com/", at(7, 22 + i % 9, i % 24),
+        i % 5 == 0 ? proxy::FilterResult::kDenied
+                   : proxy::FilterResult::kObserved,
+        i % 5 == 0 ? proxy::ExceptionId::kPolicyDenied
+                   : proxy::ExceptionId::kNone,
+        static_cast<std::uint8_t>(i % 7), static_cast<std::uint64_t>(i % 301));
+    record.url.host = "h" + std::to_string(i % 2000) + ".example.com";
+    if (i % 97 == 0) record.url.host = "10.0.0." + std::to_string(i % 250);
+    record.url.path = "/p/" + std::to_string(i);
+    record.user_agent = "UA " + std::to_string(i % 50);
+    if (i == 5000) record.url.query.assign(proxy::kParseWindowBytes + 99, 'q');
+    std::string line;
+    for (bool quoted = i % 13 == 0;; quoted = true) {
+      if (quoted)
+        record.user_agent = "Mozilla \"x, " + std::to_string(i) + "\"";
+      line.clear();
+      proxy::append_csv(proxy::view_of(record), line);
+      const bool crosses = bytes < boundary && bytes + line.size() > boundary;
+      if (!crosses || quoted) {
+        crossing_quotes += crosses;
+        break;
+      }
+    }
+    if (i % 7 == 3) line.insert(line.size() - 1, "\r");
+    bytes += line.size();
+    while (boundary < bytes) boundary += proxy::kParseWindowBytes;
+    lines.push_back(std::move(line));
+    if (i % 500 == 499) {
+      lines.push_back(i % 1000 == 999 ? "\r\n" : "\n");
+      bytes += lines.back().size();
+    }
+  }
+  EXPECT_GE(crossing_quotes, 3u);
+  return lines;
+}
+
+std::string write_log_text(const std::string& name, const std::string& text) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / name).string();
+  std::ofstream{path, std::ios::binary} << text;
+  return path;
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line;
+  return text;
+}
+
+/// Rows, every column, the id → text table and the host table.
+void expect_same_store(const ColumnStore& want, const ColumnStore& got) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.chunks().size(), want.chunks().size());
+  for (std::size_t c = 0; c < want.chunks().size(); ++c) {
+    const colfmt::DecodedBlock& w = want.chunks()[c];
+    const colfmt::DecodedBlock& g = got.chunks()[c];
+    EXPECT_EQ(g.rows, w.rows);
+    EXPECT_EQ(g.row_base, w.row_base);
+    EXPECT_TRUE(g.time == w.time && g.user_hash == w.user_hash &&
+                g.method == w.method && g.host == w.host &&
+                g.path == w.path && g.query == w.query &&
+                g.agent == w.agent && g.categories == w.categories &&
+                g.port == w.port && g.status == w.status &&
+                g.proxy_index == w.proxy_index && g.scheme == w.scheme &&
+                g.filter_result == w.filter_result &&
+                g.exception == w.exception && g.dest_ip == w.dest_ip &&
+                g.has_dest == w.has_dest)
+        << "chunk " << c;
+    for (const std::uint32_t id : w.host) {
+      const ColumnStore::HostInfo& a = want.host(id);
+      const ColumnStore::HostInfo& b = got.host(id);
+      ASSERT_TRUE(a.domain == b.domain && a.ip == b.ip && a.is_ip == b.is_ip)
+          << want.text(id);
+    }
+  }
+  ASSERT_EQ(got.text_count(), want.text_count());
+  for (std::uint32_t id = 0; id < want.text_count(); ++id)
+    ASSERT_EQ(got.text(id), want.text(id)) << id;
+  EXPECT_EQ(got.first_time(), want.first_time());
+  EXPECT_EQ(got.last_time(), want.last_time());
+}
+
+TEST(OpenSource, CsvLoadIsThreadCountInvariant) {
+  const std::vector<std::string> lines = windowed_lines();
+  const std::string path = write_log_text("windowed.csv", joined(lines));
+  // The serial loop the parse-ahead reader replaced: frame and add each
+  // line as it comes.
+  Dataset serial;
+  proxy::LogLineReader reader;
+  for (const std::string& line : lines)
+    if (reader.frame(std::string_view{line}.substr(0, line.size() - 1)) ==
+        proxy::LineKind::kRecord)
+      serial.add(reader.record());
+  for (const bool lenient : {false, true}) {
+    const OpenedSource want = open_source(
+        path, {.format = "csv", .lenient = lenient, .threads = 1});
+    EXPECT_GT(want.rows(), 15'000u);
+    expect_same_store(serial, want.store());
+    for (const std::size_t threads : {2, 3, 4, 7}) {
+      const OpenedSource got = open_source(
+          path, {.format = "csv", .lenient = lenient, .threads = threads});
+      expect_same_store(want.store(), got.store());
+      EXPECT_EQ(got.read_stats().lines, want.read_stats().lines);
+      EXPECT_EQ(got.read_stats().empty_lines, want.read_stats().empty_lines);
+      EXPECT_EQ(got.read_stats().recovered, want.read_stats().recovered);
+    }
+    if (lenient) {
+      EXPECT_EQ(want.read_stats().lines, lines.size());
+      EXPECT_EQ(want.read_stats().recovered, want.rows());
+      EXPECT_EQ(want.read_stats().skipped_total(), 0u);
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+struct Refusal {
+  SourceOpenErrorCode code = SourceOpenErrorCode::kNotFound;
+  std::string what;
+};
+
+Refusal refusal_of(const std::string& path, std::size_t threads) {
+  try {
+    open_source(path, {.format = "csv", .threads = threads});
+  } catch (const SourceOpenError& error) {
+    return {error.code(), error.what()};
+  }
+  ADD_FAILURE() << path << " opened at " << threads << " threads";
+  return {};
+}
+
+TEST(OpenSource, StrictCsvRefusalsAreThreadCountInvariant) {
+  const std::vector<std::string> lines = windowed_lines();
+  const auto with_bad_line = [&](std::size_t at) {
+    std::vector<std::string> damaged = lines;
+    damaged.insert(damaged.begin() + static_cast<std::ptrdiff_t>(at),
+                   "2011-07-22,garbage\n");
+    return joined(damaged);
+  };
+  // The first line past the second window boundary.
+  std::size_t later = 0;
+  for (std::size_t bytes = 0; bytes <= 2 * proxy::kParseWindowBytes; ++later)
+    bytes += lines[later].size();
+  const std::string text = joined(lines);
+  const struct {
+    const char* name;
+    std::string text;
+    SourceOpenErrorCode code;
+    std::string detail;
+  } cases[] = {
+      {"first-window.csv", with_bad_line(3), SourceOpenErrorCode::kMalformed,
+       "line 4: wrong column count"},
+      {"later-window.csv", with_bad_line(later),
+       SourceOpenErrorCode::kMalformed,
+       "line " + std::to_string(later + 1) + ": wrong column count"},
+      {"last-line.csv", with_bad_line(lines.size()),
+       SourceOpenErrorCode::kMalformed,
+       "line " + std::to_string(lines.size() + 1) + ": wrong column count"},
+      {"no-header.csv", text.substr(lines.front().size()),
+       SourceOpenErrorCode::kBadMagic, "first line is not the log CSV header"},
+      {"torn-tail.csv", text.substr(0, text.size() - 1),
+       SourceOpenErrorCode::kTornTail, "final line lacks a newline"},
+  };
+  for (const auto& c : cases) {
+    const std::string path = write_log_text(c.name, c.text);
+    const Refusal want = refusal_of(path, 1);
+    EXPECT_EQ(want.code, c.code) << c.name;
+    EXPECT_NE(want.what.find(c.detail), std::string::npos)
+        << c.name << ": " << want.what;
+    const Refusal got = refusal_of(path, 4);
+    EXPECT_EQ(got.code, want.code) << c.name;
+    EXPECT_EQ(got.what, want.what) << c.name;
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

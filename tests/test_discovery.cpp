@@ -337,12 +337,13 @@ TEST_F(DiscoveryTest, UpperCaseAllowedHostIsAllowed) {
 }
 
 TEST_F(DiscoveryTest, SourceWithoutAllowedRows) {
-  // Censored rows in the first and the last of three scan partitions.
+  // Censored rows in the first and the last of nine scan partitions
+  // (four 16Ki-row slices per full chunk, then the 70-row tail).
   add_censored("http://new-syria.com/", 30);
   add_censored("http://a-site.net/proxy/x", 20);
   add_errors(2 * Dataset::kChunkRows);
   add_censored("http://b-site.org/proxy/y", 20);
-  ASSERT_EQ(LogSource{dataset_}.partitions(), 3u);
+  ASSERT_EQ(LogSource{dataset_}.partitions(), 9u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const auto result =
@@ -362,7 +363,7 @@ TEST_F(DiscoveryTest, SourceWithoutCensoredRows) {
   add_allowed("http://www.facebook.com/proxy.php", 30);
   add_errors(Dataset::kChunkRows);
   add_allowed("http://google.com/search?q=proxy", 30);
-  ASSERT_EQ(LogSource{dataset_}.partitions(), 2u);
+  ASSERT_EQ(LogSource{dataset_}.partitions(), 5u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const auto result =

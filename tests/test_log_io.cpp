@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/context.h"
 #include "proxy/log_io.h"
 #include "util/rng.h"
 #include "util/simtime.h"
@@ -703,8 +705,17 @@ void expect_parse_agrees(const std::string& line, LogRecordView& view,
   if (record) expect_same_record(*record, view, line);
 }
 
-TEST(LogCodec, ParseMatchesReferenceOnSeededMutations) {
+/// Lines of a generated log and hand-built records, and 12,000 seeded
+/// mutations of them: truncations, byte flips, splices, deleted columns,
+/// stray, doubled and misplaced quotes, and '\r' tails.
+struct MutationCorpus {
   std::vector<std::string> lines;
+  std::vector<std::string> mutated;
+};
+
+MutationCorpus seeded_mutations() {
+  MutationCorpus corpus;
+  std::vector<std::string>& lines = corpus.lines;
   const auto generated = generated_log();
   for (std::size_t i = 0; i < generated.size(); i += 10)
     lines.push_back(reference::to_csv(generated[i]));
@@ -779,21 +790,29 @@ TEST(LogCodec, ParseMatchesReferenceOnSeededMutations) {
     return line;
   };
 
-  LogRecordView view;
-  std::string scratch;
-  std::size_t checked = 0;
-  std::size_t parsed = 0;
   for (int i = 0; i < 12'000; ++i) {
     std::string line = lines[rng.uniform(lines.size())];
     const int rounds = rng.bernoulli(0.3) ? 2 : 1;
     for (int r = 0; r < rounds; ++r) line = mutate(std::move(line));
+    corpus.mutated.push_back(std::move(line));
+  }
+  return corpus;
+}
+
+TEST(LogCodec, ParseMatchesReferenceOnSeededMutations) {
+  const MutationCorpus corpus = seeded_mutations();
+  LogRecordView view;
+  std::string scratch;
+  std::size_t checked = 0;
+  std::size_t parsed = 0;
+  for (const std::string& line : corpus.mutated) {
     expect_parse_agrees(line, view, scratch);
     if (::testing::Test::HasFatalFailure()) return;
     ++checked;
     ParseDiagnosis diagnosis;
     if (from_csv(line, &diagnosis)) ++parsed;
   }
-  for (const std::string& line : lines) {
+  for (const std::string& line : corpus.lines) {
     expect_parse_agrees(line, view, scratch);
     expect_parse_agrees(line + "\r", view, scratch);
   }
@@ -844,12 +863,142 @@ TEST(LogCodec, LineBufferHandsOutLinesAcrossChunks) {
   }
   want.push_back("tail");
   text += "tail";
-  std::istringstream in{text};
+  LineBuffer lines;
   std::vector<std::string> got;
-  const bool unterminated = for_each_line(
-      in, [&](std::string_view line) { got.emplace_back(line); });
-  EXPECT_TRUE(unterminated);
+  std::string_view line;
+  for (std::size_t at = 0; at < text.size();) {
+    const std::span<char> space = lines.space();
+    const std::size_t n = std::min(space.size(), text.size() - at);
+    std::copy_n(text.data() + at, n, space.data());
+    lines.filled(n);
+    at += n;
+    while (lines.next(line)) got.emplace_back(line);
+  }
+  got.emplace_back(lines.partial());
   EXPECT_EQ(got, want);
+}
+
+// --- the parse-ahead reader ------------------------------------------------
+
+/// What a read of a whole log yields: every record as csv, and the stats.
+struct WholeRead {
+  std::string records;
+  LogReadStats stats;
+};
+
+WholeRead read_ahead(const std::string& text, std::size_t threads,
+                     obs::Context* obs = nullptr) {
+  std::istringstream in{text};
+  LogLineReader reader;
+  WholeRead out;
+  out.stats = read_log_ahead(
+      in, threads, reader,
+      [&](LineKind kind, const ParsedLine& line) {
+        if (kind == LineKind::kRecord) append_csv(line.record, out.records);
+      },
+      obs);
+  return out;
+}
+
+/// The serial loop the parse-ahead reader replaced: frame each line, in
+/// order, straight from the text.
+WholeRead read_serially(std::string_view text) {
+  LogLineReader reader;
+  WholeRead out;
+  const bool unterminated = !text.empty() && text.back() != '\n';
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find('\n'), text.size());
+    if (reader.frame(text.substr(0, end)) == LineKind::kRecord)
+      append_csv(reader.record(), out.records);
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  reader.finish(unterminated);
+  out.stats = reader.stats();
+  return out;
+}
+
+void expect_same_stats(const LogReadStats& want, const LogReadStats& got) {
+  EXPECT_EQ(got.lines, want.lines);
+  EXPECT_EQ(got.data_lines, want.data_lines);
+  EXPECT_EQ(got.recovered, want.recovered);
+  EXPECT_EQ(got.empty_lines, want.empty_lines);
+  EXPECT_EQ(got.header_present, want.header_present);
+  EXPECT_EQ(got.truncated_tail, want.truncated_tail);
+  EXPECT_EQ(got.skipped, want.skipped);
+  EXPECT_EQ(got.first_error_line, want.first_error_line);
+}
+
+TEST(ParseAhead, SeededMutationsReadTheSameAtAnyThreadCount) {
+  const MutationCorpus corpus = seeded_mutations();
+  std::string text = log_csv_header() + "\n";
+  while (text.size() <= 2 * kParseWindowBytes)
+    for (const std::string& line : corpus.mutated) text += line + "\n";
+  text += corpus.lines.front().substr(0, 40);  // a torn final line
+
+  const WholeRead reference = read_serially(text);
+  EXPECT_TRUE(reference.stats.truncated_tail);
+  EXPECT_GT(reference.stats.skipped_total(), 1000u);
+  EXPECT_GT(reference.stats.recovered, 1000u);
+  for (const std::size_t threads : {1, 2, 4}) {
+    const WholeRead got = read_ahead(text, threads);
+    EXPECT_EQ(got.records, reference.records) << threads;
+    expect_same_stats(reference.stats, got.stats);
+    EXPECT_TRUE(got.stats.consistent());
+  }
+}
+
+TEST(ParseAhead, HandsOutLinesLongerThanAWindowWhole) {
+  std::string text;
+  std::vector<std::string> want;
+  for (int i = 0; i < 40; ++i) {
+    const std::size_t size =
+        i == 17 ? 2 * kParseWindowBytes + 5
+                : static_cast<std::size_t>(i * 104'729 % 300'000);
+    want.push_back(std::string(size, static_cast<char>('a' + i % 26)));
+    text += want.back() + (i % 3 == 0 ? "\r\n" : "\n");
+  }
+  want.push_back("tail");
+  text += "tail";
+  for (const std::size_t threads : {1, 3}) {
+    std::istringstream in{text};
+    LogLineReader reader;
+    std::vector<std::string> got;
+    const LogReadStats stats =
+        read_log_ahead(in, threads, reader,
+                       [&](LineKind, const ParsedLine& line) {
+                         got.emplace_back(line.text);
+                       });
+    EXPECT_EQ(got, want) << threads;
+    EXPECT_EQ(stats.lines, want.size());
+    EXPECT_TRUE(stats.truncated_tail);
+  }
+}
+
+TEST(ParseAhead, EmptyAndNewlineTerminatedStreams) {
+  EXPECT_EQ(read_ahead("", 2).stats.lines, 0u);
+  EXPECT_FALSE(read_ahead("", 2).stats.truncated_tail);
+  const std::string log =
+      log_csv_header() + "\n" + to_csv(sample_record()) + "\n";
+  const WholeRead read = read_ahead(log, 4);
+  EXPECT_EQ(read.stats.lines, 2u);
+  EXPECT_EQ(read.stats.recovered, 1u);
+  EXPECT_FALSE(read.stats.truncated_tail);
+}
+
+TEST(ParseAhead, ReportsItsCountersAndStages) {
+  const std::string log = log_csv_header() + "\n" +
+                          to_csv(sample_record()) + "\n\ngarbage\n" +
+                          to_csv(sample_record()) + "\n";
+  obs::MetricsRegistry registry;
+  obs::Context context{&registry};
+  read_ahead(log, 3, &context);
+  EXPECT_EQ(registry.counter("csv.lines").value(), 5u);
+  EXPECT_EQ(registry.counter("csv.records").value(), 2u);
+  EXPECT_EQ(registry.counter("csv.skipped").value(), 1u);
+  // Two windows (the second finds the end of the stream), two workers
+  // each; only the first is followed by a wait.
+  EXPECT_EQ(registry.stage("csv.parse_window").count(), 4u);
+  EXPECT_EQ(registry.stage("csv.append_wait").count(), 1u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -216,6 +217,8 @@ struct Fixture {
   category::Categorizer categorizer;
   analysis::Dataset dataset;  // loaded back from the CSV file, like the CLI
   std::unique_ptr<analysis::ColumnarLog> columnar;
+  /// The same CSV file as the CLI opens it, parsed ahead on 8 threads.
+  std::optional<analysis::OpenedSource> opened;
   std::shared_ptr<const std::vector<std::uint8_t>> sample_mask;
   std::int64_t start = 0;
   std::int64_t end = 0;
@@ -251,6 +254,8 @@ struct Fixture {
     }
     columnar = std::make_unique<analysis::ColumnarLog>(
         colfmt::Reader::open((dir / "log.col").string()));
+    opened.emplace(analysis::open_source((dir / "log.csv").string(),
+                                         {.format = "csv", .threads = 8}));
 
     geoip.add(*net::Ipv4Subnet::parse("84.229.0.0/16"), "Israel");
     geoip.add(*net::Ipv4Subnet::parse("212.150.0.0/16"), "Israel");
@@ -347,7 +352,8 @@ void expect_golden(const std::string& name, const std::string& baseline) {
 }
 
 /// Runs `render` over (row, 1), (row, 8), (columnar, 1), (columnar, 8) and
-/// expects one string, equal to the golden.
+/// the csv open_source loaded at 8 threads, (opened, 8), and expects one
+/// string, equal to the golden.
 using Render =
     std::function<std::string(const analysis::LogSource&, std::size_t)>;
 
@@ -360,6 +366,8 @@ void expect_identity(const char* name, const Render& render) {
   EXPECT_EQ(baseline, render(row, 8)) << name << ": row @8 threads";
   EXPECT_EQ(baseline, render(col, 1)) << name << ": columnar @1 thread";
   EXPECT_EQ(baseline, render(col, 8)) << name << ": columnar @8 threads";
+  EXPECT_EQ(baseline, render(fx().opened->source(), 8))
+      << name << ": csv opened @8 threads";
 }
 
 // --- the analyzers ----------------------------------------------------------

@@ -7,6 +7,9 @@
 # generate→stats log round trip, then the sharded farm: `generate
 # --workers 2` must report the generation its coordinator ran, request
 # for request the single-process count, and the data-channel bytes.
+# Last, `report --threads 4` on the csv must report the parse-ahead load:
+# csv.records equal to the log's record count, csv.lines one more (the
+# header), and the csv.parse_window and csv.append_wait stages.
 #
 # Usage:
 #   tools/ci-metrics-smoke.sh [build-dir]   # default: build/
@@ -106,6 +109,17 @@ elif mode == "sharded":
         die("shard.data_bytes is not positive")
     if counters.get("shard.restarts", 0) != 0:
         die("an undisturbed sharded run restarted a worker")
+elif mode == "csv":
+    records = int(reference)
+    if counters.get("csv.records") != records:
+        die(f"csv.records {counters.get('csv.records')} != {records} records")
+    if counters.get("csv.lines") != records + 1:
+        die(f"csv.lines {counters.get('csv.lines')} != records + 1")
+    if counters.get("csv.skipped", -1) != 0:
+        die("a clean log reported skipped lines")
+    for stage in ("csv.parse_window", "csv.append_wait"):
+        if stage not in doc["stages"]:
+            die(f"no {stage} stage")
 elif mode == "reader":
     if c := counters.get("cli.rows_loaded", 0):
         pass
@@ -138,5 +152,11 @@ echo "==> stats --metrics (log reader path)"
 "${ctl}" stats "${workdir}/leak.csv" --metrics "${workdir}/stats.json" \
     >/dev/null
 validate "${workdir}/stats.json" stats reader
+
+echo "==> report --threads 4 --metrics (parse-ahead csv load)"
+"${ctl}" report "${workdir}/leak.csv" --threads 4 \
+    --metrics "${workdir}/report.json" >/dev/null
+validate "${workdir}/report.json" report csv \
+    "$(($(wc -l <"${workdir}/leak.csv") - 1))"
 
 echo "==> metrics smoke green"

@@ -2,9 +2,11 @@
 # ci-report-identity.sh — `syrwatchctl report` through the real CLI:
 #
 #   1. one 200k-request log written as csv and SYRCOL1 (--format both);
-#   2. report on each copy at --threads 1 and --threads 4 — all four
-#      outputs must be byte-identical (both backends fill one column
-#      layout and feed one adapter, DESIGN.md §4.11);
+#   2. report on the csv at --threads 1, 2, 3 and 4 and on the container
+#      at --threads 1 and 4 — all six outputs must be byte-identical (both
+#      backends fill one column layout and feed one adapter, DESIGN.md
+#      §4.11, and the csv is parsed a window ahead on threads - 1
+#      workers, §4.15);
 #   3. report on a copy of the container with one flipped byte in a
 #      column page (block 0's time page) must exit non-zero with the
 #      "(malformed)" refusal: the footer and index are intact, so this is
@@ -12,8 +14,10 @@
 #   4. the csv codec (DESIGN.md §4.15) through every writer and the
 #      shared line framing: `convert` col → csv, and `generate
 #      --checkpoint-dir` (the spool formatter), must reproduce log.csv
-#      byte for byte, and report on a CRLF copy of log.csv must equal
-#      report on log.csv.
+#      byte for byte, and report on a CRLF copy of log.csv at --threads 4
+#      must equal report on log.csv;
+#   5. inspect on a damaged copy of log.csv (mutated lines and a torn
+#      final line) must print the same bytes at --threads 1 and 4.
 #
 # Usage:
 #   tools/ci-report-identity.sh [build-dir]   # default: build/
@@ -37,20 +41,19 @@ echo "==> generate 200000 requests, seed 2011, csv + col"
 "${ctl}" generate --out "${workdir}/log.csv" --requests 200000 --seed 2011 \
   --format both >/dev/null
 
-for format in csv col; do
-  for threads in 1 4; do
-    echo "==> report ${format} --threads ${threads}"
-    "${ctl}" report "${workdir}/log.${format}" --seed 2011 \
-      --threads "${threads}" >"${workdir}/report.${format}.${threads}"
-  done
+for leg in csv.1 csv.2 csv.3 csv.4 col.1 col.4; do
+  format="${leg%.*}" threads="${leg#*.}"
+  echo "==> report ${format} --threads ${threads}"
+  "${ctl}" report "${workdir}/log.${format}" --seed 2011 \
+    --threads "${threads}" >"${workdir}/report.${leg}"
 done
-for other in csv.4 col.1 col.4; do
+for other in csv.2 csv.3 csv.4 col.1 col.4; do
   if ! cmp "${workdir}/report.csv.1" "${workdir}/report.${other}"; then
     echo "FAIL: report.${other} differs from report.csv.1" >&2
     exit 1
   fi
 done
-echo "    all four reports are byte-identical"
+echo "    all six reports are byte-identical"
 
 # Block 0 starts after the 8-byte file magic with a 16-byte header; its
 # first page (dict) is framed {u32 size, u32 crc32} at offset 24, and the
@@ -87,9 +90,24 @@ echo "==> generate --checkpoint-dir reproduces log.csv"
 cmp "${workdir}/log.csv" "${workdir}/spooled.csv" ||
   { echo "FAIL: checkpointed csv differs from log.csv" >&2; exit 1; }
 
-echo "==> report on a CRLF copy of log.csv"
+echo "==> report --threads 4 on a CRLF copy of log.csv"
 sed 's/$/\r/' "${workdir}/log.csv" >"${workdir}/crlf.csv"
-"${ctl}" report "${workdir}/crlf.csv" --seed 2011 >"${workdir}/report.crlf"
+"${ctl}" report "${workdir}/crlf.csv" --seed 2011 --threads 4 \
+  >"${workdir}/report.crlf"
 cmp "${workdir}/report.csv.1" "${workdir}/report.crlf" ||
   { echo "FAIL: report on the CRLF log differs" >&2; exit 1; }
+
+# Damage spread over several parse windows: a short line, a garbled
+# timestamp, a stray quote, a blank line, and a torn final line.
+echo "==> inspect --threads 1 and 4 on a damaged copy of log.csv"
+sed -e '5s/,.*//' -e '40000s/^2011/2O11/' -e '90000s/,GET,/,"GET,/' \
+  -e '120000s/.*//' "${workdir}/log.csv" | head -c -40 >"${workdir}/damaged.csv"
+for threads in 1 4; do
+  "${ctl}" inspect "${workdir}/damaged.csv" --threads "${threads}" \
+    >"${workdir}/inspect.${threads}"
+done
+cmp "${workdir}/inspect.1" "${workdir}/inspect.4" ||
+  { echo "FAIL: inspect differs between --threads 1 and 4" >&2; exit 1; }
+grep -q "TRUNCATED" "${workdir}/inspect.1" ||
+  { echo "FAIL: inspect missed the torn final line" >&2; exit 1; }
 echo "==> report identity, damage handling and csv codec OK"

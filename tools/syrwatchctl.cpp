@@ -262,8 +262,10 @@ analysis::OpenedSource load_source_phase(const std::string& path,
   const std::uint64_t start = obs::monotonic_nanos();
   auto loaded = [&] {
     try {
-      return analysis::open_source(
-          path, {.format = format, .lenient = lenient, .threads = threads});
+      return analysis::open_source(path, {.format = format,
+                                          .lenient = lenient,
+                                          .threads = threads,
+                                          .obs = metrics.context()});
     } catch (const analysis::SourceOpenError& err) {
       if (err.code() == analysis::SourceOpenErrorCode::kTornTail)
         throw std::runtime_error(std::string(err.what()) +
@@ -836,20 +838,21 @@ int cmd_convert(int argc, char** argv) {
     colfmt::Writer writer{out_path, options};
     proxy::LogLineReader reader;
     try {
-      proxy::for_each_line(in, [&](std::string_view line) {
-        const proxy::LineKind kind = reader.frame(line);
-        if (!reader.stats().header_present)
-          throw std::runtime_error(in_path +
-                                   ": not a syrwatch log (bad csv header)");
-        if (kind == proxy::LineKind::kSkipped)
-          throw std::runtime_error(
-              in_path + " line " + std::to_string(reader.stats().lines) +
-              ": " + std::string(proxy::to_string(reader.diagnosis().error)) +
-              " — conversion must be lossless, refusing to drop the row");
-        if (kind != proxy::LineKind::kRecord) return;
-        writer.add(reader.record());
-        ++rows;
-      });
+      proxy::read_log_ahead(
+          in, 1, reader,
+          [&](proxy::LineKind kind, const proxy::ParsedLine& line) {
+            if (!reader.stats().header_present)
+              throw std::runtime_error(
+                  in_path + ": not a syrwatch log (bad csv header)");
+            if (kind == proxy::LineKind::kSkipped)
+              throw std::runtime_error(
+                  in_path + " line " + std::to_string(reader.stats().lines) +
+                  ": " + std::string(proxy::to_string(line.diagnosis.error)) +
+                  " — conversion must be lossless, refusing to drop the row");
+            if (kind != proxy::LineKind::kRecord) return;
+            writer.add(line.record);
+            ++rows;
+          });
       if (reader.stats().lines == 0)
         throw std::runtime_error(in_path + " is empty");
     } catch (const std::runtime_error& error) {
@@ -1344,7 +1347,7 @@ int cmd_report(int argc, char** argv) {
   workload::ScenarioConfig config;
   config.seed = flags.get_u64("--seed", config.seed);
   const std::uint64_t env_start = obs::monotonic_nanos();
-  const workload::SyriaScenario scenario{config};
+  const workload::Environment environment{config};
   metrics.add_phase("environment", seconds_since(env_start), 0);
 
   const std::uint64_t derive_start = obs::monotonic_nanos();
@@ -1356,9 +1359,9 @@ int cmd_report(int argc, char** argv) {
                                     derived.sample,
                                     derived.user,
                                     derived.denied,
-                                    &scenario.geoip(),
-                                    &scenario.relays(),
-                                    &scenario.torrents(),
+                                    &environment.geoip(),
+                                    &environment.relays(),
+                                    &environment.torrents(),
                                     threads,
                                     metrics.context()};
   const std::uint64_t analyze_start = obs::monotonic_nanos();
