@@ -28,7 +28,7 @@ ColumnarLog::ColumnarLog(colfmt::Reader reader, std::size_t threads)
     if (!error.empty()) throw std::runtime_error(error);
   for (const colfmt::DecodedBlock& chunk : chunks_) {
     for (std::size_t i = 0; i < chunk.rows; ++i) {
-      resolve_host(chunk.host[i], domains_);
+      resolve_host(chunk.host[i]);
       note_time(chunk.time[i]);
       ++rows_;
     }

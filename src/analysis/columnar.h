@@ -4,7 +4,6 @@
 
 #include "analysis/dataset.h"
 #include "colfmt/container.h"
-#include "util/string_pool.h"
 
 namespace syrwatch::analysis {
 
@@ -29,8 +28,6 @@ class ColumnarLog : public ColumnStore {
 
  private:
   colfmt::Reader reader_;
-  /// Registrable domains, which the dictionary need not contain.
-  util::StringPool domains_;
 };
 
 }  // namespace syrwatch::analysis

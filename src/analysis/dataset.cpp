@@ -1,6 +1,5 @@
 #include "analysis/dataset.h"
 
-#include <string>
 #include <tuple>
 
 #include "net/domain.h"
@@ -8,15 +7,17 @@
 
 namespace syrwatch::analysis {
 
-void ColumnStore::resolve_host(std::uint32_t id, util::StringPool& domains) {
+void ColumnStore::resolve_host(std::uint32_t id) {
   if (id < host_slot_.size() && host_slot_[id] != kNoHost) return;
-  const std::string_view text = (*strings_)[id];
   HostInfo info;
-  info.domain = domains.view(domains.intern(net::registrable_domain(text)));
-  if (const auto ip = net::Ipv4Addr::parse(text)) {
+  info.name = (*strings_)[id];
+  if (const auto ip = net::Ipv4Addr::parse(info.name)) {
     info.ip = ip->value();
     info.is_ip = true;
   }
+  info.domain_id = domains_.intern(
+      net::registrable_domain_view(info.name, info.is_ip, scratch_));
+  info.domain = domains_.view(info.domain_id);
   if (id >= host_slot_.size()) host_slot_.resize(id + 1, kNoHost);
   host_slot_[id] = static_cast<std::uint32_t>(hosts_.size());
   hosts_.push_back(info);
@@ -41,7 +42,7 @@ void Dataset::add(const proxy::LogRecordView& record) {
   c.time.push_back(record.time);
   c.user_hash.push_back(record.user_hash);
   c.host.push_back(pool_->intern(record.host));
-  resolve_host(c.host.back(), *pool_);
+  resolve_host(c.host.back());
   c.path.push_back(pool_->intern(record.path));
   c.query.push_back(pool_->intern(record.query));
   c.agent.push_back(pool_->intern(record.user_agent));

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -19,12 +20,19 @@ namespace syrwatch::analysis {
 /// reads both through one adapter. Ids are validated before they enter a
 /// chunk (by the pool that minted them, or by colfmt::Reader::decode), so
 /// text() and host() index without bounds checks.
+///
+/// Distinct hosts get dense slots and registrable domains dense ids, both
+/// in first-seen row order (domain id 0 is the empty domain), so analyzers
+/// can decide per host instead of per row and key partials by id. Like
+/// every id, they never reach output.
 class ColumnStore {
  public:
   /// Derived values of one host string.
   struct HostInfo {
-    std::string_view domain;  ///< registrable domain (eTLD+1)
-    std::uint32_t ip = 0;     ///< dotted-quad parse, valid when is_ip
+    std::string_view name;        ///< the host itself
+    std::string_view domain;      ///< registrable domain (eTLD+1)
+    std::uint32_t domain_id = 0;  ///< `domain`'s dense id in this store
+    std::uint32_t ip = 0;         ///< dotted-quad parse, valid when is_ip
     bool is_ip = false;
   };
 
@@ -45,6 +53,20 @@ class ColumnStore {
   const HostInfo& host(std::uint32_t id) const noexcept {
     return hosts_[host_slot_[id]];
   }
+  /// Host id → dense slot. Precondition: as for host().
+  std::uint32_t host_slot(std::uint32_t id) const noexcept {
+    return host_slot_[id];
+  }
+  /// Distinct hosts; slots are [0, host_count()).
+  std::size_t host_count() const noexcept { return hosts_.size(); }
+  const HostInfo& host_at(std::size_t slot) const noexcept {
+    return hosts_[slot];
+  }
+  /// Distinct registrable domains; ids are [0, domain_count()).
+  std::size_t domain_count() const noexcept { return domains_.size(); }
+  std::string_view domain(std::uint32_t domain_id) const noexcept {
+    return domains_.views()[domain_id];
+  }
   /// Min/max timestamps over every row (rows are in arrival order, only
   /// approximately time-sorted). Meaningless while empty.
   std::int64_t first_time() const noexcept { return first_time_; }
@@ -54,8 +76,9 @@ class ColumnStore {
   ColumnStore() = default;
   ColumnStore(ColumnStore&&) = default;
 
-  /// Resolves host `id` on first sight, interning its domain in `domains`.
-  void resolve_host(std::uint32_t id, util::StringPool& domains);
+  /// Resolves host `id` on first sight: one IPv4 parse, one registrable
+  /// domain, a new slot.
+  void resolve_host(std::uint32_t id);
   void note_time(std::int64_t time) noexcept {
     if (rows_ == 0 || time < first_time_) first_time_ = time;
     if (rows_ == 0 || time > last_time_) last_time_ = time;
@@ -70,6 +93,8 @@ class ColumnStore {
   static constexpr std::uint32_t kNoHost = ~std::uint32_t{0};
   std::vector<std::uint32_t> host_slot_;  ///< id → index into hosts_
   std::vector<HostInfo> hosts_;
+  util::StringPool domains_;  ///< domain id → text
+  std::string scratch_;       ///< resolve_host's lower-casing buffer
   std::int64_t first_time_ = 0;
   std::int64_t last_time_ = 0;
 };

@@ -1,6 +1,5 @@
 #include "analysis/domain_dist.h"
 
-#include <unordered_map>
 #include <vector>
 
 #include "util/histogram.h"
@@ -11,27 +10,28 @@ namespace syrwatch::analysis {
 DomainDistribution domain_distribution(const LogSource& source,
                                        proxy::TrafficClass cls,
                                        std::size_t threads) {
-  using Partial = std::unordered_map<std::string_view, std::uint64_t>;
-  const auto partials = scan_partials<Partial>(
-      source, threads, [&](Partial& p, const Record& r) {
+  const auto partials = scan_partials<IdCounts>(
+      source, threads, [&](IdCounts& p, const Record& r) {
         if (r.cls != cls) return;
-        ++p[r.domain];
+        p.add(r.domain_id);
       });
 
   // Everything downstream (frequency-of-frequencies, the regression) only
-  // sees the per-domain totals, never the map order.
-  std::unordered_map<std::string_view, std::uint64_t> per_domain;
-  for (const Partial& p : partials)
-    for (const auto& [domain, count] : p) per_domain[domain] += count;
+  // sees the per-domain totals, never which id holds which.
+  std::vector<std::uint64_t> per_domain(source.store().domain_count());
+  for (const IdCounts& p : partials)
+    p.for_each([&](std::uint32_t id, std::uint32_t count) {
+      per_domain[id] += count;
+    });
 
   std::vector<std::uint64_t> counts;
-  counts.reserve(per_domain.size());
   DomainDistribution dist;
-  for (const auto& [domain, count] : per_domain) {
+  for (const std::uint64_t count : per_domain) {
+    if (count == 0) continue;
     counts.push_back(count);
     dist.max_requests = std::max(dist.max_requests, count);
   }
-  dist.unique_domains = per_domain.size();
+  dist.unique_domains = counts.size();
   dist.domains_by_request_count = util::frequency_of_frequencies(counts);
 
   // Fig. 2 plots #requests (y) against #domains receiving that many (x);

@@ -42,9 +42,14 @@ std::vector<FacebookPage> blocked_facebook_pages(const LogSource& source,
     std::set<std::string> labeled;
     std::map<std::string, Counts> by_path;
   };
+  const auto facebook = per_host_slot<std::uint8_t>(
+      source, threads, [](const ColumnStore::HostInfo& host) {
+        return static_cast<std::uint8_t>(
+            util::host_matches_domain(host.name, "facebook.com"));
+      });
   const auto partials = scan_partials<Partial>(
-      source, threads, [](Partial& p, const Record& r) {
-        if (!util::host_matches_domain(r.host, "facebook.com")) return;
+      source, threads, [&](Partial& p, const Record& r) {
+        if (facebook[r.host_slot] == 0) return;
         if (r.path.size() >= 2 && r.path[0] == '/' &&
             util::contains(r.categories, "Blocked sites"))
           p.labeled.insert(std::string(r.path.substr(1)));

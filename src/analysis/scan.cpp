@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -13,14 +14,31 @@ namespace syrwatch::analysis {
 
 namespace {
 
-/// Row count and time bounds of a freshly masked view, resolved with one
-/// parallel scan (per-partition partials folded in order, like any other
-/// analyzer — identical for any thread count).
-struct ViewStats {
-  std::uint64_t count = 0;
-  std::int64_t first = 0;
-  std::int64_t last = 0;
-  bool any = false;
+/// Row count and time bounds of a view, tallied over its records in any
+/// order (min, max and sum), so a fold of per-partition tallies is the
+/// same for any thread count.
+struct ViewTally {
+  std::uint64_t rows = 0;
+  LogSource::TimeBounds bounds;
+
+  void add(std::int64_t time) noexcept {
+    if (rows++ == 0) {
+      bounds = {time, time};
+      return;
+    }
+    bounds.first = std::min(bounds.first, time);
+    bounds.last = std::max(bounds.last, time);
+  }
+  void add(const ViewTally& other) noexcept {
+    if (other.rows == 0) return;
+    if (rows == 0) {
+      *this = other;
+      return;
+    }
+    rows += other.rows;
+    bounds.first = std::min(bounds.first, other.bounds.first);
+    bounds.last = std::max(bounds.last, other.bounds.last);
+  }
 };
 
 }  // namespace
@@ -44,36 +62,15 @@ LogSource LogSource::masked(
     out.mask_ = std::move(mask);
   }
 
-  std::vector<ViewStats> partials(out.partitions());
+  std::vector<ViewTally> partials(out.partitions());
   util::parallel_for(out.partitions(), threads, [&](std::size_t p) {
-    out.scan_partition(p, [&](const Record& r) {
-      ViewStats& s = partials[p];
-      ++s.count;
-      if (!s.any) {
-        s.first = s.last = r.time;
-        s.any = true;
-        return;
-      }
-      s.first = std::min(s.first, r.time);
-      s.last = std::max(s.last, r.time);
-    });
+    out.scan_partition(p, [&](const Record& r) { partials[p].add(r.time); });
   });
-  out.rows_ = 0;
-  out.first_time_ = 0;
-  out.last_time_ = 0;
-  bool seen = false;
-  for (const ViewStats& s : partials) {
-    if (!s.any) continue;
-    out.rows_ += s.count;
-    if (!seen) {
-      out.first_time_ = s.first;
-      out.last_time_ = s.last;
-      seen = true;
-      continue;
-    }
-    out.first_time_ = std::min(out.first_time_, s.first);
-    out.last_time_ = std::max(out.last_time_, s.last);
-  }
+  ViewTally tally;
+  for (const ViewTally& p : partials) tally.add(p);
+  out.rows_ = tally.rows;
+  out.first_time_ = tally.bounds.first;
+  out.last_time_ = tally.bounds.last;
   return out;
 }
 
@@ -92,41 +89,112 @@ LogSource LogSource::filtered(const std::function<bool(const Record&)>& keep,
   return masked(std::move(mask), threads);
 }
 
+std::vector<std::uint32_t> stable_time_order(
+    std::span<const std::int64_t> times, std::size_t threads) {
+  std::vector<std::uint32_t> order(times.size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  if (times.empty()) return order;
+  const auto [lo, hi] = std::minmax_element(times.begin(), times.end());
+  const auto min = static_cast<std::uint64_t>(*lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(*hi) - min;
+
+  // Each pass splits its input into `chunks` contiguous runs, counted and
+  // scattered in parallel. Bucket d of chunk c starts after every smaller
+  // digit and after bucket d of chunks before c, so a pass is a stable
+  // counting sort whatever the chunk count.
+  constexpr std::size_t kDigits = std::size_t{1} << 16;
+  const std::size_t chunks = std::clamp<std::size_t>(
+      threads, 1, (times.size() + kDigits - 1) / kDigits);
+  const std::size_t chunk_size = (times.size() + chunks - 1) / chunks;
+  std::vector<std::uint32_t> next(times.size());
+  std::vector<std::uint32_t> start(chunks * kDigits);
+  for (unsigned shift = 0; shift < 64 && (span >> shift) != 0; shift += 16) {
+    const auto digit = [&](std::uint32_t index) {
+      return static_cast<std::size_t>(
+          ((static_cast<std::uint64_t>(times[index]) - min) >> shift) &
+          (kDigits - 1));
+    };
+    const auto for_chunk = [&](std::size_t c, const auto& fn) {
+      const std::size_t end = std::min(times.size(), (c + 1) * chunk_size);
+      std::uint32_t* const bucket = start.data() + c * kDigits;
+      for (std::size_t i = c * chunk_size; i < end; ++i) fn(bucket, order[i]);
+    };
+    util::parallel_for(chunks, threads, [&](std::size_t c) {
+      std::fill_n(start.begin() + static_cast<std::ptrdiff_t>(c * kDigits),
+                  kDigits, 0);
+      for_chunk(c, [&](std::uint32_t* bucket, std::uint32_t index) {
+        ++bucket[digit(index)];
+      });
+    });
+    std::uint32_t sum = 0;
+    for (std::size_t d = 0; d < kDigits; ++d)
+      for (std::size_t c = 0; c < chunks; ++c)
+        sum += std::exchange(start[c * kDigits + d], sum);
+    util::parallel_for(chunks, threads, [&](std::size_t c) {
+      for_chunk(c, [&](std::uint32_t* bucket, std::uint32_t index) {
+        next[bucket[digit(index)]++] = index;
+      });
+    });
+    order.swap(next);
+  }
+  return order;
+}
+
 DerivedSources derive_sources(const LogSource& full, std::uint64_t seed,
                               std::size_t threads) {
   if (full.rows() != full.base_rows())
     throw std::invalid_argument("derive_sources: full must be unmasked");
-  std::vector<std::int64_t> times(static_cast<std::size_t>(full.rows()));
-  util::parallel_for(full.partitions(), threads, [&](std::size_t p) {
-    full.scan_partition(p, [&](const Record& r) {
-      times[static_cast<std::size_t>(r.ordinal)] = r.time;
-    });
-  });
-  std::vector<std::uint64_t> order(times.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint64_t a, std::uint64_t b) {
-                     return times[a] < times[b];
-                   });
-  auto sample = std::make_shared<std::vector<std::uint8_t>>(times.size(), 0);
+  if (full.rows() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("derive_sources: more than 2^32 - 1 rows");
+  const auto rows = static_cast<std::size_t>(full.rows());
+
+  // One scan gathers every time, and Duser's and Ddenied's masks with
+  // their tallies (folded in partition order; min, max and sum make the
+  // fold layout-independent anyway).
+  std::vector<std::int64_t> times(rows);
+  auto user = std::make_shared<std::vector<std::uint8_t>>(rows, 0);
+  auto denied = std::make_shared<std::vector<std::uint8_t>>(rows, 0);
+  struct Tallies {
+    ViewTally user, denied;
+  };
+  const auto partials = scan_partials<Tallies>(
+      full, threads, [&](Tallies& tallies, const Record& r) {
+        const auto i = static_cast<std::size_t>(r.ordinal);
+        times[i] = r.time;
+        if (r.proxy_index == 0 && r.user_hash != 0) {
+          const auto c = util::to_civil(r.time);
+          if (c.month == 7 && (c.day == 22 || c.day == 23)) {
+            (*user)[i] = 1;
+            tallies.user.add(r.time);
+          }
+        }
+        if (r.exception != proxy::ExceptionId::kNone) {
+          (*denied)[i] = 1;
+          tallies.denied.add(r.time);
+        }
+      });
+  Tallies tallies;
+  for (const Tallies& p : partials) {
+    tallies.user.add(p.user);
+    tallies.denied.add(p.denied);
+  }
+
+  // The draw walks the ordinals in time order, so the first and last
+  // records drawn bound the sample.
+  auto sample = std::make_shared<std::vector<std::uint8_t>>(rows, 0);
+  ViewTally sampled;
   util::Rng rng{util::mix64(seed ^ 0x5A3D1E)};
-  for (const std::uint64_t ordinal : order)
-    (*sample)[ordinal] = rng.bernoulli(0.04) ? 1 : 0;
+  for (const std::uint32_t ordinal : stable_time_order(times, threads)) {
+    if (!rng.bernoulli(0.04)) continue;
+    (*sample)[ordinal] = 1;
+    sampled.add(times[ordinal]);
+  }
 
   return DerivedSources{
-      full, full.masked(std::move(sample), threads),
-      full.filtered(
-          [](const Record& r) {
-            if (r.proxy_index != 0 || r.user_hash == 0) return false;
-            const auto c = util::to_civil(r.time);
-            return c.month == 7 && (c.day == 22 || c.day == 23);
-          },
-          threads),
-      full.filtered(
-          [](const Record& r) {
-            return r.exception != proxy::ExceptionId::kNone;
-          },
-          threads)};
+      full, full.with_mask(std::move(sample), sampled.rows, sampled.bounds),
+      full.with_mask(std::move(user), tallies.user.rows, tallies.user.bounds),
+      full.with_mask(std::move(denied), tallies.denied.rows,
+                     tallies.denied.bounds)};
 }
 
 std::string_view to_string(SourceOpenErrorCode code) noexcept {

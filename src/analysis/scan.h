@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -33,10 +34,10 @@ namespace syrwatch::analysis {
 
 /// One log record as the scan layer presents it: scalar columns plus
 /// zero-copy views into the store's string storage (the Dataset's pool
-/// or the container's mapping — both outlive any scan). `host_id` and
-/// `agent_id` are backend-local interned ids: equal ids ⇔ equal strings
-/// within one source, so analyzers may group by them but must never let
-/// the id *values* reach their output.
+/// or the container's mapping — both outlive any scan). `host_id`,
+/// `agent_id`, `host_slot` and `domain_id` are backend-local interned ids:
+/// equal ids ⇔ equal strings within one source, so analyzers may group by
+/// them but must never let the id *values* reach their output.
 struct Record {
   std::uint64_t ordinal = 0;  ///< global row index in the base source
   std::int64_t time = 0;
@@ -45,6 +46,8 @@ struct Record {
   std::string_view domain;  ///< registrable domain of host (eTLD+1)
   std::uint32_t host_id = 0;
   std::uint32_t agent_id = 0;
+  std::uint32_t host_slot = 0;  ///< dense host index (ColumnStore::host_at)
+  std::uint32_t domain_id = 0;  ///< dense domain index (ColumnStore::domain)
   std::uint32_t dest_ip = 0;
   std::uint32_t host_ip = 0;  ///< dotted-quad parse, valid when host_is_ip
   std::uint16_t port = 0;
@@ -69,6 +72,8 @@ struct Record {
   }
 };
 
+struct DerivedSources;
+
 /// A source of records: a cheap, copyable view over one ColumnStore, plus
 /// an optional row mask for derived datasets (Dsample/Duser/Ddenied carved
 /// out of Dfull without materializing rows). Constructed implicitly from
@@ -81,6 +86,9 @@ class LogSource {
 
   /// Records this source yields (after any mask).
   std::uint64_t rows() const noexcept { return rows_; }
+
+  /// The store behind the view: its per-host and per-domain tables.
+  const ColumnStore& store() const noexcept { return *store_; }
 
   /// Records of the underlying store, before any mask — the ordinal space
   /// Record::ordinal and masks index, and scan_increment's high-water
@@ -183,11 +191,27 @@ class LogSource {
     return {nullptr, 0, 0};
   }
 
+  friend DerivedSources derive_sources(const LogSource&, std::uint64_t,
+                                      std::size_t);
+
+  /// This (unmasked) source under `mask`, whose row count and time bounds
+  /// the caller has already tallied.
+  LogSource with_mask(std::shared_ptr<const std::vector<std::uint8_t>> mask,
+                      std::uint64_t rows, TimeBounds bounds) const {
+    LogSource out = *this;
+    out.mask_ = std::move(mask);
+    out.rows_ = rows;
+    out.first_time_ = bounds.first;
+    out.last_time_ = bounds.last;
+    return out;
+  }
+
   /// The one adapter: row `i` of a chunk as a Record.
   Record record(const colfmt::DecodedBlock& c, std::size_t i,
                 std::uint64_t ordinal) const {
     const ColumnStore& s = *store_;
-    const ColumnStore::HostInfo& host = s.host(c.host[i]);
+    const std::uint32_t slot = s.host_slot(c.host[i]);
+    const ColumnStore::HostInfo& host = s.host_at(slot);
     Record r;
     r.ordinal = ordinal;
     r.time = c.time[i];
@@ -201,6 +225,8 @@ class LogSource {
     r.domain = host.domain;
     r.host_id = c.host[i];
     r.agent_id = c.agent[i];
+    r.host_slot = slot;
+    r.domain_id = host.domain_id;
     r.dest_ip = c.dest_ip[i];
     r.host_ip = host.ip;
     r.port = c.port[i];
@@ -231,17 +257,100 @@ class LogSource {
 /// each from its partition's records, in row order, on whichever worker
 /// claims it — and returns the partials in partition order for the
 /// analyzer's fold. `scan(Partial&, const Record&)` must touch nothing
-/// shared. threads <= 1 runs inline and is the reference execution.
+/// shared. threads <= 1 runs inline and is the reference execution. Each
+/// partial is filled on its worker's stack and moved out at the end, so
+/// neighbouring partials never share a cache line while they are written.
 template <typename Partial, typename Scan>
 std::vector<Partial> scan_partials(const LogSource& source,
                                    std::size_t threads, const Scan& scan) {
   std::vector<Partial> partials(source.partitions());
   util::parallel_for(source.partitions(), threads, [&](std::size_t p) {
-    source.scan_partition(p,
-                          [&](const Record& r) { scan(partials[p], r); });
+    Partial partial{};
+    source.scan_partition(p, [&](const Record& r) { scan(partial, r); });
+    partials[p] = std::move(partial);
   });
   return partials;
 }
+
+/// Evaluates `fn(const ColumnStore::HostInfo&)` once per distinct host of
+/// `source`'s store, in parallel over the slots, and returns the results
+/// indexed by Record::host_slot: the per-host decisions an analyzer then
+/// looks up per row instead of re-deciding. T must not be bool, since
+/// workers write neighbouring entries.
+template <typename T, typename Fn>
+std::vector<T> per_host_slot(const LogSource& source, std::size_t threads,
+                             const Fn& fn) {
+  const ColumnStore& store = source.store();
+  std::vector<T> out(store.host_count());
+  constexpr std::size_t kGrain = 1024;
+  util::parallel_for((out.size() + kGrain - 1) / kGrain, threads,
+                     [&](std::size_t g) {
+                       const std::size_t end =
+                           std::min(out.size(), (g + 1) * kGrain);
+                       for (std::size_t slot = g * kGrain; slot < end; ++slot)
+                         out[slot] = fn(store.host_at(slot));
+                     });
+  return out;
+}
+
+/// A partial's id → count table: linear probing over 32-bit ids in a
+/// power-of-two table at most half full. It grows with the distinct ids
+/// one partition meets (at most LogSource::kSliceRows), never with the
+/// store's id space, so a partial over a store of 10^5 domains stays as
+/// small as its slice.
+class IdCounts {
+ public:
+  void add(std::uint32_t id) {
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    for (std::size_t i = home(id);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.id == id) {
+        ++slot.count;
+        return;
+      }
+      if (slot.id == kFree) {
+        slot = {id, 1};
+        ++used_;
+        return;
+      }
+    }
+  }
+
+  /// Invokes `fn(id, count)` for every id added, in table order.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Slot& slot : slots_)
+      if (slot.id != kFree) fn(slot.id, slot.count);
+  }
+
+ private:
+  static constexpr std::uint32_t kFree = ~std::uint32_t{0};
+  struct Slot {
+    std::uint32_t id = kFree;
+    std::uint32_t count = 0;  ///< a slice has at most kSliceRows rows
+  };
+
+  /// Fibonacci hashing: the top bits of id · 2^32/φ.
+  std::size_t home(std::uint32_t id) const noexcept {
+    return static_cast<std::uint32_t>(id * 2654435769u) >> (32 - bits_);
+  }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    bits_ = old.empty() ? 6 : bits_ + 1;
+    slots_.assign(std::size_t{1} << bits_, Slot{});
+    for (const Slot& slot : old) {
+      if (slot.id == kFree) continue;
+      std::size_t i = home(slot.id);
+      while (slots_[i].id != kFree) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+  unsigned bits_ = 0;
+};
 
 /// scan_partials + fold in one call: `fold(std::vector<Partial>&&)`
 /// produces the analyzer's result. The fold runs sequentially over the
@@ -281,6 +390,15 @@ std::uint64_t scan_increment(const LogSource& source, std::uint64_t from,
   return end;
 }
 
+/// Indices of `times` in stable ascending order of time — the order
+/// std::stable_sort by time gives, which Dsample's draw walks. An LSD
+/// radix sort on time − min in 16-bit digits, with only as many passes as
+/// the span needs; each pass is a stable counting sort, so equal times
+/// keep index order. `threads` splits each pass's counting and scattering
+/// (identical result for any value). Precondition: times.size() < 2^32.
+std::vector<std::uint32_t> stable_time_order(
+    std::span<const std::int64_t> times, std::size_t threads = 1);
+
 /// The paper's four datasets (Table 1) as views over one log.
 struct DerivedSources {
   LogSource full;    ///< Dfull: everything the leak contains
@@ -293,8 +411,9 @@ struct DerivedSources {
 /// — the one derivation Study and `syrwatchctl report` share. Dsample
 /// draws one Bernoulli(0.04) per record from `seed`, in stable time order
 /// of base ordinals: that order does not depend on the backend, so a
-/// log's CSV and SYRCOL1 copies select the same records. Identical for
-/// any `threads`.
+/// log's CSV and SYRCOL1 copies select the same records. One parallel
+/// scan gathers the times and Duser's and Ddenied's masks, and a stable
+/// radix sort orders the draw. Identical for any `threads`.
 DerivedSources derive_sources(const LogSource& full, std::uint64_t seed,
                               std::size_t threads = 1);
 

@@ -98,16 +98,6 @@ using StringIndex =
     std::unordered_map<std::string, std::uint32_t, StringHash,
                        std::equal_to<>>;
 
-/// `text` lower-cased: the view itself when it has no upper-case letter,
-/// else a copy in `scratch`.
-std::string_view lowered(std::string_view text, std::string& scratch) {
-  if (std::none_of(text.begin(), text.end(),
-                   [](char c) { return c >= 'A' && c <= 'Z'; }))
-    return text;
-  scratch = util::to_lower(text);
-  return scratch;
-}
-
 }  // namespace
 
 std::vector<std::string> DiscoveryResult::domain_names() const {
@@ -196,34 +186,50 @@ DiscoveryResult discover_censored_strings(const LogSource& source,
   // record boundary: matching host+path as one stream and the query as
   // another finds exactly the tokens a substring search of the records'
   // lower-cased filter texts would. Record::domain is already the
-  // registrable domain of the lower-cased host. Flags fold by OR, so the
-  // result is the same for any partition layout and thread count.
+  // registrable domain of the lower-cased host, so the domain and host
+  // flags a row sets depend on its host alone: each distinct host is
+  // looked up (and lower-cased) once. Flags fold by OR, so the result is
+  // the same for any partition layout and thread count.
   const util::SubstringMatcher matcher{tokens};
   const std::size_t domain_offset = tokens.size();
   const std::size_t host_offset = domain_offset + domain_index.size();
   const std::size_t flag_count = host_offset + host_index.size();
-  struct AllowedHits {
-    std::vector<std::uint8_t> flags;
-    std::string scratch;
+  constexpr std::uint32_t kNoFlag = ~std::uint32_t{0};
+  const auto flag_of = [&](const StringIndex& index, std::size_t offset,
+                           std::string_view text) {
+    const auto it = index.find(text);
+    return it == index.end()
+               ? kNoFlag
+               : static_cast<std::uint32_t>(offset + it->second);
   };
+  const auto domain_flag = per_host_slot<std::uint32_t>(
+      source, threads, [&](const ColumnStore::HostInfo& host) {
+        return flag_of(domain_index, domain_offset, host.domain);
+      });
+  const auto host_flag = per_host_slot<std::uint32_t>(
+      source, threads, [&](const ColumnStore::HostInfo& host) {
+        std::string scratch;
+        return flag_of(host_index, host_offset,
+                       util::lowered(host.name, scratch));
+      });
+  using AllowedHits = std::vector<std::uint8_t>;
   const auto hits = scan_partials<AllowedHits>(
-      source, threads, [&](AllowedHits& h, const Record& r) {
+      source, threads, [&](AllowedHits& flags, const Record& r) {
         if (r.cls != proxy::TrafficClass::kAllowed) return;
-        if (h.flags.size() != flag_count) h.flags.assign(flag_count, 0);
-        const auto hit = [&](std::uint32_t id) { h.flags[id] = 1; };
+        if (flags.size() != flag_count) flags.assign(flag_count, 0);
+        const auto hit = [&](std::uint32_t id) { flags[id] = 1; };
         matcher.feed(matcher.feed(util::SubstringMatcher::kStart, r.host, hit),
                      r.path, hit);
         matcher.feed(util::SubstringMatcher::kStart, r.query, hit);
-        if (const auto it = domain_index.find(r.domain);
-            it != domain_index.end())
-          h.flags[domain_offset + it->second] = 1;
-        if (const auto it = host_index.find(lowered(r.host, h.scratch));
-            it != host_index.end())
-          h.flags[host_offset + it->second] = 1;
+        if (const std::uint32_t flag = domain_flag[r.host_slot];
+            flag != kNoFlag)
+          flags[flag] = 1;
+        if (const std::uint32_t flag = host_flag[r.host_slot]; flag != kNoFlag)
+          flags[flag] = 1;
       });
   std::vector<std::uint8_t> allowed(flag_count, 0);
-  for (const AllowedHits& h : hits) {
-    for (std::size_t i = 0; i < h.flags.size(); ++i) allowed[i] |= h.flags[i];
+  for (const AllowedHits& flags : hits) {
+    for (std::size_t i = 0; i < flags.size(); ++i) allowed[i] |= flags[i];
   }
 
   auto never_allowed_domain = [&](const std::string& domain) {

@@ -56,8 +56,9 @@ struct DiscoveryResult {
 /// already clear the thresholds on the full C (counts only fall as rows
 /// are removed, so no other token can be picked). Pass 2 tests each
 /// allowed record against exactly those strings — one case-folded
-/// Aho–Corasick pass over its host+path and query for the tokens, hash
-/// lookups for its host and domain — and keeps one hit flag per string.
+/// Aho–Corasick pass over its host+path and query for the tokens, and two
+/// per-host-slot tables, built once per distinct host, for its host and
+/// domain — and keeps one hit flag per string.
 /// `threads` governs the two scans only; the result is identical for any
 /// value.
 DiscoveryResult discover_censored_strings(const LogSource& source,

@@ -289,8 +289,7 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
         refuse(replay_from.path, "SIZE MISMATCH (shorter than manifest)");
       if (digest.crc32 != replay_from.crc32)
         refuse(replay_from.path, "CRC MISMATCH");
-      if (const ManifestArtifact* state = find_state_artifact(manifest);
-          state != nullptr && !manifest.complete()) {
+      if (const ManifestArtifact* state = find_state_artifact(manifest)) {
         active_state_path = (dir / state->path).string();
         std::error_code state_ec;
         if (!fs::exists(active_state_path, state_ec) || state_ec)
@@ -363,13 +362,14 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
   result.batches_replayed = manifest.next_batch;
   obs::add(obs_replayed, result.records_replayed);
 
+  // The farm (tallies, caches, RNGs) takes the last committed state, also
+  // when the run already finished: callers read its tallies either way.
+  if (manifest.next_batch > 0)
+    scenario.farm().restore_state(read_file(active_state_path));
   if (manifest.complete()) {
     result.completed = true;
     return result;
   }
-
-  if (manifest.next_batch > 0)
-    scenario.farm().restore_state(read_file(active_state_path));
 
   // Open the spool for appending and seat the running CRC where the
   // committed prefix left it. A fresh run starts the spool with the csv

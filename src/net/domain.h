@@ -13,4 +13,11 @@ namespace syrwatch::net {
 /// facebook.com.
 std::string registrable_domain(std::string_view host);
 
+/// registrable_domain(host) without allocating, for callers that already
+/// parsed `host` as IPv4 (`is_ipv4`: an IPv4 literal is its own domain).
+/// The view points into `host` when the kept labels hold no upper-case
+/// letter, else into `scratch`, which is overwritten.
+std::string_view registrable_domain_view(std::string_view host, bool is_ipv4,
+                                         std::string& scratch);
+
 }  // namespace syrwatch::net

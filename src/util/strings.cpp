@@ -11,6 +11,15 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+std::string_view lowered(std::string_view s, std::string& scratch) {
+  if (std::none_of(s.begin(), s.end(),
+                   [](char c) { return c >= 'A' && c <= 'Z'; }))
+    return s;
+  scratch.assign(s);
+  std::transform(scratch.begin(), scratch.end(), scratch.begin(), ascii_lower);
+  return scratch;
+}
+
 bool contains(std::string_view haystack, std::string_view needle) noexcept {
   return haystack.find(needle) != std::string_view::npos;
 }

@@ -15,6 +15,11 @@ constexpr char ascii_lower(char c) noexcept {
 /// ASCII lower-casing (the log fields we match against are ASCII URLs).
 std::string to_lower(std::string_view s);
 
+/// `s` lower-cased without allocating when it can be: `s` itself when it
+/// has no upper-case letter, else a view of `scratch`, which is
+/// overwritten.
+std::string_view lowered(std::string_view s, std::string& scratch);
+
 /// Case-sensitive substring test.
 bool contains(std::string_view haystack, std::string_view needle) noexcept;
 

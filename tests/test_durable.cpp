@@ -707,6 +707,58 @@ TEST(CheckpointResume, CompletedCheckpointReplaysIdempotently) {
   EXPECT_EQ(replayed, first);
 }
 
+TEST(CheckpointResume, CompletedCheckpointRestoresFarmState) {
+  // Re-running a finished checkpoint replays its log and must also leave
+  // the farm as the run left it: the failover tallies the report prints,
+  // and every cache and RNG word.
+  TempDir dir{"completed_state"};
+  auto config = small_config(20'000, 2);
+  config.fault_profile = "sg47-outage";
+  std::uint64_t failovers = 0;
+  std::string state;
+  {
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    ASSERT_TRUE(durable::run_checkpointed(scenario, options,
+                                          [](const proxy::LogRecord&) {})
+                    .completed);
+    failovers = scenario.farm().failover_total();
+    state = scenario.farm().save_state();
+  }
+  ASSERT_GT(failovers, 0u);
+  const auto rerun = [&] {
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    options.resume = true;
+    const auto run = durable::run_checkpointed(
+        scenario, options, [](const proxy::LogRecord&) {});
+    EXPECT_TRUE(run.completed);
+    EXPECT_EQ(run.batches_executed, 0u);
+    EXPECT_EQ(scenario.farm().failover_total(), failovers);
+    EXPECT_EQ(scenario.farm().save_state(), state);
+  };
+  rerun();
+
+  // A damaged state is refused as on the in-progress path.
+  const auto manifest = durable::RunManifest::load(
+      (dir.path / durable::RunManifest::kFileName).string());
+  const durable::ManifestArtifact* artifact = nullptr;
+  for (const auto& entry : manifest.artifacts)
+    if (entry.role == "state") artifact = &entry;
+  ASSERT_NE(artifact, nullptr);
+  flip_byte(dir.path / artifact->path, 9);
+  try {
+    rerun();
+    FAIL() << "a damaged state must be refused";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("CRC MISMATCH"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(CheckpointResume, TornSpoolTailIsTruncatedOnResume) {
   // A crash mid-append leaves bytes past the committed prefix; resume must
   // discard them and still converge on the reference log.

@@ -3,11 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "net/domain.h"
 #include "net/ipv4.h"
 #include "net/subnet.h"
 #include "net/url.h"
+#include "proxy/log_record.h"
 #include "util/rng.h"
+#include "util/strings.h"
+#include "workload/scenario.h"
 
 namespace {
 
@@ -251,5 +259,70 @@ INSTANTIATE_TEST_SUITE_P(
                       RegCase{"WWW.GOOGLE.COM", "google.com"},
                       RegCase{"212.150.1.10", "212.150.1.10"},
                       RegCase{"static.ak.fbcdn.net", "fbcdn.net"}));
+
+/// The splitting implementation registrable_domain replaced (a lower-cased
+/// copy split into a vector of labels, then joined), kept as the oracle.
+std::string registrable_domain_oracle(std::string_view host) {
+  if (looks_like_ipv4(host)) return std::string(host);
+  const std::string lowered = syrwatch::util::to_lower(host);
+  const auto labels = syrwatch::util::split(lowered, '.');
+  if (labels.size() <= 2) return lowered;
+  const std::string_view tld = labels[labels.size() - 1];
+  const std::string_view second = labels[labels.size() - 2];
+  const std::array<std::string_view, 6> suffixes = {"co",  "com", "net",
+                                                    "org", "gov", "ac"};
+  bool two_level_suffix = false;
+  for (const auto suffix : suffixes)
+    two_level_suffix |= tld.size() == 2 && second == suffix;
+  const std::size_t keep = two_level_suffix ? 3 : 2;
+  if (labels.size() <= keep) return lowered;
+  std::string out;
+  for (std::size_t i = labels.size() - keep; i < labels.size(); ++i) {
+    if (!out.empty()) out.push_back('.');
+    out += labels[i];
+  }
+  return out;
+}
+
+void expect_matches_oracle(const std::string& host) {
+  const std::string want = registrable_domain_oracle(host);
+  EXPECT_EQ(registrable_domain(host), want) << '"' << host << '"';
+  std::string scratch = "stale";
+  EXPECT_EQ(registrable_domain_view(host, looks_like_ipv4(host), scratch),
+            want)
+      << '"' << host << '"';
+}
+
+TEST(RegistrableDomain, MatchesTheSplittingOracleOnEdgeCases) {
+  for (const char* host :
+       {"", ".", "..", "...", "a..", "..a", "x..com", "a.b.", "a.b..",
+        ".com", "com.", "WWW.Example.COM", "News.BBC.Co.UK", "a.CO.uk",
+        "co.uk", "x.co.uk", "..co.uk", "a..co.uk", "x.y.co.ukk",
+        "x.y.com.sy", "x.COM.SY", "a.b.gov.il", "a.ac.k", "a.b.ac.",
+        "10.0.0.1", "10.0.0.1.5", "1.2.3.4.example.com", "256.1.1.1",
+        "1.2.3", "localhost", "LOCALHOST", "a.b.c.d.e.f.org",
+        "static.ak.fbcdn.net", "x.Co.Il", "x.cO.iL."})
+    expect_matches_oracle(host);
+}
+
+TEST(RegistrableDomain, MatchesTheSplittingOracleOnAGeneratedCorpus) {
+  syrwatch::workload::ScenarioConfig config;
+  config.total_requests = 20'000;
+  config.threads = 2;
+  syrwatch::workload::SyriaScenario scenario{config};
+  std::set<std::string> hosts;
+  scenario.run([&](const syrwatch::proxy::LogRecord& record) {
+    hosts.insert(record.url.host);
+  });
+  ASSERT_GT(hosts.size(), 1000u);
+  std::string upper;
+  for (const std::string& host : hosts) {
+    expect_matches_oracle(host);
+    upper = host;
+    for (char& c : upper)
+      if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+    expect_matches_oracle(upper);
+  }
+}
 
 }  // namespace

@@ -5,8 +5,10 @@
 # verify the checkpoint's manifest + CRCs, resume at a different thread
 # count, and diff the resumed log byte-for-byte against an uninterrupted
 # run. Also checks that `syrwatchctl verify` catches a single flipped
-# byte in a manifest-listed artifact, and that cancellation (SIGTERM)
-# exits 0 with a resumable checkpoint.
+# byte in a manifest-listed artifact, that cancellation (SIGTERM)
+# exits 0 with a resumable checkpoint, and that re-running a finished
+# checkpoint restores its farm: the re-run prints the first run's
+# `failovers:` line.
 #
 # The sharded legs exercise the multi-process farm (--workers): real
 # SIGKILLed workers (--worker-chaos) must restart and merge byte-identical
@@ -77,6 +79,28 @@ crash_resume_case() {
 
 crash_resume_case ""
 crash_resume_case rolling-brownout
+
+echo "==> re-run of a finished checkpoint reports the first run's failovers"
+rerun_dir="${workdir}/rerun"
+mkdir -p "${rerun_dir}"
+for run in first again; do
+  resume_arg=()
+  [[ "${run}" == again ]] && resume_arg=(--resume)
+  "${ctl}" generate --out "${rerun_dir}/out.csv" --requests "${requests}" \
+      --threads 2 --fault-profile sg47-outage \
+      --checkpoint-dir "${rerun_dir}/ckpt" \
+      "${resume_arg[@]+"${resume_arg[@]}"}" >"${rerun_dir}/${run}.log"
+done
+first_failovers="$(grep '^failovers:' "${rerun_dir}/first.log")"
+again_failovers="$(grep '^failovers:' "${rerun_dir}/again.log")"
+[[ "${first_failovers}" != "failovers: 0 "* ]] || {
+  echo "error: sg47-outage diverted no requests" >&2; exit 1; }
+[[ "${again_failovers}" == "${first_failovers}" ]] || {
+  echo "error: re-run printed '${again_failovers}'," \
+       "first run '${first_failovers}'" >&2
+  exit 1
+}
+echo "==> ${again_failovers}"
 
 echo "==> tamper detection: flip one byte of the recorded output"
 tamper_dir="${workdir}/none"

@@ -6,7 +6,10 @@
 #      at --threads 1 and 4 — all six outputs must be byte-identical (both
 #      backends fill one column layout and feed one adapter, DESIGN.md
 #      §4.11, and the csv is parsed a window ahead on threads - 1
-#      workers, §4.15);
+#      workers, §4.15); then the same on a second, faulted corpus (50k
+#      requests, seed 7, rolling-brownout): csv at --threads 1 and 4 and
+#      the container at 4, since host slots, domain ids and count ties
+#      resolve differently there;
 #   3. report on a copy of the container with one flipped byte in a
 #      column page (block 0's time page) must exit non-zero with the
 #      "(malformed)" refusal: the footer and index are intact, so this is
@@ -54,6 +57,23 @@ for other in csv.2 csv.3 csv.4 col.1 col.4; do
   fi
 done
 echo "    all six reports are byte-identical"
+
+echo "==> generate 50000 requests, seed 7, rolling-brownout, csv + col"
+"${ctl}" generate --out "${workdir}/brownout.csv" --requests 50000 --seed 7 \
+  --fault-profile rolling-brownout --format both >/dev/null
+for leg in csv.1 csv.4 col.4; do
+  format="${leg%.*}" threads="${leg#*.}"
+  echo "==> report brownout ${format} --threads ${threads}"
+  "${ctl}" report "${workdir}/brownout.${format}" --seed 7 \
+    --threads "${threads}" >"${workdir}/brownout.${leg}"
+done
+for other in csv.4 col.4; do
+  if ! cmp "${workdir}/brownout.csv.1" "${workdir}/brownout.${other}"; then
+    echo "FAIL: brownout.${other} differs from brownout.csv.1" >&2
+    exit 1
+  fi
+done
+echo "    all three brownout reports are byte-identical"
 
 # Block 0 starts after the 8-byte file magic with a 16-byte header; its
 # first page (dict) is framed {u32 size, u32 crc32} at offset 24, and the
