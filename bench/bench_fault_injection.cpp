@@ -100,8 +100,8 @@ void print_reproduction() {
 }
 
 // Faulted end-to-end pipeline: generation + routing with failover checks
-// engaged. Compare against BM_StudyPipeline (bench_parallel_pipeline) for
-// the healthy-path cost.
+// engaged. Range 0 runs the same pipeline under the `none` profile: the
+// healthy-path cost to compare against.
 void BM_FaultedPipeline(benchmark::State& state) {
   const auto config = fault_config(state.range(0) == 0 ? "none"
                                                        : "sg47-outage");

@@ -80,9 +80,10 @@ struct CheckpointOptions {
   /// mid-run.
   std::function<void(std::size_t committed_batch)> after_commit;
   /// Where the run takes each batch's routed requests from
-  /// (workload::RunControl::batch_source). The multi-process shard
-  /// worker's knob: it reads them from its coordinator. Unset (the
-  /// default), the scenario generates them itself.
+  /// (workload::RunControl::batch_source, which may call it off the
+  /// calling thread). The multi-process shard worker's knob: it reads
+  /// them from its coordinator. Unset (the default), the scenario
+  /// generates them itself.
   std::function<bool(std::size_t b, workload::RoutedBatch& batch)>
       batch_source;
   /// Also maintain merge_keys.bin — the spool's 8-byte-LE-per-record merge

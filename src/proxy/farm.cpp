@@ -85,7 +85,9 @@ std::size_t ProxyFarm::failover_target(const Request& request,
   return best;
 }
 
-std::size_t ProxyFarm::route(const Request& request) const noexcept {
+std::size_t ProxyFarm::route(const Request& request,
+                             bool* diverted) const noexcept {
+  if (diverted != nullptr) *diverted = false;
   obs::add(obs_route_calls_);
   std::size_t target = proxies_.size();
   // Walk the host's domain suffixes looking for an affinity entry.
@@ -127,8 +129,7 @@ std::size_t ProxyFarm::route(const Request& request) const noexcept {
   if (faults_ != nullptr && faults_->is_down(target, request.time)) {
     const std::size_t survivor = failover_target(request, target);
     if (survivor != target) {
-      failover_total_.fetch_add(1, std::memory_order_relaxed);
-      failovers_to_[survivor].fetch_add(1, std::memory_order_relaxed);
+      if (diverted != nullptr) *diverted = true;
       obs::add(obs_failovers_);
     }
     return survivor;
@@ -137,7 +138,10 @@ std::size_t ProxyFarm::route(const Request& request) const noexcept {
 }
 
 LogRecord ProxyFarm::process(const Request& request) {
-  return proxies_[route(request)].process(request);
+  bool diverted = false;
+  const std::size_t target = route(request, &diverted);
+  if (diverted) add_failovers(target, 1);
+  return proxies_[target].process(request);
 }
 
 namespace {
@@ -149,9 +153,8 @@ std::string ProxyFarm::save_state() const {
   out += kFarmStateMagic;
   util::put_u64(out, proxies_.size());
   for (const SgProxy& proxy : proxies_) proxy.append_state(out);
-  util::put_u64(out, failover_total_.load(std::memory_order_relaxed));
-  for (const auto& count : failovers_to_)
-    util::put_u64(out, count.load(std::memory_order_relaxed));
+  util::put_u64(out, failover_total_);
+  for (const std::uint64_t count : failovers_to_) util::put_u64(out, count);
   return out;
 }
 
@@ -168,9 +171,8 @@ void ProxyFarm::restore_state(std::string_view bytes) {
         std::to_string(count) + ", farm has " +
         std::to_string(proxies_.size()) + ")");
   for (SgProxy& proxy : proxies_) proxy.restore_state(reader);
-  failover_total_.store(reader.get_u64(), std::memory_order_relaxed);
-  for (auto& counter : failovers_to_)
-    counter.store(reader.get_u64(), std::memory_order_relaxed);
+  failover_total_ = reader.get_u64();
+  for (std::uint64_t& count : failovers_to_) count = reader.get_u64();
   reader.expect_end();
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -62,28 +61,40 @@ class ProxyFarm {
   /// seed-keyed hash of (user, time, host) rather than a shared sequential
   /// RNG, so routing is const, allocation-free on the domain-suffix walk
   /// (heterogeneous string_view lookup), and safe to call from concurrent
-  /// generation shards without affecting the determinism contract. The
-  /// failover counters it bumps are relaxed atomics — statistics, not
-  /// routing state.
-  std::size_t route(const Request& request) const noexcept;
+  /// generation shards without affecting the determinism contract. It
+  /// writes no farm state: when `diverted` is non-null it is set to
+  /// whether the request failed over off a down proxy, and the caller
+  /// decides when that diversion counts (add_failovers).
+  std::size_t route(const Request& request,
+                    bool* diverted = nullptr) const noexcept;
 
-  /// Routes and filters. Unlike route(), this advances the chosen proxy's
-  /// cache and RNG, so concurrent callers must partition requests by
-  /// proxy index (see SyriaScenario::run's per-proxy phase).
+  /// Routes, tallies a diversion, and filters. Unlike route(), this
+  /// advances the chosen proxy's cache and RNG, so it must not run
+  /// concurrently with anything else touching the farm (the pipeline
+  /// instead routes in SyriaScenario::generate_batch and processes per
+  /// proxy in SyriaScenario::run).
   LogRecord process(const Request& request);
 
   SgProxy& proxy(std::size_t index) { return proxies_.at(index); }
   const SgProxy& proxy(std::size_t index) const { return proxies_.at(index); }
   std::size_t proxy_count() const noexcept { return proxies_.size(); }
 
-  /// Requests route() diverted away from a down proxy since construction.
-  std::uint64_t failover_total() const noexcept {
-    return failover_total_.load(std::memory_order_relaxed);
-  }
+  /// Requests diverted away from a down proxy since construction: the
+  /// diversions process() routed, plus those add_failovers() counted.
+  std::uint64_t failover_total() const noexcept { return failover_total_; }
 
   /// Diverted requests that landed on `index` as the failover target.
   std::uint64_t failovers_to(std::size_t index) const {
-    return failovers_to_.at(index).load(std::memory_order_relaxed);
+    return failovers_to_.at(index);
+  }
+
+  /// Counts `count` diversions onto proxy `target`. SyriaScenario::run
+  /// adds a batch's diversions once the batch is committed to processing,
+  /// so a batch that cancellation discards never counts. Not safe to call
+  /// concurrently with save_state() or another add_failovers().
+  void add_failovers(std::size_t target, std::uint64_t count) {
+    failovers_to_.at(target) += count;
+    failover_total_ += count;
   }
 
   /// Checkpoint support: serializes every proxy's mutable state (RNGs,
@@ -125,13 +136,13 @@ class ProxyFarm {
       affinities_;
   std::uint64_t route_salt_;
   const fault::FaultSchedule* faults_ = nullptr;
-  mutable std::atomic<std::uint64_t> failover_total_{0};
-  mutable std::vector<std::atomic<std::uint64_t>> failovers_to_;
-  // Observability instruments (nullptr when detached); mutable because
-  // route() is logically const — counters observe, they never steer.
-  mutable obs::Counter* obs_route_calls_ = nullptr;
-  mutable obs::Counter* obs_affinity_routed_ = nullptr;
-  mutable obs::Counter* obs_failovers_ = nullptr;
+  std::uint64_t failover_total_ = 0;
+  std::vector<std::uint64_t> failovers_to_;
+  // Observability instruments (nullptr when detached); counters observe,
+  // they never steer.
+  obs::Counter* obs_route_calls_ = nullptr;
+  obs::Counter* obs_affinity_routed_ = nullptr;
+  obs::Counter* obs_failovers_ = nullptr;
 };
 
 }  // namespace syrwatch::proxy

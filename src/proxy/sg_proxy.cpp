@@ -42,14 +42,14 @@ void SgProxy::append_state(std::string& out) const {
   util::put_u64(out, processed_);
   util::put_u64(out, cache_.hits());
   util::put_u64(out, cache_.misses());
-  const auto entries = cache_.snapshot();
-  util::put_u64(out, entries.size());
-  for (const auto& entry : entries) {
-    util::put_bytes(out, entry.key);
-    util::put_u64(out, static_cast<std::uint64_t>(entry.entry.exception));
-    util::put_u64(out, entry.entry.status);
-    util::put_i64(out, entry.entry.expires_at);
-  }
+  util::put_u64(out, cache_.size());
+  cache_.for_each_recent(
+      [&out](std::string_view key, const ResponseCache::Entry& entry) {
+        util::put_bytes(out, key);
+        util::put_u64(out, static_cast<std::uint64_t>(entry.exception));
+        util::put_u64(out, entry.status);
+        util::put_i64(out, entry.expires_at);
+      });
 }
 
 void SgProxy::restore_state(util::ByteReader& reader) {
@@ -89,25 +89,26 @@ void SgProxy::restore_state(util::ByteReader& reader) {
   }
 }
 
-LogRecord SgProxy::process(const Request& request) {
+LogRecord SgProxy::process(Request request) {
   ++processed_;
   obs::add(obs_.requests);
 
+  // The request's strings move into the record; only its scalars are read
+  // below.
   LogRecord record;
   record.time = request.time;
   record.proxy_index = index_;
   record.user_hash = util::mix64(request.user_id);
-  record.user_agent = request.user_agent;
-  record.method = request.method;
-  record.url = request.url;
+  record.user_agent = std::move(request.user_agent);
+  record.method = std::move(request.method);
+  record.url = std::move(request.url);
   record.dest_ip = request.dest_ip;
 
   // TLS interception: the tunnelled request becomes visible. Without it,
   // HTTPS records carry only host/IP and port, exactly as in the leak.
-  if (config_.intercept_https &&
-      request.url.scheme == net::Scheme::kHttps) {
-    record.url.path = request.inner_path;
-    record.url.query = request.inner_query;
+  if (config_.intercept_https && record.url.scheme == net::Scheme::kHttps) {
+    record.url.path = std::move(request.inner_path);
+    record.url.query = std::move(request.inner_query);
   }
 
   const std::string_view custom =

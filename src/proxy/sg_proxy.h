@@ -56,8 +56,10 @@ class SgProxy {
   std::uint8_t index() const noexcept { return index_; }
   std::string name() const { return policy::proxy_name(index_); }
 
-  /// Filters one request and returns the resulting log line.
-  LogRecord process(const Request& request);
+  /// Filters one request and returns the resulting log line. The
+  /// request's strings move into the record: pass an rvalue to spare the
+  /// copies, an lvalue is copied.
+  LogRecord process(Request request);
 
   /// Wires the fault layer in: brownout windows covering this proxy scale
   /// its network-error rates per request. nullptr (the default) keeps the

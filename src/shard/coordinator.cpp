@@ -141,7 +141,6 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
   // The one scenario of the run: it validates the config before any fork,
   // generates every batch, and reaches each worker through fork().
   workload::SyriaScenario scenario{options.config};
-  const std::string initial_farm_state = scenario.farm().save_state();
   scenario.set_obs(options.obs);
   const std::size_t total_batches = scenario.batch_count();
 
@@ -301,7 +300,6 @@ ShardedRun run_sharded(const CoordinatorOptions& options) {
       }
       WorkerSpec spec;
       spec.scenario = &scenario;
-      spec.initial_farm_state = &initial_farm_state;
       spec.worker = proc.index;
       spec.workers = options.workers;
       spec.proxy_mask = proc.mask;

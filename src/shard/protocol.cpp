@@ -271,6 +271,7 @@ void decode_batch_frame(std::string_view payload, std::uint64_t proxy_mask,
 
   batch.index = static_cast<std::size_t>(index);
   batch.shards.resize(static_cast<std::size_t>(shards));
+  batch.failovers = {};  // the coordinator's routing saw the diversions
   TableReader table;
   std::int64_t previous_time = 0;
   for (std::uint64_t i = 0; i < shards; ++i) {

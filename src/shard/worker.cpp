@@ -95,13 +95,14 @@ int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept {
     const std::uint64_t next_batch =
         options.resume ? durable::RunManifest::load(manifest_path).next_batch
                        : 0;
-    if (next_batch == 0)
-      scenario.farm().restore_state(*spec.initial_farm_state);
     options.cancel = &cancel;
     options.command = worker_command(spec.worker, spec.workers,
                                      spec.proxy_mask);
     options.commit_interval = spec.commit_interval;
     options.record_keys = true;
+    // The run calls batch_source off this thread while the sink and the
+    // hooks below run for the previous batch: the feed reads only the
+    // data fd and the cancel token, the hooks write only the status fd.
     BatchFeed feed{data_fd, spec.proxy_mask, cancel};
     options.batch_source = [&feed](std::size_t,
                                    workload::RoutedBatch& batch) {

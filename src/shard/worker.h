@@ -21,13 +21,8 @@ inline constexpr int kWorkerError = 1;        ///< exception; message on stderr
 struct WorkerSpec {
   /// The scenario the worker filters with: the coordinator's own,
   /// inherited through fork(). The coordinator only generates and routes,
-  /// which never advances a proxy, so its farm is as built.
+  /// which writes no farm state, so its farm is as built.
   workload::SyriaScenario* scenario = nullptr;
-  /// The farm state the scenario was built with (save_state() before the
-  /// first route). A worker starting at batch 0 restores it, so that the
-  /// failover tallies the coordinator's routing ran up before the fork do
-  /// not leak into the shard's checkpoints.
-  const std::string* initial_farm_state = nullptr;
   std::size_t worker = 0;
   std::size_t workers = 1;
   std::uint64_t proxy_mask = 0;

@@ -1,8 +1,11 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "fault/profiles.h"
 #include "obs/trace.h"
@@ -169,6 +172,13 @@ std::size_t SyriaScenario::batch_count() const noexcept {
 
 bool SyriaScenario::generate_batch(std::size_t b, RoutedBatch& batch,
                                    const util::CancelToken* cancel) const {
+  return generate_on(b, batch, cancel,
+                     util::resolve_threads(config_.threads));
+}
+
+bool SyriaScenario::generate_on(std::size_t b, RoutedBatch& batch,
+                                const util::CancelToken* cancel,
+                                std::size_t threads) const {
   const std::size_t batch_start = b * kShardsPerBatch;
   if (batch_start >= plan_.size())
     throw std::out_of_range("SyriaScenario::generate_batch: batch " +
@@ -184,11 +194,12 @@ bool SyriaScenario::generate_batch(std::size_t b, RoutedBatch& batch,
 
   batch.index = b;
   batch.shards.resize(n_shards);
+  std::array<std::atomic<std::uint64_t>, policy::kProxyCount> failovers{};
   // One shard per work item. Each (shard, component) pair owns an
   // independent child RNG, so shards never contend and the draw sequence
   // is execution-order-free.
-  return util::parallel_for(
-      n_shards, util::resolve_threads(config_.threads),
+  const bool complete = util::parallel_for(
+      n_shards, threads,
       [&](std::size_t i) {
         const obs::StageTimer timer{gen_stage};
         const std::size_t ordinal = batch_start + i;
@@ -197,6 +208,7 @@ bool SyriaScenario::generate_batch(std::size_t b, RoutedBatch& batch,
         shard.requests.clear();
         shard.proxy_of.clear();
         shard.sequence.clear();
+        std::array<std::uint64_t, policy::kProxyCount> diverted{};
         const std::int64_t mid = sp.start + slot / 2;
         for (std::size_t c = 0; c < n_components; ++c) {
           util::Rng rng = stream_root_.split(
@@ -209,14 +221,22 @@ bool SyriaScenario::generate_batch(std::size_t b, RoutedBatch& batch,
                 sp.start + static_cast<std::int64_t>(rng.uniform(
                                static_cast<std::uint64_t>(slot)));
             proxy::Request request = components_[c]->generate(t, rng);
-            shard.proxy_of.push_back(
-                static_cast<std::uint8_t>(farm_.route(request)));
+            bool failed_over = false;
+            const std::size_t target = farm_.route(request, &failed_over);
+            if (failed_over) ++diverted[target];
+            shard.proxy_of.push_back(static_cast<std::uint8_t>(target));
             shard.requests.push_back(std::move(request));
           }
         }
+        for (std::size_t p = 0; p < diverted.size(); ++p)
+          if (diverted[p] != 0)
+            failovers[p].fetch_add(diverted[p], std::memory_order_relaxed);
         obs::add(generated, shard.requests.size());
       },
       cancel);
+  for (std::size_t p = 0; p < failovers.size(); ++p)
+    batch.failovers[p] = failovers[p].load(std::memory_order_relaxed);
+  return complete;
 }
 
 void SyriaScenario::run(const LogCallback& sink) { run(sink, RunControl{}); }
@@ -224,6 +244,7 @@ void SyriaScenario::run(const LogCallback& sink) { run(sink, RunControl{}); }
 bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
   const std::size_t threads = util::resolve_threads(config_.threads);
   const std::size_t n_proxies = farm_.proxy_count();
+  const std::size_t end = batch_count();
 
   // Observability instruments, all nullptr when detached. Stage timers run
   // at shard/batch granularity (never per request) so the < 2% overhead
@@ -244,78 +265,28 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
   // ordinal and per-proxy processing order follows the merge key. The
   // batch is also the durability unit — control.start_batch skips whole
   // batches on resume, and cancellation never emits a partial one.
+  // One batch and one set of per-proxy outputs serve the whole run: phase
+  // 2 moves the batch's requests into records, after which phase 1 of the
+  // next batch refills it while phase 3 drains the outputs.
   RoutedBatch batch;
   std::vector<std::vector<Processed>> per_proxy(n_proxies);
 
-  for (std::size_t b = control.start_batch; b < batch_count(); ++b) {
+  // Phase 1 — generate + route batch b into `batch` on `workers` threads,
+  // here or in the process feeding us. False when cancellation or the end
+  // of the batch source stopped it.
+  const auto produce = [&](std::size_t b, std::size_t workers) {
     if (control.cancel != nullptr && control.cancel->cancelled())
       return false;
-    const std::size_t batch_start = b * kShardsPerBatch;
-    const std::size_t n_shards =
-        std::min(kShardsPerBatch, plan_.size() - batch_start);
+    if (control.batch_source) return control.batch_source(b, batch);
+    return generate_on(b, batch, control.cancel, workers);
+  };
 
-    // Phase 1 — generate + route, here or in the process feeding us.
-    if (control.batch_source) {
-      if (!control.batch_source(b, batch)) return false;
-      if (batch.index != b || batch.shards.size() != n_shards)
-        throw std::runtime_error(
-            "scenario: batch source delivered batch " +
-            std::to_string(batch.index) + " with " +
-            std::to_string(batch.shards.size()) + " shards, expected batch " +
-            std::to_string(b) + " with " + std::to_string(n_shards));
-    } else if (!generate_batch(b, batch, control.cancel)) {
-      return false;
-    }
-
-    // A cancellation must land here, before phase 2 touches any proxy:
-    // phase 1 is pure (RNG streams derive from shard ordinals), so its
-    // output can be discarded freely — but once a proxy consumes a
-    // request its sequential RNG and cache have advanced, and a batch
-    // abandoned after that would leave the farm state one batch ahead of
-    // the records a checkpoint saw (a resumed run would then process the
-    // batch twice and diverge). From this point the batch runs to the
-    // sink unconditionally.
-    if (control.cancel != nullptr && control.cancel->cancelled())
-      return false;
-
-    // Phase 2 — per-proxy processing. Each SgProxy owns an LRU cache and
-    // an RNG that must advance sequentially, so each proxy walks its own
-    // time-ordered queue (shard-major, generation-order minor) on its own
-    // worker. Requests on filtered days still pass through the proxy —
-    // the leak drops the *records*, not the traffic that warmed caches.
-    // NOTE: phase 2 is never handed the cancel token — a proxy that has
-    // started consuming a batch must finish it, or its sequential RNG and
-    // cache would be left mid-batch and the in-memory state could not be
-    // discarded cleanly at a batch boundary.
-    util::parallel_for(n_proxies, threads, [&](std::size_t p) {
-      const obs::StageTimer timer{proc_stage};
-      std::vector<Processed>& out = per_proxy[p];
-      out.clear();
-      // An unowned proxy's queue is dropped whole, leaving its sequential
-      // state untouched (some other process owns and advances it).
-      if (((control.proxy_mask >> p) & 1) == 0) return;
-      proxy::SgProxy& appliance = farm_.proxy(p);
-      for (std::size_t i = 0; i < n_shards; ++i) {
-        const RoutedShard& shard = batch.shards[i];
-        const SlotPlan& sp = plan_[batch_start + i];
-        const std::uint64_t hi = static_cast<std::uint64_t>(batch_start + i)
-                                 << 32;
-        for (std::size_t k = 0; k < shard.requests.size(); ++k) {
-          if (shard.proxy_of[k] != p) continue;
-          proxy::LogRecord record = appliance.process(shard.requests[k]);
-          if (sp.filtered_day && p != 0) continue;
-          if (!sp.keep_hashes) record.user_hash = 0;
-          const std::uint64_t sequence =
-              shard.sequence.empty() ? k : shard.sequence[k];
-          out.push_back({hi | sequence, std::move(record)});
-        }
-      }
-    });
-
-    // Phase 3 — deterministic merge: each per-proxy buffer is already
-    // sorted by key, so a k-way merge restores global generation order
-    // (day, slot, component, sequence) — exactly the order the old
-    // single-threaded loop emitted — before the records reach the sink.
+  // Phase 3 — deterministic merge: each per-proxy buffer is already
+  // sorted by key, so a k-way merge restores global generation order
+  // (day, slot, component, sequence) — exactly the order the old
+  // single-threaded loop emitted — before the records reach the sink.
+  // Then the batch is complete.
+  const auto emit = [&](std::size_t b) {
     {
       const obs::StageTimer merge_timer{merge_stage};
       std::uint64_t merged = 0;
@@ -340,6 +311,105 @@ bool SyriaScenario::run(const LogCallback& sink, const RunControl& control) {
       obs::add(emitted, merged);
     }
     if (control.on_batch) control.on_batch(b);
+  };
+
+  if (control.start_batch >= end) return true;
+  bool produced = produce(control.start_batch, threads);
+  for (std::size_t b = control.start_batch; b < end; ++b) {
+    if (!produced) return false;
+    const std::size_t batch_start = b * kShardsPerBatch;
+    const std::size_t n_shards =
+        std::min(kShardsPerBatch, plan_.size() - batch_start);
+    if (control.batch_source &&
+        (batch.index != b || batch.shards.size() != n_shards))
+      throw std::runtime_error(
+          "scenario: batch source delivered batch " +
+          std::to_string(batch.index) + " with " +
+          std::to_string(batch.shards.size()) + " shards, expected batch " +
+          std::to_string(b) + " with " + std::to_string(n_shards));
+
+    // A cancellation must land here, before phase 2 touches any proxy:
+    // phase 1 is pure (RNG streams derive from shard ordinals, and routing
+    // writes no farm state), so its output can be discarded freely — but
+    // once a proxy consumes a request its sequential RNG and cache have
+    // advanced, and a batch abandoned after that would leave the farm
+    // state one batch ahead of the records a checkpoint saw (a resumed run
+    // would then process the batch twice and diverge). From this point the
+    // batch runs to the sink unconditionally, so its diversions count now.
+    if (control.cancel != nullptr && control.cancel->cancelled())
+      return false;
+    for (std::size_t p = 0; p < batch.failovers.size(); ++p)
+      if (batch.failovers[p] != 0)
+        farm_.add_failovers(p, batch.failovers[p]);
+
+    // Phase 2 — per-proxy processing. Each SgProxy owns an LRU cache and
+    // an RNG that must advance sequentially, so each proxy walks its own
+    // time-ordered queue (shard-major, generation-order minor) on its own
+    // worker. Requests on filtered days still pass through the proxy —
+    // the leak drops the *records*, not the traffic that warmed caches.
+    // Each request's strings move into its record.
+    // NOTE: phase 2 is never handed the cancel token — a proxy that has
+    // started consuming a batch must finish it, or its sequential RNG and
+    // cache would be left mid-batch and the in-memory state could not be
+    // discarded cleanly at a batch boundary.
+    util::parallel_for(n_proxies, threads, [&](std::size_t p) {
+      const obs::StageTimer timer{proc_stage};
+      std::vector<Processed>& out = per_proxy[p];
+      out.clear();
+      // An unowned proxy's queue is dropped whole, leaving its sequential
+      // state untouched (some other process owns and advances it).
+      if (((control.proxy_mask >> p) & 1) == 0) return;
+      proxy::SgProxy& appliance = farm_.proxy(p);
+      for (std::size_t i = 0; i < n_shards; ++i) {
+        RoutedShard& shard = batch.shards[i];
+        const SlotPlan& sp = plan_[batch_start + i];
+        const std::uint64_t hi = static_cast<std::uint64_t>(batch_start + i)
+                                 << 32;
+        for (std::size_t k = 0; k < shard.requests.size(); ++k) {
+          if (shard.proxy_of[k] != p) continue;
+          proxy::LogRecord record =
+              appliance.process(std::move(shard.requests[k]));
+          if (sp.filtered_day && p != 0) continue;
+          if (!sp.keep_hashes) record.user_hash = 0;
+          const std::uint64_t sequence =
+              shard.sequence.empty() ? k : shard.sequence[k];
+          out.push_back({hi | sequence, std::move(record)});
+        }
+      }
+    });
+
+    // The batch's requests are dead now. With threads to spare, phase 1 of
+    // the next batch refills `batch` on threads - 1 workers of a helper
+    // thread while this thread emits batch b; phase 2 never overlaps the
+    // sink or on_batch, so on_batch(b) sees the farm exactly as batch b
+    // left it. With one thread the phases run inline, one after another.
+    const bool more = b + 1 < end;
+    if (!more || threads <= 1) {
+      emit(b);
+      if (more) produced = produce(b + 1, threads);
+      continue;
+    }
+    std::exception_ptr producer_error;
+    std::thread producer{[&, next = b + 1] {
+      try {
+        produced = produce(next, threads - 1);
+      } catch (...) {
+        producer_error = std::current_exception();
+      }
+    }};
+    try {
+      emit(b);
+    } catch (...) {
+      producer.join();
+      throw;
+    }
+    {
+      // Resolved here, so that only a run that overlapped reports it.
+      const obs::StageTimer wait_timer{
+          obs::stage(obs_, "scenario.produce_wait")};
+      producer.join();
+    }
+    if (producer_error) std::rethrow_exception(producer_error);
   }
   return true;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -110,6 +111,11 @@ struct RoutedShard {
 struct RoutedBatch {
   std::size_t index = 0;
   std::vector<RoutedShard> shards;
+  /// Requests routing diverted off a down proxy, by failover target.
+  /// run() adds them to the farm's tallies once the batch is committed to
+  /// processing; a batch decoded from a shard frame carries none (the
+  /// coordinator's routing saw them).
+  std::array<std::uint64_t, policy::kProxyCount> failovers{};
 };
 
 /// Knobs for a controlled run: cooperative cancellation, batch-granular
@@ -128,8 +134,11 @@ struct RunControl {
   std::size_t start_batch = 0;
   /// Invoked on the calling thread after each batch's records reached the
   /// sink, with the index of the completed batch; a checkpointer commits
-  /// its batch here. May throw — the exception propagates out of run()
-  /// (that is exactly what a mid-run crash looks like to a resumer).
+  /// its batch here. The farm is exactly as the batch left it: the next
+  /// batch may be generating meanwhile, but no proxy advances and no
+  /// tally moves until on_batch returns. May throw — the exception
+  /// propagates out of run() (that is exactly what a mid-run crash looks
+  /// like to a resumer).
   std::function<void(std::size_t completed_batch)> on_batch;
   /// Bitmask of farm proxies this run processes (bit p = proxy index p).
   /// Requests routed to an unowned proxy are never processed, so that
@@ -144,7 +153,9 @@ struct RunControl {
   /// `batch` with batch b's requests and returns true, or returns false
   /// when no more input will come, which stops the run like a
   /// cancellation, before any proxy sees the batch. The hook may throw;
-  /// the exception propagates out of run().
+  /// the exception propagates out of run(). With more than one thread it
+  /// is called off the calling thread, while the sink and on_batch run
+  /// for the previous batch: it must touch nothing those touch.
   std::function<bool(std::size_t b, RoutedBatch& batch)> batch_source;
   /// Optional keyed tap, invoked immediately before `sink` for every
   /// emitted record with the record's deterministic merge key
@@ -174,12 +185,13 @@ class SyriaScenario {
   std::size_t batch_count() const noexcept;
 
   /// Phase 1 of run() for batch `b`: generates each of its shards and
-  /// routes every request. A pure function of the config and `b`, so any
-  /// process holding an identically configured scenario produces the same
-  /// batch, in any order and as often as it likes (only the farm's
-  /// failover tallies and the obs counters count every call). Uses
-  /// config().threads workers. Returns false when `cancel` fired first;
-  /// `batch` is then incomplete and must not be processed.
+  /// routes every request, summing the diversions into batch.failovers. A
+  /// pure function of the config and `b` that writes no farm state, so
+  /// any process holding an identically configured scenario produces the
+  /// same batch, in any order and as often as it likes (only the obs
+  /// counters count every call). Uses config().threads workers. Returns
+  /// false when `cancel` fired first; `batch` is then incomplete and must
+  /// not be processed.
   bool generate_batch(std::size_t b, RoutedBatch& batch,
                       const util::CancelToken* cancel = nullptr) const;
 
@@ -195,6 +207,13 @@ class SyriaScenario {
   /// when the window completed, false when cancellation (or the end of the
   /// batch source) stopped it early (the sink then saw a whole number of
   /// batches — never a partial one).
+  ///
+  /// With threads > 1, phase 1 of batch k+1 (generate or batch_source, on
+  /// threads − 1 workers of a helper thread) runs while the calling
+  /// thread merges batch k into the sink and runs on_batch(k); phase 2
+  /// then runs alone on every thread (DESIGN.md §4.5). An exception from
+  /// the sink or on_batch waits for that phase 1 before it propagates; one
+  /// from phase 1 propagates after on_batch(k) returned.
   bool run(const LogCallback& sink, const RunControl& control);
 
   /// Attaches the observability layer to the pipeline and the farm: stage
@@ -240,6 +259,11 @@ class SyriaScenario {
     bool filtered_day = false;  ///< leak keeps only SG-42 on this day
     bool keep_hashes = true;    ///< client hashes survive only on July 22–23
   };
+
+  /// generate_batch on `threads` workers.
+  bool generate_on(std::size_t b, RoutedBatch& batch,
+                   const util::CancelToken* cancel,
+                   std::size_t threads) const;
 
   ScenarioConfig config_;
   UserModel users_;

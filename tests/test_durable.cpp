@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/study.h"
@@ -757,6 +760,162 @@ TEST(CheckpointResume, CompletedCheckpointRestoresFarmState) {
               std::string::npos)
         << error.what();
   }
+}
+
+TEST(CheckpointResume, CancelAfterRoutingDoesNotRecountFailovers) {
+  // sg47-outage diverts traffic in batches 10-13. A cancel that lands
+  // after batch 12 was routed discards the batch before any proxy sees
+  // it; its diversions must not reach the committed farm state, or the
+  // resume (which routes batch 12 again) counts them twice.
+  auto config = small_config(30'000, 4);
+  config.fault_profile = "sg47-outage";
+  std::uint64_t failovers = 0;
+  std::string state;
+  {
+    workload::SyriaScenario scenario{config};
+    scenario.run([](const proxy::LogRecord&) {});
+    failovers = scenario.farm().failover_total();
+    state = scenario.farm().save_state();
+  }
+  ASSERT_GT(failovers, 0u);
+
+  TempDir dir{"failover_cancel"};
+  util::CancelToken token;
+  {
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    options.cancel = &token;
+    options.commit_interval = 8;
+    options.batch_source = [&](std::size_t b, workload::RoutedBatch& batch) {
+      const bool routed = scenario.generate_batch(b, batch);
+      if (b == 12) token.request_cancel();
+      return routed;
+    };
+    const auto run = durable::run_checkpointed(
+        scenario, options, [](const proxy::LogRecord&) {});
+    ASSERT_FALSE(run.completed);
+    ASSERT_EQ(run.manifest.next_batch, 12u);
+  }
+
+  workload::SyriaScenario scenario{config};
+  durable::CheckpointOptions options;
+  options.directory = dir.str();
+  options.resume = true;
+  const auto run = durable::run_checkpointed(scenario, options,
+                                             [](const proxy::LogRecord&) {});
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(scenario.farm().failover_total(), failovers);
+  EXPECT_EQ(scenario.farm().save_state(), state);
+}
+
+TEST(CheckpointResume, CommitThrowingWhileNextBatchIsProducedResumes) {
+  // At threads 4 batch k+1 is produced while batch k is sunk and
+  // committed. A commit hook that throws at batch 3 must wait for batch
+  // 4's producer, then propagate, and leave a checkpoint the resume
+  // completes byte-identically.
+  const auto config = small_config(30'000, 4);
+  const auto reference = run_to_csv(config);
+  TempDir dir{"throw_overlap"};
+  {
+    workload::SyriaScenario scenario{config};
+    std::atomic<bool> committing{false};
+    std::atomic<bool> produced_4{false};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    options.batch_source = [&](std::size_t b, workload::RoutedBatch& batch) {
+      if (b == 4) {
+        // Hold batch 4 until batch 3's commit is under way, so the throw
+        // surely lands while batch 4 is being produced.
+        while (!committing.load()) std::this_thread::yield();
+        produced_4.store(true);
+      }
+      return scenario.generate_batch(b, batch);
+    };
+    options.after_commit = [&](std::size_t batch) {
+      if (batch != 3) return;
+      committing.store(true);
+      throw SimulatedCrash{};
+    };
+    EXPECT_THROW(durable::run_checkpointed(scenario, options,
+                                           [](const proxy::LogRecord&) {}),
+                 SimulatedCrash);
+    EXPECT_TRUE(produced_4.load());
+  }
+  const auto crashed = durable::RunManifest::load(
+      (dir.path / durable::RunManifest::kFileName).string());
+  EXPECT_EQ(crashed.state, "in_progress");
+  EXPECT_EQ(crashed.next_batch, 4u);
+
+  workload::SyriaScenario scenario{config};
+  durable::CheckpointOptions options;
+  options.directory = dir.str();
+  options.resume = true;
+  std::vector<std::string> lines;
+  const auto run = durable::run_checkpointed(
+      scenario, options, [&](const proxy::LogRecord& record) {
+        lines.push_back(proxy::to_csv(record));
+      });
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(lines, reference);
+}
+
+TEST(CheckpointResume, CancelFromProgressHookStopsAfterThatBatch) {
+  // The cancel fires in on_progress(k) while batch k+1 is being produced:
+  // the sink must have seen exactly batches 0..k, and the resume picks up
+  // at k+1.
+  const auto config = small_config(30'000, 4);
+  std::vector<std::string> reference;
+  std::vector<std::size_t> batch_end;  // records emitted through batch b
+  {
+    workload::SyriaScenario scenario{config};
+    workload::RunControl control;
+    control.on_batch = [&](std::size_t) {
+      batch_end.push_back(reference.size());
+    };
+    ASSERT_TRUE(scenario.run(
+        [&](const proxy::LogRecord& record) {
+          reference.push_back(proxy::to_csv(record));
+        },
+        control));
+  }
+  constexpr std::size_t k = 5;
+  ASSERT_GT(batch_end.size(), k + 1);
+
+  TempDir dir{"progress_cancel"};
+  util::CancelToken token;
+  {
+    workload::SyriaScenario scenario{config};
+    durable::CheckpointOptions options;
+    options.directory = dir.str();
+    options.cancel = &token;
+    options.commit_interval = 4;  // batches 4 and 5 commit on the way out
+    options.on_progress = [&](std::size_t batch) {
+      if (batch == k) token.request_cancel();
+    };
+    std::vector<std::string> partial;
+    const auto run = durable::run_checkpointed(
+        scenario, options, [&](const proxy::LogRecord& record) {
+          partial.push_back(proxy::to_csv(record));
+        });
+    EXPECT_FALSE(run.completed);
+    EXPECT_EQ(run.manifest.next_batch, k + 1);
+    ASSERT_EQ(partial.size(), batch_end[k]);
+    EXPECT_TRUE(std::equal(partial.begin(), partial.end(), reference.begin()));
+  }
+
+  workload::SyriaScenario scenario{config};
+  durable::CheckpointOptions options;
+  options.directory = dir.str();
+  options.resume = true;
+  std::vector<std::string> lines;
+  const auto run = durable::run_checkpointed(
+      scenario, options, [&](const proxy::LogRecord& record) {
+        lines.push_back(proxy::to_csv(record));
+      });
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(run.batches_replayed, k + 1);
+  EXPECT_EQ(lines, reference);
 }
 
 TEST(CheckpointResume, TornSpoolTailIsTruncatedOnResume) {

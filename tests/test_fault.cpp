@@ -179,6 +179,14 @@ TEST(Failover, ReroutesOnlyTheDownProxyAndSticksToOneSurvivor) {
   EXPECT_EQ(farm.route(plain_request(elsewhere, t0)), other_home);
   // Outside the window the home proxy is back.
   EXPECT_EQ(farm.route(plain_request(on_sg44, t0 + 7200)), 2u);
+  // route() reports a diversion but never counts it: the pipeline adds a
+  // batch's diversions only once the batch is committed to processing.
+  bool diverted = false;
+  EXPECT_EQ(farm.route(plain_request(on_sg44, t0), &diverted), survivor);
+  EXPECT_TRUE(diverted);
+  EXPECT_EQ(farm.failover_total(), failovers_before);
+  // process() routes and counts.
+  EXPECT_EQ(farm.process(plain_request(on_sg44, t0)).proxy_index, survivor);
   EXPECT_GT(farm.failover_total(), failovers_before);
   EXPECT_GT(farm.failovers_to(survivor), 0u);
 }

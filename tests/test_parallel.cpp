@@ -1,17 +1,25 @@
 // Parallel pipeline: parallel_for semantics, thread-count invariance of
-// the generated log and the rendered report (the DESIGN.md §4.5 contract),
-// and regression tests for the hot-path fixes that rode along with the
-// parallelization (share-boost resolution, affinity routing).
+// the generated log, of every commit's farm state and of the rendered
+// report (the DESIGN.md §4.5 contract), and regression tests for the
+// hot-path fixes that rode along with the parallelization (share-boost
+// resolution, affinity routing).
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/report.h"
 #include "core/study.h"
+#include "durable/checkpoint.h"
+#include "durable/manifest.h"
 #include "proxy/log_io.h"
 #include "util/cancel.h"
 #include "util/parallel.h"
@@ -117,10 +125,15 @@ std::vector<std::string> run_to_csv(const ScenarioConfig& config) {
   return lines;
 }
 
+// Thread counts the invariance tests compare with threads 1: at 2 the
+// next batch's producer gets one thread of its own, and 7 matches the
+// proxy count.
+constexpr std::size_t kThreadCounts[] = {2, 3, 7, 8};
+
 TEST(ThreadInvariance, LogStreamIsBitIdenticalAcrossThreadCounts) {
   const auto reference = run_to_csv(small_config(60'000, 1));
   ASSERT_GT(reference.size(), 20'000u);
-  for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+  for (const std::size_t threads : kThreadCounts) {
     const auto lines = run_to_csv(small_config(60'000, threads));
     ASSERT_EQ(lines.size(), reference.size()) << threads << " threads";
     EXPECT_EQ(lines, reference) << threads << " threads";
@@ -137,7 +150,7 @@ TEST(ThreadInvariance, FaultedLogIsBitIdenticalAcrossThreadCounts) {
     reference_config.fault_profile = profile;
     const auto reference = run_to_csv(reference_config);
     ASSERT_GT(reference.size(), 20'000u) << profile;
-    for (const std::size_t threads : {std::size_t{3}, std::size_t{8}}) {
+    for (const std::size_t threads : kThreadCounts) {
       auto config = small_config(60'000, threads);
       config.fault_profile = profile;
       const auto lines = run_to_csv(config);
@@ -149,9 +162,62 @@ TEST(ThreadInvariance, FaultedLogIsBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// The farm state of every commit of a checkpointed run at
+/// commit_interval 1, read back from disk as each commit lands.
+std::vector<std::string> committed_states(const ScenarioConfig& config,
+                                          const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  SyriaScenario scenario{config};
+  durable::CheckpointOptions options;
+  options.directory = dir;
+  std::vector<std::string> states;
+  options.after_commit = [&](std::size_t) {
+    const auto manifest = durable::RunManifest::load(
+        dir + "/" + std::string(durable::RunManifest::kFileName));
+    for (const auto& artifact : manifest.artifacts) {
+      if (artifact.role != "state") continue;
+      std::ifstream in{dir + "/" + artifact.path, std::ios::binary};
+      states.emplace_back(std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>());
+    }
+  };
+  EXPECT_TRUE(durable::run_checkpointed(scenario, options,
+                                        [](const proxy::LogRecord&) {})
+                  .completed);
+  std::filesystem::remove_all(dir);
+  return states;
+}
+
+// A commit runs while the next batch is being produced; it must still see
+// the farm exactly as its own batch left it — caches, RNGs and failover
+// tallies — at any thread count.
+TEST(ThreadInvariance, CommittedFarmStatesAreBitIdenticalAcrossThreadCounts) {
+  const std::string dir = ::testing::TempDir() +
+                          "syrwatch_parallel_commits_" +
+                          std::to_string(::getpid());
+  for (const char* profile : {"none", "rolling-brownout", "sg47-outage"}) {
+    auto reference_config = small_config(20'000, 1);
+    reference_config.fault_profile = profile;
+    const auto reference = committed_states(reference_config, dir);
+    ASSERT_EQ(reference.size(), SyriaScenario{reference_config}.batch_count())
+        << profile;
+    for (const std::size_t threads : kThreadCounts) {
+      auto config = reference_config;
+      config.threads = threads;
+      const auto states = committed_states(config, dir);
+      ASSERT_EQ(states.size(), reference.size())
+          << profile << " @ " << threads << " threads";
+      for (std::size_t b = 0; b < states.size(); ++b)
+        EXPECT_EQ(states[b], reference[b])
+            << profile << " @ " << threads << " threads, commit " << b;
+    }
+  }
+}
+
 TEST(ThreadInvariance, FullReportIsBitIdenticalAcrossThreadCounts) {
   std::string reference;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{8}}) {
     core::Study study{small_config(50'000, threads)};
     study.run();
     const auto report = core::render_full_report(study);
@@ -166,7 +232,8 @@ TEST(ThreadInvariance, FullReportIsBitIdenticalAcrossThreadCounts) {
 
 TEST(ThreadInvariance, DerivedDatasetsMatchAcrossThreadCounts) {
   std::vector<std::uint64_t> sizes;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{6}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{6}, std::size_t{7}}) {
     core::Study study{small_config(40'000, threads)};
     study.run();
     const auto& datasets = study.datasets();

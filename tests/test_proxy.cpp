@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <list>
+#include <string>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
+
 #include "policy/syria.h"
 #include "proxy/cache.h"
 #include "proxy/error_model.h"
@@ -114,6 +121,217 @@ TEST(Cache, ReadmitRefreshes) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->status, 304);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+// The list + map LRU the flat cache replaced, kept as its oracle: every
+// find/admit must agree with it on the returned entry, the recency order
+// (snapshot), the size and the hit/miss tallies.
+class OracleCache {
+ public:
+  OracleCache(std::size_t capacity, std::int64_t ttl)
+      : capacity_(capacity), ttl_(ttl) {}
+
+  const ResponseCache::Entry* find(std::string_view key, std::int64_t now) {
+    const auto it = map_.find(std::string(key));
+    if (it == map_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    const ResponseCache::Entry& entry = it->second->entry;
+    if (entry.expires_at != 0 && now >= entry.expires_at) {
+      lru_.erase(it->second);
+      map_.erase(it);
+      ++misses_;
+      return nullptr;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return &it->second->entry;
+  }
+
+  void admit(std::string_view key, ResponseCache::Entry entry,
+             std::int64_t now) {
+    if (ttl_ != 0 && entry.expires_at == 0) entry.expires_at = now + ttl_;
+    const auto it = map_.find(std::string(key));
+    if (it != map_.end()) {
+      it->second->entry = entry;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (map_.size() >= capacity_) {
+      map_.erase(lru_.back().key);
+      lru_.pop_back();
+    }
+    lru_.push_front({std::string(key), entry});
+    map_.emplace(lru_.front().key, lru_.begin());
+  }
+
+  std::vector<ResponseCache::SnapshotEntry> snapshot() const {
+    return {lru_.begin(), lru_.end()};
+  }
+  std::size_t size() const { return map_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  std::size_t capacity_;
+  std::int64_t ttl_;
+  std::list<ResponseCache::SnapshotEntry> lru_;  // front = most recent
+  std::unordered_map<std::string,
+                     std::list<ResponseCache::SnapshotEntry>::iterator>
+      map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+bool same_entry(const ResponseCache::Entry& a, const ResponseCache::Entry& b) {
+  return a.exception == b.exception && a.status == b.status &&
+         a.expires_at == b.expires_at;
+}
+
+::testing::AssertionResult same_snapshot(
+    const std::vector<ResponseCache::SnapshotEntry>& got,
+    const std::vector<ResponseCache::SnapshotEntry>& want) {
+  if (got.size() != want.size())
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  for (std::size_t i = 0; i < got.size(); ++i)
+    if (got[i].key != want[i].key || !same_entry(got[i].entry, want[i].entry))
+      return ::testing::AssertionFailure()
+             << "position " << i << ": " << got[i].key << " vs "
+             << want[i].key;
+  return ::testing::AssertionSuccess();
+}
+
+/// Drives `cache` and `oracle` through the same seeded find/admit sequence
+/// over `keys` distinct keys, comparing after every operation. A full
+/// snapshot comparison costs O(size), so caches above 64 entries compare
+/// it every 8191 operations (and at the end) instead of every one.
+void replay_against_oracle(ResponseCache& cache, OracleCache& oracle,
+                           std::size_t keys, std::size_t ops,
+                           std::uint64_t seed) {
+  util::Rng rng{seed};
+  const bool every_op = cache.capacity() <= 64;
+  std::int64_t now = 1'000;
+  for (std::size_t op = 0; op < ops; ++op) {
+    now += static_cast<std::int64_t>(rng.uniform(4));
+    const std::string key =
+        "http://h" + std::to_string(rng.uniform(keys)) + ".example/p";
+    if (rng.bernoulli(0.5)) {
+      const auto* got = cache.find(key, now);
+      const auto* want = oracle.find(key, now);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op << " " << key;
+      if (got != nullptr) {
+        ASSERT_TRUE(same_entry(*got, *want)) << "op " << op;
+      }
+    } else {
+      ResponseCache::Entry entry{
+          static_cast<ExceptionId>(rng.uniform(kExceptionCount)),
+          static_cast<std::uint16_t>(200 + rng.uniform(300)),
+          // Now and then an explicit expiry instead of the ttl stamp.
+          rng.bernoulli(0.1) ? now + static_cast<std::int64_t>(rng.uniform(50))
+                             : 0};
+      cache.admit(key, entry, now);
+      oracle.admit(key, entry, now);
+    }
+    ASSERT_EQ(cache.size(), oracle.size()) << "op " << op;
+    ASSERT_EQ(cache.hits(), oracle.hits()) << "op " << op;
+    ASSERT_EQ(cache.misses(), oracle.misses()) << "op " << op;
+    if (every_op || op % 8'191 == 0 || op + 1 == ops) {
+      ASSERT_TRUE(same_snapshot(cache.snapshot(), oracle.snapshot()))
+          << "op " << op;
+    }
+  }
+}
+
+TEST(Cache, MatchesListAndMapOracle) {
+  struct Case {
+    std::size_t capacity;
+    std::size_t keys;
+    std::size_t ops;
+  };
+  for (const Case c : {Case{1, 3, 4'000}, Case{2, 5, 4'000},
+                       Case{64, 150, 10'000}, Case{60'000, 100'000, 200'000}}) {
+    for (const std::int64_t ttl : {std::int64_t{0}, std::int64_t{40}}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        if (c.capacity == 60'000 && seed != 1) continue;  // one long run
+        SCOPED_TRACE("capacity " + std::to_string(c.capacity) + " ttl " +
+                     std::to_string(ttl) + " seed " + std::to_string(seed));
+        ResponseCache cache{c.capacity, ttl};
+        OracleCache oracle{c.capacity, ttl};
+        replay_against_oracle(cache, oracle, c.keys, c.ops, seed);
+        if (::testing::Test::HasFatalFailure()) return;
+        // Without expiry nothing leaves but by eviction: the run filled
+        // the cache and evicted from then on.
+        if (ttl == 0) {
+          EXPECT_EQ(cache.size(), c.capacity);
+        }
+      }
+    }
+  }
+}
+
+TEST(Cache, DeletionShiftsProbeChainBack) {
+  // Keys sharing one home slot of the initial 16-slot index (std::hash is
+  // the index hash) sit in one probe run; expiring the head of the run
+  // must shift the rest back, or a lookup would stop at the hole. The
+  // behaviour is checked either way — the collision only makes the shift
+  // certain to happen.
+  std::vector<std::string> run;
+  for (std::size_t i = 0; run.size() < 5; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if ((std::hash<std::string_view>{}(key) & 15) == 3)
+      run.push_back(std::move(key));
+  }
+  ResponseCache cache{8, 0};
+  cache.admit(run[0], {ExceptionId::kNone, 200, 10}, 0);  // expires at 10
+  for (std::size_t i = 1; i < run.size(); ++i)
+    cache.admit(run[i], {ExceptionId::kNone, 200, 0}, 0);
+  EXPECT_EQ(cache.find(run[0], 10), nullptr);  // expired: erased
+  EXPECT_EQ(cache.size(), run.size() - 1);
+  for (std::size_t i = 1; i < run.size(); ++i)
+    EXPECT_NE(cache.find(run[i], 11), nullptr) << run[i];
+  // Eviction erases from the middle of the run too.
+  cache.admit("x1", {}, 12);
+  cache.admit("x2", {}, 12);
+  cache.admit("x3", {}, 12);
+  cache.admit("x4", {}, 12);  // full (8): the next admit evicts run[1]
+  cache.admit("x5", {}, 12);
+  EXPECT_EQ(cache.find(run[1], 13), nullptr);
+  for (std::size_t i = 2; i < run.size(); ++i)
+    EXPECT_NE(cache.find(run[i], 13), nullptr) << run[i];
+}
+
+TEST(Cache, RestoreOfSnapshotRoundTrips) {
+  for (const std::int64_t ttl : {std::int64_t{0}, std::int64_t{40}}) {
+    ResponseCache cache{64, ttl};
+    OracleCache oracle{64, ttl};
+    replay_against_oracle(cache, oracle, 150, 5'000, 7);
+    ResponseCache restored{64, ttl};
+    restored.restore(cache.snapshot(), cache.hits(), cache.misses());
+    EXPECT_TRUE(same_snapshot(restored.snapshot(), cache.snapshot()));
+    EXPECT_EQ(restored.size(), cache.size());
+    EXPECT_EQ(restored.hits(), cache.hits());
+    EXPECT_EQ(restored.misses(), cache.misses());
+    // The restored cache behaves exactly like the original from here on.
+    replay_against_oracle(restored, oracle, 150, 5'000, 8);
+  }
+}
+
+TEST(Cache, RestoreRefusesDuplicateAndOversizeSnapshots) {
+  ResponseCache cache{2};
+  const ResponseCache::Entry entry{};
+  EXPECT_THROW(cache.restore({{"a", entry}, {"a", entry}}, 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(cache.restore({{"a", entry}, {"b", entry}, {"c", entry}}, 0, 0),
+               std::invalid_argument);
+  cache.restore({{"a", entry}, {"b", entry}}, 3, 4);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.hits(), 3u);
+  EXPECT_EQ(cache.misses(), 4u);
+  cache.admit("c", entry, 0);  // evicts b, the least recent
+  EXPECT_EQ(cache.find("b", 0), nullptr);
+  EXPECT_NE(cache.find("a", 0), nullptr);
 }
 
 // --- ErrorModel ----------------------------------------------------------------

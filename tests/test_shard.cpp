@@ -650,7 +650,6 @@ struct ForkedWorker {
   int data_fd = -1;
 
   ForkedWorker(workload::SyriaScenario& scenario,
-               const std::string& initial_state,
                const std::string& directory) {
     const util::Pipe status = util::make_pipe();
     const util::Pipe data = util::make_pipe();
@@ -661,7 +660,6 @@ struct ForkedWorker {
       util::close_fd(data.write_fd);
       shard::WorkerSpec spec;
       spec.scenario = &scenario;
-      spec.initial_farm_state = &initial_state;
       spec.worker = 0;
       spec.workers = 1;
       spec.proxy_mask = kAllProxies;
@@ -716,9 +714,8 @@ struct ForkedWorker {
 TEST(ShardWorker, MalformedDataFrameExitsWorkerError) {
   const SigpipeIgnored sigpipe;
   workload::SyriaScenario scenario{small_config(12'000, 1)};
-  const std::string initial = scenario.farm().save_state();
   TempDir dir{"worker_garbage"};
-  ForkedWorker worker{scenario, initial, (dir.path / "shard-00").string()};
+  ForkedWorker worker{scenario, (dir.path / "shard-00").string()};
   const auto hello = worker.hello();
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(hello->status, 0u);  // fresh: starts at batch 0
@@ -736,7 +733,6 @@ TEST(ShardWorker, InputEofBeforeLastBatchCommitsAndInterrupts) {
   const auto config = small_config(12'000, 1);
   const std::string expected = reference_log(config);
   workload::SyriaScenario scenario{config};
-  const std::string initial = scenario.farm().save_state();
   TempDir dir{"worker_eof"};
   const std::string shard_dir = (dir.path / "shard-00").string();
   workload::RoutedBatch batch;
@@ -750,7 +746,7 @@ TEST(ShardWorker, InputEofBeforeLastBatchCommitsAndInterrupts) {
   // Three batches, then the coordinator "dies": the worker commits what
   // it has (no commit was due at interval 8) and stops resumable.
   {
-    ForkedWorker worker{scenario, initial, shard_dir};
+    ForkedWorker worker{scenario, shard_dir};
     for (std::size_t b = 0; b < 3; ++b) ASSERT_TRUE(worker.send(frame_of(b)));
     EXPECT_EQ(worker.finish(), shard::kWorkerInterrupted);
   }
@@ -762,7 +758,7 @@ TEST(ShardWorker, InputEofBeforeLastBatchCommitsAndInterrupts) {
   // A restarted worker says where it resumes, and fed from there its
   // spool is the whole single-process log (it owns every proxy).
   {
-    ForkedWorker worker{scenario, initial, shard_dir};
+    ForkedWorker worker{scenario, shard_dir};
     const auto hello = worker.hello();
     ASSERT_TRUE(hello.has_value());
     EXPECT_EQ(hello->status, 3u);

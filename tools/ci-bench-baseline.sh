@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # ci-bench-baseline.sh — build the Release tree and record the benchmark
-# baselines the storage and pipeline layers are held to:
+# baselines the storage and analysis layers are held to:
 #
-#   bench_parallel_pipeline  -> BENCH_pipeline.json
 #   bench_colfmt_scan        -> BENCH_colfmt.json
 #   bench_analyzer_matrix    -> BENCH_analysis.json
 #   bench_stream_sketch      -> BENCH_stream.json
@@ -13,7 +12,7 @@
 # analyzer-matrix (backend x threads) timings behind the scan layer's
 # table. The human-readable reproduction
 # tables (size ratio, byte-identity cross-check) print to stdout and the
-# run fails if either bench binary fails.
+# run fails if any bench binary fails.
 #
 # Usage:
 #   tools/ci-bench-baseline.sh [output-dir]
@@ -35,8 +34,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=Release >/dev/null
 echo "==> [bench] build"
 cmake --build "${build_dir}" -j "${jobs}" \
-      --target bench_parallel_pipeline bench_colfmt_scan \
-               bench_analyzer_matrix bench_stream_sketch
+      --target bench_colfmt_scan bench_analyzer_matrix bench_stream_sketch
 
 run_bench() {
   local name="$1" json="$2"
@@ -47,7 +45,6 @@ run_bench() {
       --benchmark_repetitions=1
 }
 
-run_bench bench_parallel_pipeline BENCH_pipeline.json
 run_bench bench_colfmt_scan BENCH_colfmt.json
 run_bench bench_analyzer_matrix BENCH_analysis.json
 run_bench bench_stream_sketch BENCH_stream.json

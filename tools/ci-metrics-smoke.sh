@@ -4,9 +4,12 @@
 # syrwatch.metrics.v1 JSON (schema tag, required keys, non-negative
 # counts, pipeline counter identities, phases summing to roughly the
 # total). Exercises both a full simulate→analyze run (profile) and the
-# generate→stats log round trip, then the sharded farm: `generate
-# --workers 2` must report the generation its coordinator ran, request
-# for request the single-process count, and the data-channel bytes.
+# generate→stats log round trip: `generate --threads 4` must also report
+# the scenario.produce_wait stage (the calling thread waiting for the
+# next batch's producer) and one scenario.merge per batch. Then the
+# sharded farm: `generate --workers 2` must report the generation its
+# coordinator ran, request for request the single-process count, and the
+# data-channel bytes.
 # Last, `report --threads 4` on the csv must report the parse-ahead load:
 # csv.records equal to the log's record count, csv.lines one more (the
 # header), and the csv.parse_window and csv.append_wait stages.
@@ -136,9 +139,9 @@ echo "==> profile --metrics (full simulate -> analyze pipeline)"
     >/dev/null
 validate "${workdir}/profile.json" profile pipeline
 
-echo "==> generate --metrics (simulate -> log)"
+echo "==> generate --threads 4 --metrics (simulate -> log)"
 "${ctl}" generate --out "${workdir}/leak.csv" --requests 60000 \
-    --metrics "${workdir}/generate.json" >/dev/null
+    --threads 4 --metrics "${workdir}/generate.json" >/dev/null
 validate "${workdir}/generate.json" generate pipeline
 
 echo "==> generate --workers 2 --metrics (sharded farm)"
@@ -147,6 +150,24 @@ echo "==> generate --workers 2 --metrics (sharded farm)"
     --metrics "${workdir}/sharded.json" >/dev/null
 cmp "${workdir}/leak.csv" "${workdir}/sharded.csv"
 validate "${workdir}/sharded.json" generate sharded "${workdir}/generate.json"
+
+echo "==> generate's batch stages (one merge per batch, producer waits)"
+python3 - "${workdir}/generate.json" "${workdir}/shards/manifest.json" <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as handle:
+    stages = json.load(handle)["stages"]
+with open(sys.argv[2]) as handle:
+    batches = json.load(handle)["total_batches"]
+if "scenario.produce_wait" not in stages:
+    sys.exit(f"{sys.argv[1]}: no scenario.produce_wait stage")
+merges = stages.get("scenario.merge", {}).get("count")
+if merges != batches:
+    sys.exit(f"{sys.argv[1]}: scenario.merge ran {merges} times, "
+             f"the run has {batches} batches")
+print(f"ok: {batches} merges, produce_wait "
+      f"{stages['scenario.produce_wait']['total_seconds']:.3f}s")
+PY
 
 echo "==> stats --metrics (log reader path)"
 "${ctl}" stats "${workdir}/leak.csv" --metrics "${workdir}/stats.json" \
