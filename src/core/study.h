@@ -53,8 +53,9 @@ struct SimulateOptions {
   /// Durable-commit cadence forwarded to the checkpointer (see
   /// durable::CheckpointOptions::commit_interval).
   std::size_t commit_interval = 1;
-  /// Test hook forwarded to the checkpointer: runs after each batch's
-  /// checkpoint is durable; throwing simulates a crash at that boundary.
+  /// Test hook forwarded to the checkpointer: runs on its writer thread
+  /// after each batch's checkpoint is durable; throwing simulates a crash
+  /// at that boundary.
   std::function<void(std::size_t committed_batch)> after_commit;
 };
 

@@ -3,14 +3,18 @@
 #include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <thread>
+#include <utility>
 
 #include "obs/context.h"
 #include "obs/trace.h"
@@ -130,20 +134,92 @@ std::uint64_t replay_spool(const std::string& path, std::uint64_t limit,
   return replayed;
 }
 
+/// The whole file in one read, into a string sized from its length.
 std::string read_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
+  std::ifstream in{path, std::ios::binary | std::ios::ate};
   if (!in) throw std::runtime_error("checkpoint: cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad())
+  const std::streamsize size = in.tellg();
+  if (size < 0) throw std::runtime_error("checkpoint: read error on " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), size))
     throw std::runtime_error("checkpoint: read error on " + path);
-  return std::move(buffer).str();
+  return bytes;
 }
 
 [[noreturn]] void refuse(const std::string& path, std::string_view why) {
   throw std::runtime_error("checkpoint: refusing to resume — " + path +
                            ": " + std::string(why));
 }
+
+/// The checkpoint directory's writer (DESIGN.md §4.8). Each job runs on
+/// a thread of its own: it appends one batch, signals "appended", then
+/// makes that batch's commit durable while the calling thread moves on to
+/// the next batch. At most one job is in flight — the calling thread joins
+/// it before it starts another or touches the checkpoint itself. A job's
+/// failure is stored, wakes the waiter, and is rethrown on the calling
+/// thread by the next join.
+class BatchWriter {
+ public:
+  BatchWriter() = default;
+  BatchWriter(const BatchWriter&) = delete;
+  BatchWriter& operator=(const BatchWriter&) = delete;
+  ~BatchWriter() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  /// Starts `append`, then `commit`, on a new thread. The previous job
+  /// must have been joined.
+  void start(std::function<void()> append, std::function<void()> commit) {
+    appended_ = false;
+    failed_ = false;
+    thread_ = std::thread{[this, append = std::move(append),
+                           commit = std::move(commit)] {
+      try {
+        append();
+        signal(appended_);
+        commit();
+      } catch (...) {
+        failure_ = std::current_exception();
+        signal(failed_);
+      }
+    }};
+  }
+
+  /// Blocks until the running job's append is done; if the job failed
+  /// first, joins it and rethrows.
+  void wait_appended() {
+    bool failed = false;
+    {
+      std::unique_lock<std::mutex> lock{mutex_};
+      changed_.wait(lock, [this] { return appended_ || failed_; });
+      failed = failed_;
+    }
+    if (failed) join();
+  }
+
+  /// Blocks until the job (if any) is done and rethrows its failure.
+  void join() {
+    if (thread_.joinable()) thread_.join();
+    if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
+  }
+
+ private:
+  void signal(bool& flag) {
+    {
+      const std::lock_guard<std::mutex> lock{mutex_};
+      flag = true;
+    }
+    changed_.notify_all();
+  }
+
+  std::thread thread_;
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool appended_ = false;
+  bool failed_ = false;
+  std::exception_ptr failure_;  // read only after the thread is joined
+};
 
 /// Where a resume replays the log from: the spool while the checkpoint
 /// still owns it, or the promoted output file after finalize_output.
@@ -247,6 +323,9 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
       obs::stage(ctx, "checkpoint.append_spool");
   obs::StageStats* const state_stage =
       obs::stage(ctx, "checkpoint.write_state");
+  // The calling thread blocked on the writer, one sample per batch.
+  obs::StageStats* const wait_stage =
+      obs::stage(ctx, "checkpoint.writer_wait");
 
   CheckpointedRun result;
   RunManifest& manifest = result.manifest;
@@ -254,6 +333,8 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
   std::error_code ec;
   const bool have_manifest = fs::exists(manifest_path, ec) && !ec;
   ReplaySource replay_from;
+  // The committed farm state, read once: checked here, restored below.
+  std::string state_bytes;
   if (options.resume) {
     if (!have_manifest)
       throw std::runtime_error("checkpoint: nothing to resume — no " +
@@ -294,11 +375,13 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
         std::error_code state_ec;
         if (!fs::exists(active_state_path, state_ec) || state_ec)
           refuse(active_state_path, "MISSING");
-        const util::FileDigest state_digest =
-            util::crc32_file(active_state_path);
-        if (state_digest.bytes != state->bytes ||
-            state_digest.crc32 != state->crc32)
+        state_bytes = read_file(active_state_path);
+        if (state_bytes.size() != state->bytes ||
+            util::crc32_of(state_bytes) != state->crc32)
           refuse(active_state_path, "CRC MISMATCH");
+      } else if (manifest.next_batch > 0) {
+        refuse(active_state_path,
+               "MISSING (the manifest lists no farm state)");
       }
       // Drop any torn tail a crashed append left beyond the committed
       // prefix, so the re-executed batches append onto clean bytes.
@@ -354,6 +437,15 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
     throw std::runtime_error("checkpoint: cannot create " + dir.string() +
                              ": " + ec.message());
 
+  // The farm (tallies, caches, RNGs) takes the last committed state, also
+  // when the run already finished: callers read its tallies either way.
+  // Restored before the replay, so a blob that fails to parse is refused
+  // before any record reaches the sink.
+  if (manifest.next_batch > 0) {
+    scenario.farm().restore_state(state_bytes);
+    std::string{}.swap(state_bytes);
+  }
+
   // Replay the committed prefix (also the whole run when the manifest is
   // already complete — re-running a finished checkpoint is idempotent).
   if (manifest.next_batch > 0 || manifest.complete())
@@ -362,10 +454,6 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
   result.batches_replayed = manifest.next_batch;
   obs::add(obs_replayed, result.records_replayed);
 
-  // The farm (tallies, caches, RNGs) takes the last committed state, also
-  // when the run already finished: callers read its tallies either way.
-  if (manifest.next_batch > 0)
-    scenario.farm().restore_state(read_file(active_state_path));
   if (manifest.complete()) {
     result.completed = true;
     return result;
@@ -431,67 +519,22 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
   manifest.save(manifest_path, &vfs);
 
   // Records serialize exactly once, straight into the pending append.
+  // Each buffer is single: the writer drains batch b's text and keys
+  // before on_batch(b) returns, so batch b+1's sink always finds them
+  // free.
   std::string batch_text;
   std::string batch_keys;
+  // The farm snapshot of the commit in flight, reused across commits.
+  // The calling thread refills it only once the writer is joined.
+  std::string state_blob;
+  std::uint64_t snapshot_nanos = 0;
   std::size_t batches_done = manifest.next_batch;
   std::size_t uncommitted = 0;
 
-  const auto commit = [&]() {
-    // Durability order: spool (and keys) bytes reach stable storage
-    // before the state snapshot and manifest that describe them.
-    if (!util::fsync_fully(vfs, spool.fd))
-      throw_io("checkpoint: fsync of " + spool_path + " failed");
-    if (options.record_keys && !util::fsync_fully(vfs, keys.fd))
-      throw_io("checkpoint: fsync of " + keys_path + " failed");
-    // The new snapshot goes to the slot the manifest does NOT currently
-    // reference — the live slot stays intact until the manifest save below
-    // durably switches over, so a power cut anywhere inside this commit
-    // leaves the on-disk manifest paired with an on-disk state it matches.
-    const ManifestArtifact* prev_state = find_state_artifact(manifest);
-    const std::string_view target_slot =
-        (prev_state != nullptr && prev_state->path == kStateFile)
-            ? kStateAltFile
-            : kStateFile;
-    const std::string_view stale_slot =
-        target_slot == kStateFile ? kStateAltFile : kStateFile;
-    active_state_path = (dir / target_slot).string();
-    util::ArtifactInfo state_info;
-    {
-      const obs::StageTimer timer{state_stage};
-      state_info = util::atomic_write_file(
-          active_state_path, scenario.farm().save_state(), &vfs);
-    }
-    manifest.upsert_artifact({std::string(kSpoolFile), "spool", spool_bytes,
-                              spool_crc.value(),
-                              static_cast<std::int64_t>(batches_done) - 1});
-    if (options.record_keys)
-      manifest.upsert_artifact({std::string(kKeysFile), "keys", keys_bytes,
-                                keys_crc.value(),
-                                static_cast<std::int64_t>(batches_done) - 1});
-    std::erase_if(manifest.artifacts, [](const ManifestArtifact& artifact) {
-      return artifact.role == "state";
-    });
-    manifest.upsert_artifact({std::string(target_slot), "state",
-                              state_info.bytes, state_info.crc32, -1});
-    manifest.next_batch = batches_done;
-    manifest.save(manifest_path, &vfs);
-    // The other slot is now one commit stale and unreferenced; drop it
-    // (best-effort — on a full disk this is also what frees room for the
-    // next snapshot).
-    vfs.unlink((dir / stale_slot).string());
-    uncommitted = 0;
-    obs::add(obs_commits);
-  };
-
-  workload::RunControl control;
-  control.cancel = options.cancel;
-  control.start_batch = manifest.next_batch;
-  control.batch_source = options.batch_source;
-  if (options.record_keys)
-    control.keyed_sink = [&](std::uint64_t key, const proxy::LogRecord&) {
-      append_key_le(batch_keys, key);
-    };
-  control.on_batch = [&](std::size_t batch) {
+  // Every Vfs call on the checkpoint from here on is made by the writer,
+  // or by the calling thread once the writer is joined: one sequence, in
+  // batch order, as if a single thread made them all.
+  const auto append = [&] {
     {
       const obs::StageTimer timer{spool_stage};
       if (!util::write_fully(vfs, spool.fd, batch_text))
@@ -513,14 +556,96 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
       keys_bytes += batch_keys.size();
       batch_keys.clear();
     }
-    batches_done = batch + 1;
-    ++uncommitted;
-    ++result.batches_executed;
-    if (uncommitted >= options.commit_interval ||
-        batches_done == total_batches) {
-      commit();
+  };
+
+  // Calling thread: the farm as the last sunk batch left it.
+  const auto snapshot = [&] {
+    const std::uint64_t start = obs::monotonic_nanos();
+    scenario.farm().save_state(state_blob);
+    snapshot_nanos = obs::monotonic_nanos() - start;
+  };
+
+  // Makes batches [0, done) durable from the appended bytes and
+  // `state_blob`.
+  const auto commit = [&](std::size_t done) {
+    // Durability order: spool (and keys) bytes reach stable storage
+    // before the state snapshot and manifest that describe them.
+    if (!util::fsync_fully(vfs, spool.fd))
+      throw_io("checkpoint: fsync of " + spool_path + " failed");
+    if (options.record_keys && !util::fsync_fully(vfs, keys.fd))
+      throw_io("checkpoint: fsync of " + keys_path + " failed");
+    // The new snapshot goes to the slot the manifest does NOT currently
+    // reference — the live slot stays intact until the manifest save below
+    // durably switches over, so a power cut anywhere inside this commit
+    // leaves the on-disk manifest paired with an on-disk state it matches.
+    const ManifestArtifact* prev_state = find_state_artifact(manifest);
+    const std::string_view target_slot =
+        (prev_state != nullptr && prev_state->path == kStateFile)
+            ? kStateAltFile
+            : kStateFile;
+    const std::string_view stale_slot =
+        target_slot == kStateFile ? kStateAltFile : kStateFile;
+    active_state_path = (dir / target_slot).string();
+    const std::uint64_t write_start = obs::monotonic_nanos();
+    const util::ArtifactInfo state_info =
+        util::atomic_write_file(active_state_path, state_blob, &vfs);
+    // One sample per commit: the snapshot plus its write.
+    if (state_stage != nullptr)
+      state_stage->record(snapshot_nanos + obs::monotonic_nanos() -
+                          write_start);
+    manifest.upsert_artifact({std::string(kSpoolFile), "spool", spool_bytes,
+                              spool_crc.value(),
+                              static_cast<std::int64_t>(done) - 1});
+    if (options.record_keys)
+      manifest.upsert_artifact({std::string(kKeysFile), "keys", keys_bytes,
+                                keys_crc.value(),
+                                static_cast<std::int64_t>(done) - 1});
+    std::erase_if(manifest.artifacts, [](const ManifestArtifact& artifact) {
+      return artifact.role == "state";
+    });
+    manifest.upsert_artifact({std::string(target_slot), "state",
+                              state_info.bytes, state_info.crc32, -1});
+    manifest.next_batch = done;
+    manifest.save(manifest_path, &vfs);
+    // The other slot is now one commit stale and unreferenced; drop it
+    // (best-effort — on a full disk this is also what frees room for the
+    // next snapshot).
+    vfs.unlink((dir / stale_slot).string());
+    obs::add(obs_commits);
+  };
+
+  // Declared after every local its jobs touch, so it is joined first.
+  BatchWriter writer;
+
+  workload::RunControl control;
+  control.cancel = options.cancel;
+  control.start_batch = manifest.next_batch;
+  control.batch_source = options.batch_source;
+  if (options.record_keys)
+    control.keyed_sink = [&](std::uint64_t key, const proxy::LogRecord&) {
+      append_key_le(batch_keys, key);
+    };
+  control.on_batch = [&](std::size_t batch) {
+    // The previous batch's commit ran beside phase 2 of this one; it must
+    // be done before the snapshot buffer is refilled or a job starts.
+    std::uint64_t waited = obs::monotonic_nanos();
+    writer.join();
+    waited = obs::monotonic_nanos() - waited;
+    const bool commits = uncommitted + 1 >= options.commit_interval ||
+                         batch + 1 == total_batches;
+    if (commits) snapshot();
+    writer.start(append, [&, batch, commits] {
+      if (!commits) return;
+      commit(batch + 1);
       if (options.after_commit) options.after_commit(batch);
-    }
+    });
+    const std::uint64_t append_start = obs::monotonic_nanos();
+    writer.wait_appended();
+    waited += obs::monotonic_nanos() - append_start;
+    if (wait_stage != nullptr) wait_stage->record(waited);
+    batches_done = batch + 1;
+    uncommitted = commits ? 0 : uncommitted + 1;
+    ++result.batches_executed;
     if (options.on_progress) options.on_progress(batch);
   };
 
@@ -532,10 +657,22 @@ CheckpointedRun run_checkpointed(workload::SyriaScenario& scenario,
 
   bool finished = false;
   try {
-    finished = scenario.run(buffering_sink, control);
+    try {
+      finished = scenario.run(buffering_sink, control);
+    } catch (...) {
+      // The writer's failure wins: once a power cut poisons a Vfs the
+      // sink shares, the sink's own writes fail with EIO, and that
+      // symptom must not hide the SimulatedPowerLoss behind it.
+      writer.join();
+      throw;
+    }
+    writer.join();
     // A cancellation between commit boundaries still has durable spool
     // bytes — capture them so the resume re-executes nothing it has.
-    if (!finished && uncommitted > 0) commit();
+    if (!finished && uncommitted > 0) {
+      snapshot();
+      commit(batches_done);
+    }
   } catch (const util::VfsError& error) {
     if (!error.out_of_space()) throw;
     // Graceful out-of-space degradation: truncate the uncommitted

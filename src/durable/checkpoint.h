@@ -40,6 +40,15 @@ namespace syrwatch::durable {
 /// fixed batch order). On completion the spool *is* the finished log:
 /// `finalize_output` promotes it to the operator's --out path by rename
 /// (same filesystem — zero copy) or verified streaming copy.
+///
+/// The disk work runs one batch behind the farm, on a writer thread
+/// (DESIGN.md §4.8). In on_batch(b) the calling thread serializes the farm
+/// when b commits, hands batch b's bytes to the writer and waits only for
+/// them to be appended; the writer then fsyncs, writes the state slot and
+/// the manifest while phase 2 of batch b+1 runs. One batch is in flight at
+/// most: the next batch boundary, the end of the run and any exception
+/// leaving the run join the writer first, so the manifest a run returns is
+/// on disk, and a writer failure is rethrown on the calling thread there.
 
 /// Spool file name inside a checkpoint directory. Public so tail
 /// consumers (`syrwatchctl watch DIR`) can resolve DIR -> DIR/log_spool.csv
@@ -73,11 +82,15 @@ struct CheckpointOptions {
   /// fixed per-commit cost (the farm state alone is megabytes) at the
   /// price of re-executing up to interval-1 batches after a crash.
   std::size_t commit_interval = 1;
-  /// Test hook: invoked after each durable commit (spool prefix + state +
-  /// manifest on disk) with the index of the newest committed batch. May
-  /// throw — the exception propagates out of run_checkpointed exactly like
-  /// a crash between commits, which is how the crash-injection tests abort
-  /// mid-run.
+  /// Test hook: invoked on the writer thread right after each durable
+  /// commit (spool prefix + state + manifest on disk) with the index of
+  /// the newest committed batch — while the calling thread may already
+  /// run the next batch, its sink and on_progress included. May throw —
+  /// the calling thread rethrows the exception at the next batch boundary
+  /// (or the end of the run), so it propagates out of run_checkpointed
+  /// exactly like a crash between commits, which is how the
+  /// crash-injection tests abort mid-run. A cancellation it requests
+  /// lands at a later batch boundary.
   std::function<void(std::size_t committed_batch)> after_commit;
   /// Where the run takes each batch's routed requests from
   /// (workload::RunControl::batch_source, which may call it off the
@@ -92,9 +105,11 @@ struct CheckpointOptions {
   /// workers set this so the coordinator can k-way merge their spools back
   /// into generation order; the spool itself stays plain CSV.
   bool record_keys = false;
-  /// Invoked on the calling thread after each batch's bytes are durably
-  /// appended (spool + keys flushed), whether or not that batch committed
-  /// a manifest — the liveness hook a shard worker's heartbeat rides on.
+  /// Invoked on the calling thread once each batch's bytes are appended
+  /// (spool + keys written, not yet fsynced), whether or not that batch
+  /// commits, and before the next batch's cancel check; the batch's
+  /// commit may still be under way on the writer. The liveness hook a
+  /// shard worker's heartbeat rides on.
   std::function<void(std::size_t batch)> on_progress;
   /// Storage layer for every durable write (spool, keys, farm state,
   /// manifest). nullptr = the process default Vfs. Tests inject a

@@ -148,14 +148,12 @@ namespace {
 constexpr std::string_view kFarmStateMagic = "SYRFARM1";
 }
 
-std::string ProxyFarm::save_state() const {
-  std::string out;
-  out += kFarmStateMagic;
+void ProxyFarm::save_state(std::string& out) const {
+  out.assign(kFarmStateMagic);
   util::put_u64(out, proxies_.size());
   for (const SgProxy& proxy : proxies_) proxy.append_state(out);
   util::put_u64(out, failover_total_);
   for (const std::uint64_t count : failovers_to_) util::put_u64(out, count);
-  return out;
 }
 
 void ProxyFarm::restore_state(std::string_view bytes) {

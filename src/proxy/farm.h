@@ -102,8 +102,11 @@ class ProxyFarm {
   /// blob. Routing configuration (policy, affinities, fault schedule) is
   /// NOT included — a restoring caller must rebuild the farm from the same
   /// ScenarioConfig first; the run manifest's config fingerprint guards
-  /// that invariant. Not safe to call concurrently with process().
-  std::string save_state() const;
+  /// that invariant. Not safe to call concurrently with process(). The
+  /// blob is written over `out`, whose capacity is reused: a checkpointer
+  /// that snapshots every commit into one buffer allocates only while the
+  /// state grows.
+  void save_state(std::string& out) const;
 
   /// Restores a blob produced by save_state() on an identically
   /// configured farm. Throws std::runtime_error on truncation, damage, or

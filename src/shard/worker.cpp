@@ -1,5 +1,6 @@
 #include "shard/worker.h"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -101,15 +102,19 @@ int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept {
     options.commit_interval = spec.commit_interval;
     options.record_keys = true;
     // The run calls batch_source off this thread while the sink and the
-    // hooks below run for the previous batch: the feed reads only the
-    // data fd and the cancel token, the hooks write only the status fd.
+    // hooks below run for the previous batch, and after_commit runs on the
+    // checkpoint's writer thread: the feed reads only the data fd and the
+    // cancel token, the hooks write only whole frames to the status fd.
     BatchFeed feed{data_fd, spec.proxy_mask, cancel};
     options.batch_source = [&feed](std::size_t,
                                    workload::RoutedBatch& batch) {
       return feed.next(batch);
     };
 
-    std::uint64_t records = 0;
+    // Counted by the sink on this thread and read by after_commit on the
+    // checkpoint's writer, which may already see some of the next batch's
+    // records: the count is cumulative, not a commit boundary.
+    std::atomic<std::uint64_t> records{0};
     const bool fresh_attempt = !options.resume;
     options.on_progress = [&](std::size_t batch) {
       Message beat;
@@ -127,7 +132,7 @@ int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept {
       done.type = MessageType::kBatchDone;
       done.worker = spec.worker;
       done.batch = batch;
-      done.status = records;
+      done.status = records.load(std::memory_order_relaxed);
       send(status_fd, done);
     };
 
@@ -139,7 +144,11 @@ int run_worker(const WorkerSpec& spec, int status_fd, int data_fd) noexcept {
 
     const durable::CheckpointedRun run = durable::run_checkpointed(
         scenario, options,
-        [&](const proxy::LogRecord&) { ++records; });
+        [&](const proxy::LogRecord&) {
+          // One writer: a plain load and store, no locked increment.
+          records.store(records.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
+        });
 
     Message bye;
     bye.type = MessageType::kShutdown;

@@ -23,6 +23,7 @@
 #include "util/atomic_io.h"
 #include "util/cancel.h"
 #include "util/checksum.h"
+#include "util/vfs.h"
 #include "workload/scenario.h"
 
 namespace {
@@ -77,6 +78,12 @@ workload::ScenarioConfig small_config(std::uint64_t total,
   config.torrent_contents = 500;
   config.threads = threads;
   return config;
+}
+
+std::string farm_state(const workload::SyriaScenario& scenario) {
+  std::string state;
+  scenario.farm().save_state(state);
+  return state;
 }
 
 std::vector<std::string> run_to_csv(const workload::ScenarioConfig& config) {
@@ -727,7 +734,7 @@ TEST(CheckpointResume, CompletedCheckpointRestoresFarmState) {
                                           [](const proxy::LogRecord&) {})
                     .completed);
     failovers = scenario.farm().failover_total();
-    state = scenario.farm().save_state();
+    state = farm_state(scenario);
   }
   ASSERT_GT(failovers, 0u);
   const auto rerun = [&] {
@@ -740,7 +747,7 @@ TEST(CheckpointResume, CompletedCheckpointRestoresFarmState) {
     EXPECT_TRUE(run.completed);
     EXPECT_EQ(run.batches_executed, 0u);
     EXPECT_EQ(scenario.farm().failover_total(), failovers);
-    EXPECT_EQ(scenario.farm().save_state(), state);
+    EXPECT_EQ(farm_state(scenario), state);
   };
   rerun();
 
@@ -775,7 +782,7 @@ TEST(CheckpointResume, CancelAfterRoutingDoesNotRecountFailovers) {
     workload::SyriaScenario scenario{config};
     scenario.run([](const proxy::LogRecord&) {});
     failovers = scenario.farm().failover_total();
-    state = scenario.farm().save_state();
+    state = farm_state(scenario);
   }
   ASSERT_GT(failovers, 0u);
 
@@ -806,7 +813,7 @@ TEST(CheckpointResume, CancelAfterRoutingDoesNotRecountFailovers) {
                                              [](const proxy::LogRecord&) {});
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(scenario.farm().failover_total(), failovers);
-  EXPECT_EQ(scenario.farm().save_state(), state);
+  EXPECT_EQ(farm_state(scenario), state);
 }
 
 TEST(CheckpointResume, CommitThrowingWhileNextBatchIsProducedResumes) {
@@ -1040,6 +1047,61 @@ TEST(CheckpointResume, CommitIntervalAmortizesAndStaysResumable) {
   EXPECT_TRUE(run.completed);
   EXPECT_EQ(run.batches_replayed, 4u);
   EXPECT_EQ(lines, reference);
+}
+
+TEST(CheckpointResume, MergeKeysMatchTheCommittedSpoolAtEveryCommit) {
+  // The writer appends batch b's keys, then commits them while phase 2
+  // of batch b+1 runs and its sink refills the key buffer. At every
+  // commit the manifest's key sidecar must hold one 8-byte key per record
+  // of its committed spool prefix, and those bytes must be on disk, in
+  // merge order. Writes of at most 64 bytes make every append outlast
+  // phase 2, so a sink that did not wait for it would write into the
+  // buffer the writer is draining.
+  TempDir dir{"keys_in_step"};
+  workload::SyriaScenario scenario{small_config(30'000, 4)};
+  util::FaultyVfs vfs{util::system_vfs(),
+                      util::StorageFaultSchedule::parse("short-writes:64")};
+  durable::CheckpointOptions options;
+  options.directory = dir.str();
+  options.record_keys = true;
+  options.commit_interval = 1;
+  options.vfs = &vfs;
+  std::size_t commits = 0;
+  options.after_commit = [&](std::size_t batch) {
+    ++commits;
+    const auto manifest = durable::RunManifest::load(
+        (dir.path / durable::RunManifest::kFileName).string());
+    EXPECT_EQ(manifest.next_batch, batch + 1);
+    const durable::ManifestArtifact* spool =
+        manifest.find_artifact("log_spool.csv");
+    const durable::ManifestArtifact* keys =
+        manifest.find_artifact("merge_keys.bin");
+    ASSERT_NE(spool, nullptr);
+    ASSERT_NE(keys, nullptr);
+    const std::string lines =
+        slurp(dir.path / "log_spool.csv").substr(0, spool->bytes);
+    ASSERT_EQ(lines.size(), spool->bytes) << "batch " << batch;
+    const auto records = static_cast<std::uint64_t>(
+        std::count(lines.begin(), lines.end(), '\n') - 1);  // less header
+    ASSERT_EQ(keys->bytes, 8 * records) << "batch " << batch;
+    const std::string on_disk =
+        slurp(dir.path / "merge_keys.bin").substr(0, keys->bytes);
+    ASSERT_EQ(on_disk.size(), keys->bytes) << "batch " << batch;
+    EXPECT_EQ(util::crc32_of(on_disk), keys->crc32) << "batch " << batch;
+    std::uint64_t previous = 0;
+    for (std::size_t at = 0; at < on_disk.size(); at += 8) {
+      std::uint64_t key = 0;
+      for (int i = 7; i >= 0; --i)
+        key = (key << 8) | static_cast<unsigned char>(on_disk[at + i]);
+      ASSERT_TRUE(at == 0 || key > previous)
+          << "batch " << batch << ": key " << at / 8 << " out of order";
+      previous = key;
+    }
+  };
+  const auto run = durable::run_checkpointed(scenario, options,
+                                             [](const proxy::LogRecord&) {});
+  EXPECT_TRUE(run.completed);
+  EXPECT_EQ(commits, scenario.batch_count());
 }
 
 // --- Study-level integration -----------------------------------------------

@@ -9,11 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/stream.h"
@@ -252,31 +255,43 @@ TEST(AtomicWriteChaos, ExdevRenameFallsBackToVerifiedCopy) {
 
 // --- checkpoint under chaos -------------------------------------------------
 
-workload::ScenarioConfig chaos_config() {
+// Every case runs at one thread and at four. The checkpoint's writer
+// thread makes the same Vfs calls in the same order at either count; at
+// four it does so beside the next batch's producer and phase-2 workers.
+constexpr std::size_t kChaosThreads[] = {1, 4};
+
+workload::ScenarioConfig chaos_config(std::size_t threads) {
   workload::ScenarioConfig config;
   config.total_requests = 20'000;
   config.user_population = 4'000;
   config.catalog_tail = 3'000;
   config.torrent_contents = 500;
-  config.threads = 2;
+  config.threads = threads;
   return config;
 }
 
-durable::CheckpointedRun run_gen(const std::string& dir, bool resume,
-                                 util::Vfs* vfs) {
-  workload::SyriaScenario scenario{chaos_config()};
+durable::CheckpointOptions chaos_options(const std::string& dir, bool resume,
+                                         util::Vfs* vfs) {
   durable::CheckpointOptions options;
   options.directory = dir;
   options.resume = resume;
   options.commit_interval = 2;
   options.vfs = vfs;
-  return durable::run_checkpointed(scenario, options,
+  return options;
+}
+
+durable::CheckpointedRun run_gen(const std::string& dir, bool resume,
+                                 util::Vfs* vfs, std::size_t threads) {
+  workload::SyriaScenario scenario{chaos_config(threads)};
+  return durable::run_checkpointed(scenario,
+                                   chaos_options(dir, resume, vfs),
                                    [](const proxy::LogRecord&) {});
 }
 
 /// Clean whole-run spool bytes — the byte-identity reference.
 std::string reference_spool(TempDir& dir) {
-  const durable::CheckpointedRun run = run_gen(dir.str(), false, nullptr);
+  const durable::CheckpointedRun run =
+      run_gen(dir.str(), false, nullptr, 1);
   EXPECT_TRUE(run.completed);
   return slurp(dir.file("log_spool.csv"));
 }
@@ -284,12 +299,17 @@ std::string reference_spool(TempDir& dir) {
 TEST(CheckpointChaos, ShortWritesAndEintrStormCompleteIdentically) {
   TempDir clean{"ref1"};
   const std::string expected = reference_spool(clean);
-  for (const char* spec : {"short-writes:4096", "eintr-storm:3"}) {
-    TempDir dir{"complete"};
-    util::FaultyVfs vfs = make_faulty(spec);
-    const durable::CheckpointedRun run = run_gen(dir.str(), false, &vfs);
-    EXPECT_TRUE(run.completed) << spec;
-    EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected) << spec;
+  for (const std::size_t threads : kChaosThreads) {
+    for (const char* spec : {"short-writes:4096", "eintr-storm:3"}) {
+      SCOPED_TRACE(std::string(spec) + " at threads " +
+                   std::to_string(threads));
+      TempDir dir{"complete"};
+      util::FaultyVfs vfs = make_faulty(spec);
+      const durable::CheckpointedRun run =
+          run_gen(dir.str(), false, &vfs, threads);
+      EXPECT_TRUE(run.completed);
+      EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+    }
   }
 }
 
@@ -297,70 +317,117 @@ TEST(CheckpointChaos, EnospcDegradesGracefullyAndResumesByteIdentical) {
   TempDir clean{"ref2"};
   const std::string expected = reference_spool(clean);
 
-  TempDir dir{"enospc_run"};
-  // A budget well below the full spool guarantees the disk "fills"
-  // mid-run, but leaves room for the early commits to land.
-  const std::uint64_t budget = expected.size() / 3;
-  util::FaultyVfs vfs = make_faulty("enospc:" + std::to_string(budget));
-  const durable::CheckpointedRun faulted = run_gen(dir.str(), false, &vfs);
-  ASSERT_FALSE(faulted.completed);
-  EXPECT_NE(faulted.stop_reason.find("disk full"), std::string::npos)
-      << faulted.stop_reason;
-  EXPECT_GT(vfs.stats().enospc_injected, 0u);
+  for (const std::size_t threads : kChaosThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TempDir dir{"enospc_run"};
+    // A budget well below the full spool guarantees the disk "fills"
+    // mid-run, but leaves room for the early commits to land.
+    const std::uint64_t budget = expected.size() / 3;
+    util::FaultyVfs vfs = make_faulty("enospc:" + std::to_string(budget));
+    const durable::CheckpointedRun faulted =
+        run_gen(dir.str(), false, &vfs, threads);
+    ASSERT_FALSE(faulted.completed);
+    EXPECT_NE(faulted.stop_reason.find("disk full"), std::string::npos)
+        << faulted.stop_reason;
+    EXPECT_GT(vfs.stats().enospc_injected, 0u);
 
-  // The on-disk manifest must be consistent: whatever state it is in, a
-  // clean-disk resume completes and reproduces the spool byte for byte.
-  const durable::RunManifest manifest = durable::RunManifest::load(
-      (dir.path / durable::RunManifest::kFileName).string());
-  EXPECT_NE(manifest.state, "complete");
+    // The on-disk manifest must be consistent: whatever state it is in, a
+    // clean-disk resume completes and reproduces the spool byte for byte.
+    const durable::RunManifest manifest = durable::RunManifest::load(
+        (dir.path / durable::RunManifest::kFileName).string());
+    EXPECT_NE(manifest.state, "complete");
 
-  const durable::CheckpointedRun resumed = run_gen(dir.str(), true, nullptr);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+    const durable::CheckpointedRun resumed =
+        run_gen(dir.str(), true, nullptr, threads);
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+  }
 }
 
 TEST(CheckpointChaos, FsyncFailureStopsOnConsistentManifest) {
   TempDir clean{"ref3"};
   const std::string expected = reference_spool(clean);
 
-  TempDir dir{"fsync_run"};
-  // Fsync #7 lands inside a later commit (header, initial manifest, then
-  // three per commit), so at least one commit is durable first.
-  util::FaultyVfs vfs = make_faulty("fsync-fail:7");
-  bool threw = false;
-  try {
-    run_gen(dir.str(), false, &vfs);
-  } catch (const util::VfsError& error) {
-    threw = true;
-    EXPECT_FALSE(error.out_of_space());
-  }
-  ASSERT_TRUE(threw);
-  EXPECT_EQ(vfs.stats().fsync_failures, 1u);
+  for (const std::size_t threads : kChaosThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TempDir dir{"fsync_run"};
+    // Fsync #7 lands inside a later commit (header, initial manifest,
+    // then three per commit), so at least one commit is durable first.
+    util::FaultyVfs vfs = make_faulty("fsync-fail:7");
+    bool threw = false;
+    try {
+      run_gen(dir.str(), false, &vfs, threads);
+    } catch (const util::VfsError& error) {
+      threw = true;
+      EXPECT_FALSE(error.out_of_space());
+    }
+    ASSERT_TRUE(threw);
+    EXPECT_EQ(vfs.stats().fsync_failures, 1u);
 
-  const durable::CheckpointedRun resumed = run_gen(dir.str(), true, nullptr);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+    const durable::CheckpointedRun resumed =
+        run_gen(dir.str(), true, nullptr, threads);
+    EXPECT_TRUE(resumed.completed);
+    EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+  }
 }
 
 TEST(CheckpointChaos, PowerCutNeverCommitsLostBytesAndResumesIdentical) {
   TempDir clean{"ref4"};
   const std::string expected = reference_spool(clean);
 
-  for (const char* spec : {"power-cut:4", "torn-tail:4"}) {
-    TempDir dir{"cut_run"};
-    util::FaultyVfs vfs = make_faulty(spec);
-    EXPECT_THROW(run_gen(dir.str(), false, &vfs),
-                 util::SimulatedPowerLoss)
-        << spec;
-    EXPECT_TRUE(vfs.poisoned());
+  for (const std::size_t threads : kChaosThreads) {
+    for (const char* spec : {"power-cut:4", "torn-tail:4"}) {
+      SCOPED_TRACE(std::string(spec) + " at threads " +
+                   std::to_string(threads));
+      TempDir dir{"cut_run"};
+      util::FaultyVfs vfs = make_faulty(spec);
+      EXPECT_THROW(run_gen(dir.str(), false, &vfs, threads),
+                   util::SimulatedPowerLoss);
+      EXPECT_TRUE(vfs.poisoned());
 
-    // The surviving manifest may only describe bytes that survived the
-    // cut — resume verifies every committed prefix CRC, so a manifest
-    // naming lost bytes would refuse here instead of completing.
-    const durable::CheckpointedRun resumed =
-        run_gen(dir.str(), true, nullptr);
-    EXPECT_TRUE(resumed.completed) << spec;
-    EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected) << spec;
+      // The surviving manifest may only describe bytes that survived the
+      // cut — resume verifies every committed prefix CRC, so a manifest
+      // naming lost bytes would refuse here instead of completing.
+      const durable::CheckpointedRun resumed =
+          run_gen(dir.str(), true, nullptr, threads);
+      EXPECT_TRUE(resumed.completed);
+      EXPECT_EQ(slurp(dir.file("log_spool.csv")), expected);
+    }
+  }
+}
+
+TEST(CheckpointChaos, PowerCutOutranksTheSinksEioOnASharedVfs) {
+  // `generate --format both` writes its container through the same Vfs as
+  // the checkpoint. The power cut fires on the writer thread, inside the
+  // second commit (rename 4: the first manifest, then state + manifest
+  // per commit, every 2 batches); from then on the sink's writes on the
+  // calling thread fail with EIO. The run must report the power loss,
+  // not the EIO it causes.
+  for (const std::size_t threads : kChaosThreads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    TempDir dir{"cut_sink"};
+    util::FaultyVfs vfs = make_faulty("power-cut:4");
+    const int fd = vfs.open(dir.file("sink.bin"), util::OpenMode::kTruncate);
+    ASSERT_GE(fd, 0);
+    workload::SyriaScenario scenario{chaos_config(threads)};
+    durable::CheckpointOptions options =
+        chaos_options(dir.file("ckpt"), false, &vfs);
+    options.on_progress = [&vfs](std::size_t batch) {
+      // Batch 3's commit is the one the cut lands in: hold batch 4's sink
+      // until it has, so the sink surely meets the EIO first.
+      if (batch != 3) return;
+      for (int waited = 0; waited < 10'000 && !vfs.poisoned(); ++waited)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    const auto sink = [&](const proxy::LogRecord&) {
+      if (util::write_fully(vfs, fd, "r")) return;
+      const int code = errno;
+      throw util::VfsError(std::string("sink: ") + std::strerror(code), code);
+    };
+    EXPECT_THROW(durable::run_checkpointed(scenario, options, sink),
+                 util::SimulatedPowerLoss);
+    EXPECT_TRUE(vfs.poisoned());
+    vfs.close(fd);
   }
 }
 

@@ -10,6 +10,10 @@
 # sharded farm: `generate --workers 2` must report the generation its
 # coordinator ran, request for request the single-process count, and the
 # data-channel bytes.
+# Then a checkpointed `generate --threads 4 --checkpoint-interval 1`
+# must write the same csv, commit once per batch, and time the calling
+# thread's waits on the checkpoint's writer thread as
+# checkpoint.writer_wait, one sample per batch.
 # Last, `report --threads 4` on the csv must report the parse-ahead load:
 # csv.records equal to the log's record count, csv.lines one more (the
 # header), and the csv.parse_window and csv.append_wait stages.
@@ -167,6 +171,36 @@ if merges != batches:
              f"the run has {batches} batches")
 print(f"ok: {batches} merges, produce_wait "
       f"{stages['scenario.produce_wait']['total_seconds']:.3f}s")
+PY
+
+echo "==> generate --checkpoint-interval 1 --metrics (the checkpoint's writer)"
+"${ctl}" generate --out "${workdir}/durable.csv" --requests 60000 \
+    --threads 4 --checkpoint-dir "${workdir}/durable" \
+    --checkpoint-interval 1 --metrics "${workdir}/durable.json" >/dev/null
+cmp "${workdir}/leak.csv" "${workdir}/durable.csv"
+validate "${workdir}/durable.json" generate pipeline
+python3 - "${workdir}/durable.json" "${workdir}/durable/manifest.json" <<'PY'
+import json, sys
+
+with open(sys.argv[1]) as handle:
+    doc = json.load(handle)
+with open(sys.argv[2]) as handle:
+    batches = json.load(handle)["total_batches"]
+commits = doc["counters"].get("checkpoint.commits")
+if commits != batches:
+    sys.exit(f"{sys.argv[1]}: checkpoint.commits is {commits}, "
+             f"the run has {batches} batches")
+stages = doc["stages"]
+for name in ("checkpoint.write_state", "checkpoint.append_spool"):
+    if stages.get(name, {}).get("count") != batches:
+        sys.exit(f"{sys.argv[1]}: {name} does not have one sample per batch")
+waits = stages.get("checkpoint.writer_wait", {}).get("count")
+if waits != batches:
+    sys.exit(f"{sys.argv[1]}: checkpoint.writer_wait has {waits} samples, "
+             f"the run has {batches} batches")
+print(f"ok: {commits} commits, writer_wait "
+      f"{stages['checkpoint.writer_wait']['total_seconds']:.3f}s beside "
+      f"write_state {stages['checkpoint.write_state']['total_seconds']:.3f}s")
 PY
 
 echo "==> stats --metrics (log reader path)"

@@ -16,6 +16,12 @@
 #     a fault-free --resume is byte-identical. No schedule may ever leave
 #     a committed-but-empty or committed-but-torn manifested artifact.
 #
+# Then power-cut, torn-tail, enospc and fsync-fail again at --threads 4
+# --format both: the checkpoint commits on its writer thread while the
+# calling thread writes the SYRCOL1 container through the same faulty
+# Vfs. Same exit codes (a power cut is exit 9, never the container's
+# EIO), verify, and a resume byte-identical in csv and container.
+#
 # Usage:
 #   tools/ci-storage-chaos.sh [build-dir]   # default: build/
 #
@@ -36,8 +42,11 @@ requests=60000
 
 echo "==> clean reference run"
 "${ctl}" generate --out "${workdir}/clean.csv" --requests "${requests}" \
-    --threads 2 >/dev/null
+    --threads 2 --format both >/dev/null
 clean_bytes="$(wc -c < "${workdir}/clean.csv")"
+
+# Threads and output format of the generate runs below.
+mode=(--threads 2)
 
 # generate under a schedule; $2 = expected exit status.
 run_faulted() {
@@ -45,7 +54,7 @@ run_faulted() {
   mkdir -p "${dir}"
   local status=0
   "${ctl}" generate --out "${dir}/out.csv" --requests "${requests}" \
-      --threads 2 --checkpoint-dir "${dir}/ckpt" --checkpoint-interval 2 \
+      "${mode[@]}" --checkpoint-dir "${dir}/ckpt" --checkpoint-interval 2 \
       --storage-fault "${spec}" >"${dir}/log" 2>&1 || status=$?
   [[ "${status}" -eq "${expected}" ]] || {
     echo "error: [${spec}] generate exited ${status}, expected ${expected}" >&2
@@ -60,11 +69,17 @@ resume_and_diff() {
   "${ctl}" verify "${dir}/ckpt" >/dev/null || {
     echo "error: [${spec}] interrupted checkpoint failed verify" >&2; exit 1; }
   "${ctl}" generate --out "${dir}/out.csv" --requests "${requests}" \
-      --threads 2 --checkpoint-dir "${dir}/ckpt" --resume >/dev/null
+      "${mode[@]}" --checkpoint-dir "${dir}/ckpt" --resume >/dev/null
   cmp "${workdir}/clean.csv" "${dir}/out.csv" || {
     echo "error: [${spec}] resumed output differs from fault-free run" >&2
     exit 1
   }
+  if [[ -e "${dir}/out.col" ]]; then
+    cmp "${workdir}/clean.col" "${dir}/out.col" || {
+      echo "error: [${spec}] resumed container differs from fault-free run" >&2
+      exit 1
+    }
+  fi
 }
 
 echo "==> benign schedules complete byte-identical"
@@ -106,6 +121,30 @@ for spec in power-cut:4 torn-tail:4; do
     exit 1
   }
   resume_and_diff "${spec}" "${dir}"
+done
+
+echo "==> --threads 4 --format both: the writer thread beside the container"
+mode=(--threads 4 --format both)
+for run in "power-cut:4 9" "torn-tail:4 9" "enospc:${budget} 0" \
+           "fsync-fail:7 1"; do
+  read -r spec expected <<<"${run}"
+  dir="${workdir}/both-${spec%%:*}"
+  run_faulted "${spec}" "${expected}" "${dir}"
+  if [[ "${spec}" == enospc:* ]]; then
+    grep -q "storage degraded" "${dir}/log" || {
+      echo "error: [${spec}, both] no degradation notice in output" >&2
+      exit 1
+    }
+  fi
+  for artifact in out.csv out.col; do
+    [[ ! -e "${dir}/${artifact}" ]] || {
+      echo "error: [${spec}, both] stopped run left ${artifact}" >&2
+      exit 1
+    }
+  done
+  resume_and_diff "${spec}, threads 4, both" "${dir}"
+  [[ -e "${dir}/out.col" ]] || {
+    echo "error: [${spec}, both] resume wrote no container" >&2; exit 1; }
 done
 
 echo "==> storage chaos sweep green"
