@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
 #include "util/simtime.h"
 
@@ -117,6 +118,8 @@ CoverageReport coverage_core(const LogSource& source, std::int64_t bin_seconds,
 CoverageReport request_coverage(const LogSource& source,
                                 const CoverageOptions& options,
                                 std::size_t threads) {
+  if (options.bin.seconds <= 0)
+    throw std::invalid_argument("request_coverage: bin width must be positive");
   const bool torn =
       (options.read_stats != nullptr && options.read_stats->truncated_tail) ||
       (options.recovery != nullptr && options.recovery->truncated_tail);

@@ -71,7 +71,7 @@ struct CoverageReport {
 /// surfaced as a coverage degradation rather than silently shortening the
 /// window. Row order is irrelevant: the window is the source's true time
 /// bounds and every tally is order-independent, so any record order bins
-/// identically.
+/// identically. A non-positive bin width throws std::invalid_argument.
 CoverageReport request_coverage(const LogSource& source,
                                 const CoverageOptions& options = {},
                                 std::size_t threads = 1);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -174,12 +175,17 @@ class Reservoir {
 /// the window every per-bin payload is *exact*; approximation enters only
 /// through eviction, which the ring counts. Records older than the
 /// retained window are dropped (and counted) rather than corrupting a
-/// recycled slot.
+/// recycled slot. A non-positive width or zero bins throws
+/// std::invalid_argument.
 template <typename Bin>
 class WindowRing {
  public:
   WindowRing(std::int64_t bin_seconds, std::size_t bins)
-      : bin_seconds_(bin_seconds), ring_(bins) {}
+      : bin_seconds_(bin_seconds), ring_(bins) {
+    if (bin_seconds <= 0 || bins == 0)
+      throw std::invalid_argument(
+          "WindowRing: bin width and bin count must be positive");
+  }
 
   /// The payload for time `t`, advancing (and evicting) as needed.
   /// nullptr when t falls before the oldest retained bin.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/simtime.h"
 
 namespace syrwatch::analysis {
@@ -254,39 +255,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-void json_escape(std::ostringstream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\r':
-        out << "\\r";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
 }  // namespace
 
 std::string render_stream_report(const RollingReport& report) {
@@ -397,115 +365,112 @@ std::string render_stream_report(const RollingReport& report) {
 }
 
 std::string stream_report_json(const RollingReport& report) {
-  std::ostringstream out;
-  out << "{\"schema\":\"syrwatch.stream.v1\"";
-  out << ",\"records\":" << report.records;
-  out << ",\"first_time\":" << report.first_time;
-  out << ",\"last_time\":" << report.last_time;
-  out << ",\"classes\":{";
-  for (std::size_t i = 0; i < report.class_totals.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << class_name(i) << "\":" << report.class_totals[i];
-  }
-  out << "}";
+  using util::json::Writer;
+  Writer out{Writer::Layout::kCompact, 6};
+  out.begin_object();
+  out.key("schema").value("syrwatch.stream.v1");
+  out.key("records").value(report.records);
+  out.key("first_time").value(report.first_time);
+  out.key("last_time").value(report.last_time);
+  out.key("classes").begin_object();
+  for (std::size_t i = 0; i < report.class_totals.size(); ++i)
+    out.key(class_name(i)).value(report.class_totals[i]);
+  out.end_object();
 
   auto top_table = [&](const char* key,
                        const std::vector<RollingReport::TopEntry>& entries,
                        bool exact, std::uint64_t bound) {
-    out << ",\"" << key << "\":{\"exact\":" << (exact ? "true" : "false")
-        << ",\"error_bound\":" << bound << ",\"entries\":[";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (i > 0) out << ',';
-      out << "{\"key\":";
-      json_escape(out, entries[i].key);
-      out << ",\"count\":" << entries[i].count
-          << ",\"error\":" << entries[i].error << "}";
+    out.key(key).begin_object();
+    out.key("exact").value(exact);
+    out.key("error_bound").value(bound);
+    out.key("entries").begin_array();
+    for (const auto& entry : entries) {
+      out.begin_object();
+      out.key("key").value(entry.key);
+      out.key("count").value(entry.count);
+      out.key("error").value(entry.error);
+      out.end_object();
     }
-    out << "]}";
+    out.end_array();
+    out.end_object();
   };
   top_table("top_censored_domains", report.top_censored_domains,
             report.domains_exact, report.domains_error_bound);
   top_table("censored_keywords", report.censored_keywords,
             report.keywords_exact, report.keywords_error_bound);
 
-  out << ",\"categories\":{\"approx\":true,\"epsilon\":"
-      << fmt_double(report.category_epsilon)
-      << ",\"delta\":" << fmt_double(report.category_delta)
-      << ",\"error_bound\":" << fmt_double(report.category_error)
-      << ",\"total\":" << report.category_total << ",\"entries\":[";
-  for (std::size_t i = 0; i < report.categories.size(); ++i) {
-    if (i > 0) out << ',';
-    out << "{\"label\":";
-    json_escape(out, report.categories[i].label);
-    out << ",\"estimate\":" << report.categories[i].estimate << "}";
+  out.key("categories").begin_object();
+  out.key("approx").value(true);
+  out.key("epsilon").value(report.category_epsilon);
+  out.key("delta").value(report.category_delta);
+  out.key("error_bound").value(report.category_error);
+  out.key("total").value(report.category_total);
+  out.key("entries").begin_array();
+  for (const auto& category : report.categories) {
+    out.begin_object();
+    out.key("label").value(category.label);
+    out.key("estimate").value(category.estimate);
+    out.end_object();
   }
-  out << "]}";
+  out.end_array();
+  out.end_object();
 
-  out << ",\"sample\":{\"seen\":" << report.sample_seen
-      << ",\"size\":" << report.sample_size
-      << ",\"censored\":" << report.sample_censored
-      << ",\"censored_share_lo\":"
-      << fmt_double(report.sample_censored_share.lo)
-      << ",\"censored_share_hi\":"
-      << fmt_double(report.sample_censored_share.hi) << "}";
+  out.key("sample").begin_object();
+  out.key("seen").value(report.sample_seen);
+  out.key("size").value(report.sample_size);
+  out.key("censored").value(report.sample_censored);
+  out.key("censored_share_lo").value(report.sample_censored_share.lo);
+  out.key("censored_share_hi").value(report.sample_censored_share.hi);
+  out.end_object();
 
-  out << ",\"window\":{\"origin\":" << report.window_origin
-      << ",\"bin_seconds\":" << report.bin_seconds
-      << ",\"capacity_bins\":" << report.window_capacity_bins
-      << ",\"evicted_bins\":" << report.window_evicted_bins
-      << ",\"late_drops\":" << report.window_late_drops;
-  auto series = [&](const char* key, const std::vector<std::uint64_t>& v) {
-    out << ",\"" << key << "\":[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      if (i > 0) out << ',';
-      out << v[i];
-    }
-    out << ']';
+  auto series = [&](const char* key, const auto& values) {
+    out.key(key).begin_array();
+    for (const auto value : values) out.value(value);
+    out.end_array();
   };
+  out.key("window").begin_object();
+  out.key("origin").value(report.window_origin);
+  out.key("bin_seconds").value(report.bin_seconds);
+  out.key("capacity_bins").value(std::uint64_t{report.window_capacity_bins});
+  out.key("evicted_bins").value(report.window_evicted_bins);
+  out.key("late_drops").value(report.window_late_drops);
   series("censored", report.censored_series);
   series("allowed", report.allowed_series);
   series("total", report.total_series);
-  out << ",\"rcv\":[";
-  for (std::size_t i = 0; i < report.rcv.size(); ++i) {
-    if (i > 0) out << ',';
-    out << fmt_double(report.rcv[i]);
-  }
-  out << "]}";
+  series("rcv", report.rcv);
+  out.end_object();
 
-  out << ",\"coverage\":{\"active_bins\":" << report.coverage_active_bins
-      << ",\"covered_bins\":[";
-  for (std::size_t p = 0; p < report.covered_bins.size(); ++p) {
-    if (p > 0) out << ',';
-    out << report.covered_bins[p];
+  out.key("coverage").begin_object();
+  out.key("active_bins").value(report.coverage_active_bins);
+  series("covered_bins", report.covered_bins);
+  out.key("gaps").begin_array();
+  for (const CoverageGap& gap : report.gaps) {
+    out.begin_object();
+    out.key("proxy").value(std::uint64_t{gap.proxy_index});
+    out.key("start").value(gap.start);
+    out.key("end").value(gap.end);
+    out.end_object();
   }
-  out << "],\"gaps\":[";
-  for (std::size_t i = 0; i < report.gaps.size(); ++i) {
-    if (i > 0) out << ',';
-    out << "{\"proxy\":" << static_cast<int>(report.gaps[i].proxy_index)
-        << ",\"start\":" << report.gaps[i].start
-        << ",\"end\":" << report.gaps[i].end << "}";
-  }
-  out << "]}";
+  out.end_array();
+  out.end_object();
 
-  out << ",\"rfilter\":{\"censored_ips\":" << report.censored_relay_count
-      << ",\"series\":[";
-  for (std::size_t i = 0; i < report.rfilter.size(); ++i) {
-    if (i > 0) out << ',';
-    out << fmt_double(report.rfilter[i]);
-  }
-  out << "],\"has_traffic\":[";
-  for (std::size_t i = 0; i < report.rfilter_has_traffic.size(); ++i) {
-    if (i > 0) out << ',';
-    out << (report.rfilter_has_traffic[i] != 0 ? "true" : "false");
-  }
-  out << "]}";
+  out.key("rfilter").begin_object();
+  out.key("censored_ips").value(report.censored_relay_count);
+  series("series", report.rfilter);
+  out.key("has_traffic").begin_array();
+  for (const std::uint8_t has_traffic : report.rfilter_has_traffic)
+    out.value(has_traffic != 0);
+  out.end_array();
+  out.end_object();
 
-  out << ",\"spool\":{\"offset\":" << report.spool_offset
-      << ",\"pending_bytes\":" << report.spool_pending_bytes
-      << ",\"skipped_lines\":" << report.spool_skipped_lines
-      << ",\"gaps\":" << report.spool_gaps << "}";
-  out << "}";
-  return out.str();
+  out.key("spool").begin_object();
+  out.key("offset").value(report.spool_offset);
+  out.key("pending_bytes").value(report.spool_pending_bytes);
+  out.key("skipped_lines").value(report.spool_skipped_lines);
+  out.key("gaps").value(report.spool_gaps);
+  out.end_object();
+  out.end_object();
+  return out.finish();
 }
 
 }  // namespace syrwatch::analysis

@@ -84,11 +84,13 @@ struct RunManifest {
 
   std::string to_json() const;
   /// Strict inverse of to_json (schema tag checked). Throws
-  /// std::runtime_error naming the offending field on malformed input.
+  /// util::json::Error naming the offending field on malformed input.
   static RunManifest parse(std::string_view json);
 
   /// load/save at an explicit path; save writes atomically (temp → fsync
   /// → rename → parent fsync) through the given Vfs (default process Vfs).
+  /// load refuses a file over util::json::kMaxBytes before reading it, and
+  /// its parse errors name the path.
   static RunManifest load(const std::string& path);
   void save(const std::string& path, util::Vfs* vfs = nullptr) const;
 };

@@ -1,52 +1,14 @@
 #include "obs/export.h"
 
-#include <cinttypes>
 #include <cstdio>
 
+#include "util/json.h"
 #include "util/strings.h"
 #include "util/table.h"
 
 namespace syrwatch::obs {
 
 namespace {
-
-/// JSON string escaping for the metric names we emit (ASCII identifiers in
-/// practice, but correct for anything).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.9g", value);
-  return buffer;
-}
-
-std::string json_number(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "%" PRIu64, value);
-  return buffer;
-}
 
 double seconds_of(std::uint64_t nanos) {
   return static_cast<double>(nanos) * 1e-9;
@@ -70,49 +32,45 @@ std::string seconds_text(double seconds) {
 std::string to_json(const MetricsSnapshot& snapshot, std::string_view command,
                     std::span<const PhaseTiming> phases,
                     double total_seconds) {
-  std::string out = "{\n  \"schema\": \"syrwatch.metrics.v1\",\n";
-  out += "  \"command\": \"" + json_escape(command) + "\",\n";
+  util::json::Writer out{util::json::Writer::Layout::kPretty, 9};
+  out.begin_object();
+  out.key("schema").value("syrwatch.metrics.v1");
+  out.key("command").value(command);
 
-  out += "  \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(snapshot.counters[i].name) +
-           "\": " + json_number(snapshot.counters[i].value);
+  out.key("counters").begin_object();
+  for (const auto& counter : snapshot.counters)
+    out.key(counter.name).value(counter.value);
+  out.end_object();
+
+  out.key("gauges").begin_object();
+  for (const auto& gauge : snapshot.gauges)
+    out.key(gauge.name).value(gauge.value);
+  out.end_object();
+
+  out.key("stages").begin_object();
+  for (const auto& stage : snapshot.stages) {
+    out.key(stage.name).begin_object();
+    out.key("count").value(stage.count);
+    out.key("total_seconds").value(seconds_of(stage.total_nanos));
+    out.key("min_seconds").value(seconds_of(stage.min_nanos));
+    out.key("max_seconds").value(seconds_of(stage.max_nanos));
+    out.end_object();
   }
-  out += snapshot.counters.empty() ? "},\n" : "\n  },\n";
+  out.end_object();
 
-  out += "  \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(snapshot.gauges[i].name) +
-           "\": " + json_number(snapshot.gauges[i].value);
+  out.key("phases").begin_array();
+  for (const PhaseTiming& phase : phases) {
+    out.begin_object();
+    out.key("name").value(phase.name);
+    out.key("seconds").value(phase.seconds);
+    out.key("items").value(phase.items);
+    out.end_object();
   }
-  out += snapshot.gauges.empty() ? "},\n" : "\n  },\n";
+  out.end_array();
 
-  out += "  \"stages\": {";
-  for (std::size_t i = 0; i < snapshot.stages.size(); ++i) {
-    const auto& stage = snapshot.stages[i];
-    if (i != 0) out += ',';
-    out += "\n    \"" + json_escape(stage.name) + "\": {\"count\": " +
-           json_number(stage.count) +
-           ", \"total_seconds\": " + json_number(seconds_of(stage.total_nanos)) +
-           ", \"min_seconds\": " + json_number(seconds_of(stage.min_nanos)) +
-           ", \"max_seconds\": " + json_number(seconds_of(stage.max_nanos)) +
-           "}";
-  }
-  out += snapshot.stages.empty() ? "},\n" : "\n  },\n";
-
-  out += "  \"phases\": [";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    if (i != 0) out += ',';
-    out += "\n    {\"name\": \"" + json_escape(phases[i].name) +
-           "\", \"seconds\": " + json_number(phases[i].seconds) +
-           ", \"items\": " + json_number(phases[i].items) + "}";
-  }
-  out += phases.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"total_seconds\": " + json_number(total_seconds) + "\n}\n";
-  return out;
+  out.key("total_seconds").value(total_seconds);
+  out.end_object();
+  return out.finish();
 }
 
 std::string render_text(const MetricsSnapshot& snapshot,

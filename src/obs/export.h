@@ -16,23 +16,13 @@ struct PhaseTiming {
   std::uint64_t items = 0;
 };
 
-/// Renders the `syrwatch.metrics.v1` JSON document:
-///
-///   {
-///     "schema": "syrwatch.metrics.v1",
-///     "command": "<command>",
-///     "counters": {"name": 123, ...},
-///     "gauges": {"name": 1.5, ...},
-///     "stages": {"name": {"count": N, "total_seconds": s,
-///                          "min_seconds": s, "max_seconds": s}, ...},
-///     "phases": [{"name": "...", "seconds": s, "items": N}, ...],
-///     "total_seconds": s
-///   }
-///
-/// `total_seconds` is the caller-measured wall time of the whole run; the
-/// phase list should cover it (tools/ci-metrics-smoke.sh checks that the
-/// phase sum approximates the total). Keys are emitted in sorted order, so
-/// the document layout is deterministic for a given snapshot.
+/// Renders the `syrwatch.metrics.v1` JSON document: "schema", "command",
+/// "counters" and "gauges" (name: value), "stages" (name: {"count",
+/// "total_seconds", "min_seconds", "max_seconds"}), "phases" ([{"name",
+/// "seconds", "items"}]) and "total_seconds", the caller-measured wall
+/// time of the whole run, which the phases should cover
+/// (tools/ci-metrics-smoke.sh checks that they sum to about it). Keys come
+/// in sorted order; tests/test_json.cpp pins the layout byte for byte.
 std::string to_json(const MetricsSnapshot& snapshot, std::string_view command,
                     std::span<const PhaseTiming> phases,
                     double total_seconds);

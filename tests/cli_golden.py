@@ -99,7 +99,43 @@ CASES = [
     ("refuse-watch-threads", ["watch", "log.csv", "--once", "--threads", "2"],
      [], None),
     ("refuse-profile-format", ["profile", "--format", "csv"], [], None),
+    # Bad values: each is refused with a message instead of a crash.
+    ("inspect-bin-zero", ["inspect", "log.csv", "--bin-hours", "0"], [], None),
+    ("inspect-bin-negative", ["inspect", "log.col", "--bin-hours", "-1"], [],
+     None),
+    ("watch-bin-zero", ["watch", "log.csv", "--once", "--bin", "0"], [], None),
+    ("watch-window-bins-zero", ["watch", "log.csv", "--once",
+                                "--window-bins", "0"], [], None),
+    ("generate-deadline-abc", ["generate", "--out", "x.csv", "--requests",
+                               "100", "--deadline", "abc"], ["x.csv"], None),
+    ("watch-deadline-abc", ["watch", "log.csv", "--once", "--deadline",
+                            "abc"], [], None),
+    ("generate-stray-arg", ["generate", "stray-arg", "--out", "x.csv",
+                            "--requests", "100"], ["x.csv"], None),
+    # A finished checkpoint's spool was promoted to ck.csv; watch reads it
+    # there, so this matches watch-once.
+    ("watch-finished-checkpoint", ["watch", "ck", "--once", "--json",
+                                   "ck-watch.json"], ["ck-watch.json"], None),
+    # A failed run still writes its --metrics document.
+    ("convert-missing-input", ["convert", "missing.csv", "out.col"],
+     ["out.col"], "convert-missing.json"),
+    # Manifests made only of '[' (see make_deep_manifests) get a typed
+    # error, not a stack overflow.
+    ("verify-deep-manifest", ["verify", "deep30k"], [], None),
+    ("verify-1mib-manifest", ["verify", "deep1m/manifest.json"], [], None),
+    ("resume-deep-manifest", ["generate", "--out", "r.csv", "--requests",
+                              "1000", "--checkpoint-dir", "deep30k",
+                              "--resume"], ["r.csv"], None),
+    ("watch-deep-manifest", ["watch", "deep30k", "--interval", "1",
+                             "--deadline", "0.3"], None, None),
 ]
+
+
+def make_deep_manifests(workdir):
+    for name, size in (("deep30k", 30000), ("deep1m", 1 << 20)):
+        os.makedirs(os.path.join(workdir, name))
+        with open(os.path.join(workdir, name, "manifest.json"), "w") as out:
+            out.write("[" * size)
 
 
 def crc(data):
@@ -150,6 +186,7 @@ def main():
 
     lines = []
     with tempfile.TemporaryDirectory(prefix="syrwatch-cli-") as workdir:
+        make_deep_manifests(workdir)
         for name, args, files, metrics in CASES:
             line, stderr = run_case(ctl, workdir, name, args, files, metrics)
             lines.append(line)

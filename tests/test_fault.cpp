@@ -454,6 +454,23 @@ TEST(Coverage, QuietFarmProducesNoPhantomGaps) {
   EXPECT_DOUBLE_EQ(report.coverage_share(3), 1.0);
 }
 
+TEST(Coverage, NonPositiveBinIsRefused) {
+  // A zero width used to divide by zero (SIGFPE), a negative one to size
+  // the bin vector from a negative count.
+  analysis::Dataset dataset;
+  proxy::LogRecord record;
+  record.url = *net::Url::parse("http://example.com/");
+  record.time = util::to_unix_seconds({2011, 8, 3, 0, 0, 0});
+  dataset.add(record);
+  const analysis::Dataset empty;
+  for (const std::int64_t seconds : {std::int64_t{0}, std::int64_t{-3600}}) {
+    EXPECT_THROW(analysis::request_coverage(dataset, {.bin = {seconds}}),
+                 std::invalid_argument);
+    EXPECT_THROW(analysis::request_coverage(empty, {.bin = {seconds}}),
+                 std::invalid_argument);
+  }
+}
+
 // --- report annotations ----------------------------------------------------
 
 TEST(Report, DegradedAnnotationsAppearOnlyUnderFaults) {

@@ -3,11 +3,14 @@
 // (durable::RunManifest::to_json) and syrwatch.stream.v1
 // (analysis::stream_report_json). Dashboards, tools/ci-*.sh and
 // bench/e2e read them with readers of their own, so a writer change must
-// keep every byte.
+// keep every byte. Then util::json's reader: its limits, and a manifest
+// damaged at every byte.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "durable/manifest.h"
 #include "obs/export.h"
 #include "policy/syria.h"
+#include "util/json.h"
 
 namespace {
 
@@ -270,6 +274,137 @@ TEST(JsonBytes, StreamOfAFixedCorpus) {
       R"({"proxy":6,"start":1500,"end":2700}]},)"
       R"("rfilter":{"censored_ips":1,"series":[0],"has_traffic":[true]},)"
       R"("spool":{"offset":0,"pending_bytes":0,"skipped_lines":0,"gaps":0}})");
+}
+
+// --- util::json reader ----------------------------------------------------
+
+/// The error RunManifest::parse throws for `text`; fails the test when it
+/// throws nothing or something other than util::json::Error.
+util::json::Error manifest_error(const std::string& text) {
+  try {
+    durable::RunManifest::parse(text);
+  } catch (const util::json::Error& error) {
+    return error;
+  }
+  ADD_FAILURE() << "parsed without error: " << text.substr(0, 80);
+  return util::json::Error{"", 0};
+}
+
+TEST(JsonParse, DeepNestingIsATypedError) {
+  // 10,000 bytes used to fail at the end of input, 30,000 overflowed the
+  // stack; the depth limit stops all three at the same place.
+  for (const std::size_t bytes : {std::size_t{10'000}, std::size_t{30'000},
+                                  util::json::kMaxBytes}) {
+    const util::json::Error error = manifest_error(std::string(bytes, '['));
+    EXPECT_NE(std::string(error.what()).find("nested deeper than 64"),
+              std::string::npos)
+        << error.what();
+    EXPECT_EQ(error.offset(), util::json::kMaxDepth);
+  }
+  const std::string deepest = std::string(util::json::kMaxDepth, '[') +
+                              std::string(util::json::kMaxDepth, ']');
+  EXPECT_EQ(util::json::parse(deepest).kind, util::json::Value::Kind::kArray);
+  EXPECT_THROW(util::json::parse("[" + deepest + "]"), util::json::Error);
+}
+
+TEST(JsonParse, OversizedDocumentIsRefusedBeforeParsing) {
+  std::string text = sharded_manifest().to_json();
+  text.resize(util::json::kMaxBytes + 1, ' ');
+  const util::json::Error error = manifest_error(text);
+  EXPECT_NE(std::string(error.what()).find("over the 1048576-byte limit"),
+            std::string::npos)
+      << error.what();
+  // Trailing whitespace inside the limit is fine.
+  text.resize(util::json::kMaxBytes);
+  EXPECT_EQ(durable::RunManifest::parse(text).seed,
+            sharded_manifest().seed);
+}
+
+TEST(JsonParse, LoadRefusesAnOversizedFileByItsSize) {
+  const auto path = std::filesystem::path(::testing::TempDir()) /
+                    "syrwatch_json_oversized_manifest.json";
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << sharded_manifest().to_json()
+        << std::string(util::json::kMaxBytes, ' ');
+  }
+  try {
+    durable::RunManifest::load(path.string());
+    ADD_FAILURE() << "oversized manifest loaded";
+  } catch (const util::json::Error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("over the 1048576-byte manifest limit"),
+              std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(JsonParse, DuplicateKeysAreRefused) {
+  const util::json::Error error = manifest_error(R"({"a": 1, "a": 2})");
+  EXPECT_NE(std::string(error.what()).find("duplicate key \"a\""),
+            std::string::npos)
+      << error.what();
+  EXPECT_EQ(error.offset(), 9u);
+
+  std::string twice = sharded_manifest().to_json();
+  const auto seed = twice.find("  \"seed\"");
+  ASSERT_NE(seed, std::string::npos);
+  twice.insert(seed, "  \"seed\": 1,\n");
+  EXPECT_NE(std::string(manifest_error(twice).what()).find("duplicate key"),
+            std::string::npos);
+}
+
+TEST(JsonParse, ErrorsNameTheOffsetAndTheField) {
+  try {
+    util::json::parse("[1, 2,]");
+    ADD_FAILURE() << "parsed";
+  } catch (const util::json::Error& error) {
+    EXPECT_EQ(error.offset(), 6u);
+    EXPECT_STREQ(error.what(), "json: unexpected character (offset 6)");
+  }
+  const util::json::Value root = util::json::parse(R"({"n": -3, "s": "x"})");
+  EXPECT_EQ(root.i64_at("n"), -3);
+  EXPECT_EQ(root.string_at("s"), "x");
+  try {
+    root.u64_at("n");
+    ADD_FAILURE() << "negative read as u64";
+  } catch (const util::json::Error& error) {
+    EXPECT_EQ(error.offset(), 6u);
+    EXPECT_NE(std::string(error.what()).find(
+                  "field \"n\" is not a non-negative integer"),
+              std::string::npos);
+  }
+  EXPECT_THROW(root.at("missing"), util::json::Error);
+  EXPECT_THROW(root.bool_at("s"), util::json::Error);
+}
+
+/// Parses `text` as a manifest. A refusal must be util::json::Error (any
+/// other exception escapes and fails the test); an accepted manifest must
+/// survive its own round trip.
+void expect_refused_or_round_trips(const std::string& text) {
+  durable::RunManifest parsed;
+  try {
+    parsed = durable::RunManifest::parse(text);
+  } catch (const util::json::Error&) {
+    return;
+  }
+  const std::string json = parsed.to_json();
+  EXPECT_EQ(durable::RunManifest::parse(json).to_json(), json) << text;
+}
+
+TEST(JsonParse, DamagedManifestIsRefusedOrRoundTrips) {
+  const std::string manifest = sharded_manifest().to_json();
+  for (std::size_t size = 0; size < manifest.size(); ++size)
+    expect_refused_or_round_trips(manifest.substr(0, size));
+  for (std::size_t at = 0; at < manifest.size(); ++at) {
+    for (const unsigned char mask : {0x01, 0x20, 0x80, 0xff}) {
+      std::string flipped = manifest;
+      flipped[at] = static_cast<char>(flipped[at] ^ mask);
+      expect_refused_or_round_trips(flipped);
+    }
+  }
 }
 
 }  // namespace

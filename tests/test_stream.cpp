@@ -16,6 +16,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -150,6 +151,23 @@ TEST(Reservoir, ExactUnderCapacityAndDeterministic) {
   zero.offer(9);
   EXPECT_EQ(zero.seen(), 1u);
   EXPECT_TRUE(zero.items().empty());
+}
+
+TEST(WindowRing, RefusesNonPositiveWidthAndZeroBins) {
+  // watch --bin 0 and --window-bins 0 used to die of SIGFPE.
+  struct Bin {
+    std::uint64_t n = 0;
+  };
+  using Ring = analysis::WindowRing<Bin>;
+  EXPECT_THROW((Ring{0, 4}), std::invalid_argument);
+  EXPECT_THROW((Ring{-300, 4}), std::invalid_argument);
+  EXPECT_THROW((Ring{300, 0}), std::invalid_argument);
+  analysis::StreamReportOptions options;
+  options.bin = {0};
+  EXPECT_THROW(analysis::StreamAnalyzer{options}, std::invalid_argument);
+  options.bin = {300};
+  options.window_bins = 0;
+  EXPECT_THROW(analysis::StreamAnalyzer{options}, std::invalid_argument);
 }
 
 TEST(WindowRing, AdvanceEvictLate) {

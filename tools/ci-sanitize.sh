@@ -23,6 +23,13 @@
 #
 #   tools/ci-sanitize.sh 'obs|cli|parallel|scenario'
 #
+# The JSON module and the command table: test_json (the pinned document
+# bytes, the reader's limits, a manifest damaged at every byte) and the
+# cli_golden ctest (every syrwatchctl command against
+# tests/golden/cli.txt, run with the sanitized syrwatchctl):
+#
+#   tools/ci-sanitize.sh 'json|cli|durable|obs|stream|fault'
+#
 # Build trees live in build-tsan/ and build-asan/ next to the source tree,
 # so a regular build/ directory is left untouched.
 

@@ -1,114 +1,28 @@
 // syrwatchctl — command-line front end for the syrwatch library.
 //
-//   syrwatchctl generate --out leak.csv [--requests N] [--seed S]
-//                        [--format csv|col|both] [--no-leak-filter]
-//                        [--fault-profile NAME]
-//                        [--checkpoint-dir DIR [--resume]]
-//                        [--checkpoint-interval K] [--deadline SECONDS]
-//                        [--workers N [--restart-budget K]
-//                         [--heartbeat-ms T] [--backoff-ms B]
-//                         [--worker-chaos NAME]]
-//       Simulate the deployment and write the log in Blue Coat csv form
-//       (atomically: temp + rename, never a torn csv). --format=col writes
-//       the checksummed columnar container (SYRCOL1) instead; both writes
-//       the csv at --out plus the container next to it (.col). --fault-profile
-//       injects proxy outages/brownouts/flapping (see fault::make_profile
-//       for the named profiles). With --checkpoint-dir the run appends
-//       each batch to a crash-safe spool and commits a durable manifest
-//       every K batches (default 8): SIGINT or an expired --deadline
-//       flushes the last complete batch and exits 0 with a resume hint,
-//       and --resume continues the run to a log bit-identical to an
-//       uninterrupted one (any --threads value).
-//       --workers N shards the farm across N supervised worker processes
-//       (requires --checkpoint-dir, csv format): each worker owns a
-//       deterministic subset of the proxies with its own durable
-//       checkpoint and filters only their requests, which the coordinator
-//       generates once and streams to it; a dead worker is restarted with
-//       capped exponential backoff and resumes from its own manifest, a
-//       worker whose coordinator died commits and stops, and the surviving
-//       spools k-way merge into --out — byte-identical to --workers 1 and
-//       to the single-process path when every shard survives. A shard
-//       that exhausts --restart-budget (default 3) is abandoned: the run
-//       still completes (exit 0) with its committed prefix merged and
-//       explicit [DEGRADED DATA] annotations. --heartbeat-ms T also
-//       SIGKILLs+restarts a worker silent for T ms; --worker-chaos
-//       injects real process faults (fault::make_worker_chaos) for drills.
-//       --storage-fault NAME[:N] routes every durable write through a
-//       seeded FaultyVfs (DESIGN.md §4.13): enospc, short-writes,
-//       eintr-storm, fsync-fail, power-cut, torn-tail. Out-of-space
-//       degrades to a resumable interrupted checkpoint (exit 0); a
-//       simulated power cut exits 9 after dropping un-fsynced bytes.
+// Every command is one row of commands(): its name, positional arguments,
+// flags and the function that runs it. main() parses and checks the flags
+// against that row, runs the command with the run's one metrics registry
+// and writes the `--metrics FILE` document (syrwatch.metrics.v1, see
+// src/obs/export.h) once it returns. With no arguments it prints every
+// command's usage, made from the same table.
 //
-//   syrwatchctl verify DIR|MANIFEST|CONTAINER
-//       Integrity-check every artifact a run manifest lists (size +
-//       CRC32) — detects a single flipped byte in the committed spool,
-//       farm state blob, or recorded output file. A sharded run's
-//       manifest recurses into every per-worker checkpoint in the same
-//       invocation, naming the failing shard on mismatch. Given a
-//       columnar container instead, re-checks its footer, index, and
-//       every page checksum.
-//
-//   syrwatchctl convert IN OUT
-//       Convert between the csv log and the columnar container (the
-//       direction is inferred from IN's bytes). csv -> col -> csv
-//       round-trips byte-identically.
-//
-//   syrwatchctl inspect FILE [--bin-hours H]
-//       Damage-tolerant triage of an on-disk log: parse statistics
-//       (lines recovered/skipped by reason — or blocks/rows recovered for
-//       a columnar container) plus the per-proxy/per-day coverage table
-//       and gap windows.
-//
-//   syrwatchctl report FILE [--overview] [--seed S]
-//       Render the paper-order report (or just the headline overview with
-//       --overview) straight from a log file. The Dsample/Duser/Ddenied
-//       views are carved out of the file-backed Dfull as scan-layer
-//       masks — no row materialization — and the GeoIP/relay/torrent
-//       lookups come from a fresh scenario environment built at --seed
-//       (pass the log's generate seed so they match the traffic).
-//
-//   syrwatchctl stats FILE
-//       Table 3-style traffic breakdown.
-//
-//   syrwatchctl top FILE [--class censored|allowed|error] [--k N]
-//       Top domains per traffic class (Table 4/5 style).
-//
-//   syrwatchctl discover FILE [--min-count N]
-//       Run the §5.4 iterative censored-string discovery.
-//
-//   syrwatchctl users FILE
-//       User-based analysis (Fig. 4 style; needs hashed client ids).
-//
-//   syrwatchctl redirects FILE
-//       policy_redirect hosts (Table 7 style).
-//
-//   syrwatchctl weather FILE --keyword WORD [--bin-hours H]
-//       Per-window enforcement intensity for one keyword.
-//
-//   syrwatchctl profile [--requests N] [--seed S] [--threads T]
-//                       [--fault-profile NAME]
-//       Run a reduced study end to end with the observability layer
-//       attached and print where the time went: run phases, per-stage
-//       wall-time breakdown, and the pipeline event counters.
-//
-// Every subcommand also accepts `--metrics FILE`, which writes the run's
-// counters, stage timings, and phase breakdown as a syrwatch.metrics.v1
-// JSON document (see src/obs/export.h for the schema).
-//
-// All analysis subcommands accept any csv produced by `generate` (or by
-// proxy::write_log) as well as any columnar container produced by
-// `generate --format=col` or `convert`: one shared loader sniffs the
-// format from the file's first bytes (pin it with `--format csv|col`),
-// and every analyzer runs as the same partitioned parallel scan on either
-// backend, so `--threads T` is accepted uniformly and yields identical
-// output at any value.
+// The log commands (inspect, report, stats, top, discover, users,
+// redirects, weather) read any csv from `generate` or proxy::write_log
+// and any SYRCOL1 container from `generate --format col` or `convert`:
+// the format is sniffed from the file's first bytes (pin it with
+// `--format csv|col`), and every analyzer runs as the same partitioned
+// parallel scan on either, so `--threads T` yields identical output.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <thread>
@@ -131,7 +45,6 @@
 #include "core/study.h"
 #include "durable/checkpoint.h"
 #include "durable/manifest.h"
-#include "fault/profiles.h"
 #include "obs/context.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -153,56 +66,14 @@ namespace {
 
 using namespace syrwatch;
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage:\n"
-      "  syrwatchctl generate --out FILE [--requests N] [--seed S]"
-      " [--threads T] [--format csv|col|both] [--no-leak-filter]"
-      " [--fault-profile NAME]"
-      " [--checkpoint-dir DIR [--resume]] [--deadline SECONDS]"
-      " [--storage-fault SCHEDULE[:N]]"
-      " [--workers N [--restart-budget K] [--heartbeat-ms T]"
-      " [--backoff-ms B] [--worker-chaos NAME]]\n"
-      "  syrwatchctl verify DIR|MANIFEST|CONTAINER\n"
-      "  syrwatchctl convert IN OUT\n"
-      "  syrwatchctl inspect FILE [--bin-hours H]\n"
-      "  syrwatchctl report FILE [--overview] [--seed S]\n"
-      "  syrwatchctl stats FILE\n"
-      "  syrwatchctl top FILE [--class censored|allowed|error] [--k N]\n"
-      "  syrwatchctl discover FILE [--min-count N]\n"
-      "  syrwatchctl users FILE\n"
-      "  syrwatchctl redirects FILE\n"
-      "  syrwatchctl weather FILE --keyword WORD [--bin-hours H]\n"
-      "  syrwatchctl watch DIR|SPOOL [--interval S] [--bin S]"
-      " [--window-bins N] [--top K] [--json FILE] [--once] [--follow]"
-      " [--deadline SECONDS]\n"
-      "  syrwatchctl profile [--requests N] [--seed S] [--threads T]"
-      " [--fault-profile NAME]\n"
-      "every subcommand also accepts: --metrics FILE (write"
-      " syrwatch.metrics.v1 JSON); every analysis subcommand also accepts"
-      " --threads T and --format auto|csv|col\n");
-  return 2;
-}
-
-int flag_error(const char* command, const util::CliFlags& flags) {
-  std::fprintf(stderr, "syrwatchctl %s: %s\n", command, flags.error().c_str());
-  return usage();
-}
-
 double seconds_since(std::uint64_t start_nanos) {
   return static_cast<double>(obs::monotonic_nanos() - start_nanos) * 1e-9;
 }
 
-/// The --metrics plumbing every subcommand funnels through: one registry
-/// plus the coarse phase list, flushed as syrwatch.metrics.v1 JSON when the
-/// user asked for a file (and kept entirely in memory otherwise).
+/// The run's one metrics registry and its coarse phase list. main writes
+/// them as the --metrics document after the command returns.
 class MetricsOutput {
  public:
-  explicit MetricsOutput(const util::CliFlags& flags)
-      : path_(flags.get("--metrics").value_or("")),
-        start_(obs::monotonic_nanos()) {}
-
   obs::Context* context() noexcept { return &context_; }
   obs::MetricsRegistry& registry() noexcept { return registry_; }
   std::vector<obs::PhaseTiming>& phases() noexcept { return phases_; }
@@ -211,33 +82,181 @@ class MetricsOutput {
     phases_.push_back({std::move(name), seconds, items});
   }
 
+  void count(const char* counter, std::uint64_t value) {
+    obs::add(obs::counter(&context_, counter), value);
+  }
+
+  /// Runs `work` as the "analyze" phase over `items` records.
+  template <typename Work>
+  auto analyze(std::uint64_t items, Work&& work) {
+    const std::uint64_t start = obs::monotonic_nanos();
+    auto result = work();
+    add_phase("analyze", seconds_since(start), items);
+    return result;
+  }
+
   double total_seconds() const { return seconds_since(start_); }
 
-  /// Writes the document when --metrics was given — atomically, so a
-  /// crash or full disk never leaves a torn half-document that downstream
-  /// dashboards would misparse. Returns false on I/O failure (the
-  /// subcommand should exit non-zero).
-  bool write(const char* command) {
-    if (path_.empty()) return true;
+  /// Writes the document atomically, so a crash or a full disk never
+  /// leaves a torn half-document for a dashboard to misparse. Returns
+  /// false on I/O failure.
+  bool write(const std::string& path, std::string_view command) {
     try {
-      util::atomic_write_file(path_,
+      util::atomic_write_file(path,
                               obs::to_json(registry_.snapshot(), command,
                                            phases_, total_seconds()));
+      return true;
     } catch (const std::exception& error) {
-      std::fprintf(stderr, "cannot write %s: %s\n", path_.c_str(),
+      std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
                    error.what());
       return false;
     }
-    return true;
   }
 
  private:
   obs::MetricsRegistry registry_;
   obs::Context context_{&registry_};
   std::vector<obs::PhaseTiming> phases_;
-  std::string path_;
-  std::uint64_t start_;
+  std::uint64_t start_ = obs::monotonic_nanos();
 };
+
+/// A flag a command accepts: `--name METAVAR`, or a presence-only flag
+/// when the metavar is empty. A metavar with '|' lists the only values
+/// the flag takes, the first being what the command assumes without it.
+/// A required flag is printed without brackets in the usage.
+struct Flag {
+  std::string_view name;
+  std::string_view metavar;
+  bool required = false;
+};
+
+// The flags several commands share, each declared once.
+constexpr Flag kMetrics{"--metrics", "FILE"};  // every command takes it
+constexpr Flag kThreads{"--threads", "T"};
+constexpr Flag kDeadline{"--deadline", "SECONDS"};
+constexpr Flag kSeed{"--seed", "S"};
+constexpr Flag kRequests{"--requests", "N"};
+constexpr Flag kFaultProfile{"--fault-profile", "NAME"};
+constexpr Flag kBinHours{"--bin-hours", "H"};
+/// generate writes csv|col|both; the log commands read auto|csv|col.
+constexpr Flag format_flag(std::string_view formats) {
+  return {"--format", formats};
+}
+
+struct Command {
+  std::string_view name;
+  std::string_view operands;  // the positional arguments, for the usage
+  std::size_t positionals;
+  std::vector<Flag> flags;
+  /// Returns the exit code: 0, 1 for a failed run, 2 for a usage error
+  /// (main writes no metrics document for those).
+  int (*run)(const util::CliFlags& flags, MetricsOutput& metrics);
+};
+
+const std::vector<Command>& commands();
+
+void print_usage() {
+  std::string text = "usage:\n";
+  for (const Command& command : commands()) {
+    std::string line = "  syrwatchctl " + std::string(command.name);
+    if (!command.operands.empty()) line += " " + std::string(command.operands);
+    for (const Flag& flag : command.flags) {
+      std::string item = std::string(flag.name);
+      if (!flag.metavar.empty()) item += " " + std::string(flag.metavar);
+      if (!flag.required) item = "[" + item + "]";
+      if (line.size() + 1 + item.size() > 78) {
+        text += line + "\n";
+        line = "       " + item;
+      } else {
+        line += " " + item;
+      }
+    }
+    text += line + "\n";
+  }
+  text += "every command also accepts --metrics FILE (write "
+          "syrwatch.metrics.v1 JSON)\n";
+  std::fputs(text.c_str(), stderr);
+}
+
+void print_table(const std::string& title, const util::TextTable& table) {
+  std::fputs(util::titled_block(title, table).c_str(), stdout);
+}
+
+void print_gaps(const std::string& title, const char* requests_header,
+                const std::vector<analysis::CoverageGap>& gaps) {
+  util::TextTable table{{"Proxy", "Gap start", "Gap end", requests_header}};
+  for (const auto& gap : gaps)
+    table.add_row({std::string(policy::proxy_name(gap.proxy_index)),
+                   util::format_datetime(gap.start),
+                   util::format_datetime(gap.end),
+                   util::with_commas(gap.farm_requests)});
+  print_table(title, table);
+}
+
+int usage_error(std::string_view command, const std::string& message) {
+  std::fprintf(stderr, "syrwatchctl %.*s: %s\n",
+               static_cast<int>(command.size()), command.data(),
+               message.c_str());
+  print_usage();
+  return 2;
+}
+
+/// The values a "a|b|c" metavar allows; one entry for any other metavar.
+std::vector<std::string_view> choices_of(std::string_view metavar) {
+  std::vector<std::string_view> choices;
+  for (std::size_t start = 0;;) {
+    const std::size_t bar = metavar.find('|', start);
+    choices.push_back(metavar.substr(start, bar - start));
+    if (bar == std::string_view::npos) return choices;
+    start = bar + 1;
+  }
+}
+
+/// What the table says is wrong with the invocation, or "".
+std::string table_check(const Command& command, const util::CliFlags& flags) {
+  const auto& args = flags.positional();
+  if (command.positionals == 0 && !args.empty())
+    return "unexpected argument \"" + args.front() + "\"";
+  if (args.size() != command.positionals)
+    return "expected " + std::string(command.operands);
+  for (const Flag& flag : command.flags) {
+    const std::string name{flag.name};
+    if (flag.required && !flags.has(name))
+      return name + " " + std::string(flag.metavar) + " is required";
+    const auto value = flags.get(name);
+    const auto choices = choices_of(flag.metavar);
+    if (!value || choices.size() < 2 ||
+        std::find(choices.begin(), choices.end(), *value) != choices.end())
+      continue;
+    std::string allowed;  // "a, b, or c"
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      if (i > 0) allowed += i + 1 == choices.size() ? ", or " : ", ";
+      allowed += choices[i];
+    }
+    return name + " must be " + allowed + " (got \"" + std::string(*value) +
+           "\")";
+  }
+  return "";
+}
+
+/// --deadline's seconds, a finite double.
+double deadline_seconds(std::string_view text) {
+  double seconds = 0.0;
+  const auto [rest, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), seconds);
+  if (ec != std::errc{} || rest != text.data() + text.size() ||
+      !std::isfinite(seconds))
+    throw std::invalid_argument("flag " + std::string(kDeadline.name) +
+                                " expects a number of seconds, got \"" +
+                                std::string(text) + "\"");
+  return seconds;
+}
+
+/// Process-wide cancellation token SIGINT/SIGTERM flip (via
+/// util::install_stop_signals — sigaction without SA_RESTART, so a
+/// coordinator blocked in poll() wakes immediately; forked shard workers
+/// reinstall onto their own token). main arms --deadline on it.
+util::CancelToken g_cancel;
 
 /// --out sibling for the container when --format=both: leak.csv ->
 /// leak.col, anything else gets .col appended.
@@ -248,97 +267,36 @@ std::string sibling_col_path(const std::string& out_path) {
   return out_path + ".col";
 }
 
-/// analysis::open_source() plus the shared "load" phase record and row
-/// counter; the format override comes from the subcommand's --format
-/// flag. A strict open refused only for a torn tail gets actionable
-/// advice appended: the typed error code is what lets us say that
-/// `inspect` (a lenient load) would recover the intact prefix.
-analysis::OpenedSource load_source_phase(const std::string& path,
-                                         const util::CliFlags& flags,
-                                         MetricsOutput& metrics,
-                                         std::size_t threads,
-                                         bool lenient = false) {
-  const std::string format{flags.get("--format").value_or("auto")};
-  const std::uint64_t start = obs::monotonic_nanos();
-  auto loaded = [&] {
-    try {
-      return analysis::open_source(path, {.format = format,
-                                          .lenient = lenient,
-                                          .threads = threads,
-                                          .obs = metrics.context()});
-    } catch (const analysis::SourceOpenError& err) {
-      if (err.code() == analysis::SourceOpenErrorCode::kTornTail)
-        throw std::runtime_error(std::string(err.what()) +
-                                 " — `syrwatchctl inspect` recovers the "
-                                 "intact prefix");
-      throw;
-    }
-  }();
-  obs::add(obs::counter(metrics.context(), "cli.rows_loaded"),
-           loaded.rows());
-  metrics.add_phase("load", seconds_since(start), loaded.rows());
-  return loaded;
-}
-
-/// Parses the shared shape `subcommand FILE [flags]`: one positional
-/// argument, or a usage error naming what went wrong.
-bool single_input(const char* command, const util::CliFlags& flags,
-                  std::string& path) {
-  if (flags.positional().size() != 1) {
-    std::fprintf(stderr, "syrwatchctl %s: expected exactly one input file\n",
-                 command);
-    return false;
-  }
-  path = flags.positional().front();
-  return true;
-}
-
-/// Process-wide cancellation token SIGINT/SIGTERM flip (via
-/// util::install_stop_signals — sigaction without SA_RESTART, so a
-/// coordinator blocked in poll() wakes immediately; forked shard workers
-/// reinstall onto their own token).
-util::CancelToken g_cancel;
-
-/// The --workers path of `generate`: instead of running the scenario
-/// in-process, forks the shard farm under the supervising coordinator
-/// (src/shard). Shares the single-process resume contract — an interrupt
-/// leaves every shard checkpointed and exits 0 with a hint — and renders
-/// the [DEGRADED DATA] block plus coverage gaps when a shard exhausted its
-/// restart budget and was abandoned.
-int cmd_generate_sharded(const util::CliFlags& flags,
-                         const workload::ScenarioConfig& config,
-                         const std::string& out_path,
-                         const std::string& checkpoint_dir,
-                         std::size_t workers) {
+/// The --workers path of `generate`: forks the shard farm under the
+/// supervising coordinator (src/shard), whose merged csv is byte-identical
+/// to the single-process run while every shard survives. A dead worker is
+/// restarted (--backoff-ms, --heartbeat-ms, drilled by --worker-chaos);
+/// one that exhausts --restart-budget (default 3) is abandoned, and the
+/// run completes with a [DEGRADED DATA] block and its coverage gaps. An
+/// interrupt leaves every shard checkpointed and exits 0 with a hint.
+int generate_sharded(const util::CliFlags& flags, MetricsOutput& metrics,
+                     const workload::ScenarioConfig& config,
+                     const std::string& out_path,
+                     const std::string& checkpoint_dir,
+                     std::size_t commit_interval, std::size_t workers) {
   shard::CoordinatorOptions options;
   options.config = config;
   options.directory = checkpoint_dir;
   options.out_path = out_path;
   options.workers = workers;
   options.resume = flags.has("--resume");
-  options.commit_interval =
-      static_cast<std::size_t>(flags.get_u64("--checkpoint-interval", 8));
-  if (options.commit_interval == 0) {
-    std::fprintf(stderr,
-                 "syrwatchctl generate: --checkpoint-interval must be "
-                 ">= 1\n");
-    return usage();
-  }
+  options.commit_interval = commit_interval;
   options.restart_budget =
       static_cast<std::size_t>(flags.get_u64("--restart-budget", 3));
   options.heartbeat_ms = flags.get_u64("--heartbeat-ms", 0);
   options.restart_backoff_ms = flags.get_u64("--backoff-ms", 200);
   options.worker_chaos =
       std::string(flags.get("--worker-chaos").value_or("none"));
-  if (const auto deadline = flags.get("--deadline"))
-    g_cancel.set_deadline_after(std::stod(std::string(*deadline)));
   // ^C, SIGTERM, or the deadline stop the whole farm gracefully: the
   // coordinator fans SIGTERM out to every worker, each shard flushes its
   // last complete batch, and the run resumes bit-identically later.
   util::install_stop_signals(g_cancel);
   options.cancel = &g_cancel;
-
-  MetricsOutput metrics{flags};
   options.obs = metrics.context();
 
   const std::uint64_t start = obs::monotonic_nanos();
@@ -352,7 +310,7 @@ int cmd_generate_sharded(const util::CliFlags& flags,
         "--workers %zu --resume\n",
         checkpoint_dir.c_str(), out_path.c_str(), checkpoint_dir.c_str(),
         workers);
-    return metrics.write("generate") ? 0 : 1;
+    return 0;
   }
 
   std::printf("wrote %s records to %s (seed %llu, crc32 %s)\n",
@@ -382,72 +340,42 @@ int cmd_generate_sharded(const util::CliFlags& flags,
         merged.source(),
         {.bin = {3600}, .min_farm_bin_requests = 25,
          .read_stats = &result.read_stats});
-    util::TextTable gaps{{"Proxy", "Gap start", "Gap end",
-                          "Farm reqs in gap"}};
-    for (const auto& gap : coverage.gaps)
-      gaps.add_row({policy::proxy_name(gap.proxy_index),
-                    util::format_datetime(gap.start),
-                    util::format_datetime(gap.end),
-                    util::with_commas(gap.farm_requests)});
     if (!coverage.gaps.empty())
-      std::fputs(
-          util::titled_block("DEGRADED DATA — coverage gaps", gaps).c_str(),
-          stdout);
+      print_gaps("DEGRADED DATA — coverage gaps", "Farm reqs in gap",
+                 coverage.gaps);
     if (coverage.truncated_tail)
       std::printf(
           "[DEGRADED DATA] torn spool tail recovered leniently in an "
           "abandoned shard\n");
   }
-  return metrics.write("generate") ? 0 : 1;
+  return 0;
 }
 
-int cmd_generate(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--out");
-  flags.value_flag("--requests");
-  flags.value_flag("--seed");
-  flags.value_flag("--threads");
-  flags.value_flag("--fault-profile");
-  flags.value_flag("--metrics");
-  flags.value_flag("--checkpoint-dir");
-  flags.value_flag("--checkpoint-interval");
-  flags.value_flag("--deadline");
-  flags.value_flag("--abort-after-batches");
-  flags.value_flag("--format");
-  flags.value_flag("--workers");
-  flags.value_flag("--restart-budget");
-  flags.value_flag("--heartbeat-ms");
-  flags.value_flag("--backoff-ms");
-  flags.value_flag("--worker-chaos");
-  flags.value_flag("--storage-fault");
-  flags.bool_flag("--no-leak-filter");
-  flags.bool_flag("--resume");
-  if (!flags.parse(argc, argv)) return flag_error("generate", flags);
-  const auto out_flag = flags.get("--out");
-  if (!out_flag) {
-    std::fprintf(stderr, "syrwatchctl generate: --out FILE is required\n");
-    return usage();
-  }
-  const std::string out_path{*out_flag};
+/// Simulates the deployment and writes the log in Blue Coat csv form
+/// (atomically: temp + rename), the SYRCOL1 container (--format col), or
+/// both (the container next to the csv, .col). --fault-profile injects
+/// proxy outages, brownouts or flapping (fault::make_profile).
+///
+/// With --checkpoint-dir each batch lands in a crash-safe spool and a
+/// durable manifest is committed every --checkpoint-interval batches
+/// (default 8): SIGINT or --deadline flushes the last complete batch and
+/// exits 0 with a resume hint, and --resume finishes a log bit-identical
+/// to an uninterrupted one, at any --threads. --workers N shards the farm
+/// across N supervised processes (see generate_sharded).
+/// --storage-fault NAME[:N] routes every durable write through a seeded
+/// FaultyVfs (DESIGN.md §4.13; a simulated power cut exits 9), and
+/// --abort-after-batches K dies like a kill -9 once K batches are durable.
+int cmd_generate(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::string out_path{*flags.get("--out")};
   const std::string format{flags.get("--format").value_or("csv")};
-  if (format != "csv" && format != "col" && format != "both") {
-    std::fprintf(stderr,
-                 "syrwatchctl generate: --format must be csv, col, or both "
-                 "(got \"%s\")\n",
-                 format.c_str());
-    return usage();
-  }
   const bool want_csv = format != "col";
   const bool want_col = format != "csv";
   const std::string col_path =
       format == "col" ? out_path : sibling_col_path(out_path);
   const std::string checkpoint_dir{
       flags.get("--checkpoint-dir").value_or("")};
-  if (flags.has("--resume") && checkpoint_dir.empty()) {
-    std::fprintf(stderr,
-                 "syrwatchctl generate: --resume requires --checkpoint-dir\n");
-    return usage();
-  }
+  if (flags.has("--resume") && checkpoint_dir.empty())
+    return usage_error("generate", "--resume requires --checkpoint-dir");
 
   // Storage chaos hook (tools/ci-storage-chaos.sh): install a seeded
   // FaultyVfs as the process default so every durable writer in the run —
@@ -459,8 +387,7 @@ int cmd_generate(int argc, char** argv) {
           util::system_vfs(),
           util::StorageFaultSchedule::parse(*fault_spec));
     } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "syrwatchctl generate: %s\n", error.what());
-      return usage();
+      return usage_error("generate", error.what());
     }
     util::set_default_vfs(storage_chaos.get());
   }
@@ -476,42 +403,37 @@ int cmd_generate(int argc, char** argv) {
   if (const auto profile = flags.get("--fault-profile"))
     config.fault_profile = *profile;  // make_profile rejects unknown names
 
+  std::size_t commit_interval = 8;
+  if (!checkpoint_dir.empty()) {
+    commit_interval =
+        static_cast<std::size_t>(flags.get_u64("--checkpoint-interval", 8));
+    if (commit_interval == 0)
+      return usage_error("generate", "--checkpoint-interval must be >= 1");
+  }
+
   if (flags.get("--workers")) {
     const std::size_t workers =
         static_cast<std::size_t>(flags.get_u64("--workers", 2));
-    if (workers == 0) {
-      std::fprintf(stderr, "syrwatchctl generate: --workers must be >= 1\n");
-      return usage();
-    }
-    if (checkpoint_dir.empty()) {
-      std::fprintf(stderr,
-                   "syrwatchctl generate: --workers requires "
-                   "--checkpoint-dir (each shard checkpoints there)\n");
-      return usage();
-    }
-    if (format != "csv") {
-      std::fprintf(stderr,
-                   "syrwatchctl generate: --workers writes csv only (the "
-                   "shard merge is byte-level); drop --format %s\n",
-                   format.c_str());
-      return usage();
-    }
-    if (flags.get("--abort-after-batches")) {
-      std::fprintf(stderr,
-                   "syrwatchctl generate: --abort-after-batches is a "
-                   "single-process crash hook; use --worker-chaos to kill "
-                   "real workers\n");
-      return usage();
-    }
-    return cmd_generate_sharded(flags, config, out_path, checkpoint_dir,
-                                workers);
+    if (workers == 0)
+      return usage_error("generate", "--workers must be >= 1");
+    if (checkpoint_dir.empty())
+      return usage_error("generate",
+                         "--workers requires --checkpoint-dir (each shard "
+                         "checkpoints there)");
+    if (format != "csv")
+      return usage_error("generate",
+                         "--workers writes csv only (the shard merge is "
+                         "byte-level); drop --format " + format);
+    if (flags.get("--abort-after-batches"))
+      return usage_error("generate",
+                         "--abort-after-batches is a single-process crash "
+                         "hook; use --worker-chaos to kill real workers");
+    return generate_sharded(flags, metrics, config, out_path, checkpoint_dir,
+                            commit_interval, workers);
   }
 
-  const util::CancelToken* cancel = nullptr;
-  if (const auto deadline = flags.get("--deadline")) {
-    g_cancel.set_deadline_after(std::stod(std::string(*deadline)));
-    cancel = &g_cancel;
-  }
+  const util::CancelToken* cancel =
+      flags.has(kDeadline.name) ? &g_cancel : nullptr;
   if (!checkpoint_dir.empty()) {
     // Graceful stop: first ^C flushes the last complete batch and exits
     // cleanly with a resume hint (a second ^C during the flush still
@@ -521,7 +443,6 @@ int cmd_generate(int argc, char** argv) {
     cancel = &g_cancel;
   }
 
-  MetricsOutput metrics{flags};
   workload::SyriaScenario scenario{config};
   scenario.set_obs(metrics.context());
 
@@ -566,14 +487,7 @@ int cmd_generate(int argc, char** argv) {
     checkpoint.directory = checkpoint_dir;
     checkpoint.resume = flags.has("--resume");
     checkpoint.cancel = cancel;
-    checkpoint.commit_interval =
-        static_cast<std::size_t>(flags.get_u64("--checkpoint-interval", 8));
-    if (checkpoint.commit_interval == 0) {
-      std::fprintf(stderr,
-                   "syrwatchctl generate: --checkpoint-interval must be "
-                   ">= 1\n");
-      return usage();
-    }
+    checkpoint.commit_interval = commit_interval;
     if (const std::uint64_t abort_after =
             flags.get_u64("--abort-after-batches", 0);
         abort_after > 0) {
@@ -617,7 +531,7 @@ int cmd_generate(int argc, char** argv) {
         "--resume\n",
         util::with_commas(written).c_str(), checkpoint_dir.c_str(),
         out_path.c_str(), checkpoint_dir.c_str());
-    return metrics.write("generate") ? 0 : 1;
+    return 0;
   }
 
   util::ArtifactInfo info{};
@@ -668,32 +582,27 @@ int cmd_generate(int argc, char** argv) {
     std::printf("failovers: %s requests diverted off their home proxy\n",
                 util::with_commas(scenario.farm().failover_total()).c_str());
   }
-  return metrics.write("generate") ? 0 : 1;
+  return 0;
 }
 
-int cmd_verify(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("verify", flags);
-  std::string path;
-  if (!single_input("verify", flags, path)) return usage();
-  MetricsOutput metrics{flags};
-
-  // A columnar container verifies against its own framing: footer, index
-  // CRC, and every page checksum in every block.
+/// Integrity-checks every artifact a run manifest lists (size + CRC32):
+/// a single flipped byte in the committed spool, the farm state or a
+/// recorded output shows. A sharded run's manifest recurses into every
+/// per-worker checkpoint, naming the failing shard. Given a columnar
+/// container instead, re-checks its footer, index and every page
+/// checksum.
+int cmd_verify(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::string& path = flags.positional().front();
   if (colfmt::file_looks_like_container(path)) {
     const std::uint64_t start = obs::monotonic_nanos();
     const auto report = colfmt::verify_file(path);
     metrics.add_phase("verify", seconds_since(start), report.rows);
-    obs::add(obs::counter(metrics.context(), "verify.pages_checked"),
-             report.pages_checked);
-    obs::add(obs::counter(metrics.context(), "verify.failures"),
-             report.bad_pages);
+    metrics.count("verify.pages_checked", report.pages_checked);
+    metrics.count("verify.failures", report.bad_pages);
     std::printf("%s: columnar container, %s blocks, %s rows, %s pages\n",
                 path.c_str(), util::with_commas(report.blocks).c_str(),
                 util::with_commas(report.rows).c_str(),
                 util::with_commas(report.pages_checked).c_str());
-    const bool metrics_ok = metrics.write("verify");
     if (!report.ok) {
       std::fprintf(stderr, "container verification FAILED: %s\n",
                    report.first_error.c_str());
@@ -701,7 +610,7 @@ int cmd_verify(int argc, char** argv) {
     }
     std::printf("container verified: footer, index, and all page "
                 "checksums intact\n");
-    return metrics_ok ? 0 : 1;
+    return 0;
   }
 
   // Accept either the checkpoint directory or the manifest file itself.
@@ -731,7 +640,7 @@ int cmd_verify(int argc, char** argv) {
                    util::to_hex32(check.expected.crc32),
                    std::string(check.status())});
   }
-  std::fputs(util::titled_block("Artifact integrity", table).c_str(), stdout);
+  print_table("Artifact integrity", table);
 
   // A sharded run's coordinator manifest lists each per-worker checkpoint
   // as a "shard" artifact; recurse into every one so a single `verify` of
@@ -776,10 +685,8 @@ int cmd_verify(int argc, char** argv) {
     }
   }
 
-  obs::add(obs::counter(metrics.context(), "verify.artifacts_checked"),
-           checked);
-  obs::add(obs::counter(metrics.context(), "verify.failures"), failures);
-  const bool metrics_ok = metrics.write("verify");
+  metrics.count("verify.artifacts_checked", checked);
+  metrics.count("verify.failures", failures);
   if (failures > 0) {
     std::fprintf(stderr, "%zu of %zu artifacts failed verification%s%s\n",
                  failures, checked,
@@ -788,22 +695,16 @@ int cmd_verify(int argc, char** argv) {
     return 1;
   }
   std::printf("all %zu artifacts verified\n", checked);
-  return metrics_ok ? 0 : 1;
+  return 0;
 }
 
-int cmd_convert(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--metrics");
-  flags.value_flag("--block-rows");
-  if (!flags.parse(argc, argv)) return flag_error("convert", flags);
-  if (flags.positional().size() != 2) {
-    std::fprintf(stderr, "syrwatchctl convert: expected IN OUT\n");
-    return usage();
-  }
-  const std::string in_path = flags.positional()[0];
-  const std::string out_path = flags.positional()[1];
-
-  MetricsOutput metrics{flags};
+/// Converts between the csv log and the columnar container; the
+/// direction is inferred from IN's bytes. csv -> col -> csv round-trips
+/// byte-identically, and a csv row that does not parse is refused rather
+/// than dropped.
+int cmd_convert(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::string& in_path = flags.positional()[0];
+  const std::string& out_path = flags.positional()[1];
   const std::uint64_t start = obs::monotonic_nanos();
   std::uint64_t rows = 0;
   util::ArtifactInfo info;
@@ -863,33 +764,57 @@ int cmd_convert(int argc, char** argv) {
     info = writer.finish();
   }
   metrics.add_phase("convert", seconds_since(start), rows);
-  obs::add(obs::counter(metrics.context(), "convert.rows"), rows);
+  metrics.count("convert.rows", rows);
   std::printf("converted %s records (%s) into %s (%s bytes, crc32 %s)\n",
               util::with_commas(rows).c_str(), direction, out_path.c_str(),
               util::with_commas(info.bytes).c_str(),
               util::to_hex32(info.crc32).c_str());
-  return metrics.write("convert") ? 0 : 1;
+  return 0;
 }
 
-int cmd_inspect(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--bin-hours");
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("inspect", flags);
-  std::string path;
-  if (!single_input("inspect", flags, path)) return usage();
-  const std::int64_t bin = 3600 * flags.get_i64("--bin-hours", 1);
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
+/// The log commands' input: FILE opened by analysis::open_source as the
+/// "load" phase, at --threads (default 1) and --format (default auto).
+struct LogInput {
+  analysis::OpenedSource loaded;
+  std::size_t threads = 1;
 
-  MetricsOutput metrics{flags};
-  const auto loaded =
-      load_source_phase(path, flags, metrics, threads, /*lenient=*/true);
-  const std::uint64_t record_count = loaded.rows();
-  obs::add(obs::counter(metrics.context(), "inspect.records_recovered"),
-           record_count);
+  analysis::LogSource source() const { return loaded.source(); }
+  std::uint64_t rows() const { return loaded.rows(); }
+};
+
+LogInput load_log(const util::CliFlags& flags, MetricsOutput& metrics,
+                  bool lenient = false) {
+  LogInput log;
+  log.threads = static_cast<std::size_t>(flags.get_u64(kThreads.name, 1));
+  const std::string format{flags.get("--format").value_or("auto")};
+  const std::uint64_t start = obs::monotonic_nanos();
+  try {
+    log.loaded = analysis::open_source(flags.positional().front(),
+                                       {.format = format,
+                                        .lenient = lenient,
+                                        .threads = log.threads,
+                                        .obs = metrics.context()});
+  } catch (const analysis::SourceOpenError& err) {
+    // A strict open refused only for a torn tail: the typed code is what
+    // lets us say that `inspect` (a lenient load) recovers the rest.
+    if (err.code() != analysis::SourceOpenErrorCode::kTornTail) throw;
+    throw std::runtime_error(std::string(err.what()) +
+                             " — `syrwatchctl inspect` recovers the intact "
+                             "prefix");
+  }
+  metrics.count("cli.rows_loaded", log.rows());
+  metrics.add_phase("load", seconds_since(start), log.rows());
+  return log;
+}
+
+/// Damage-tolerant triage of an on-disk log: parse statistics (lines
+/// recovered or skipped by reason, or the blocks and rows recovered from a
+/// container) plus the per-proxy/per-day coverage table and gap windows.
+int cmd_inspect(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::int64_t bin = 3600 * flags.get_i64(kBinHours.name, 1);
+  const LogInput log = load_log(flags, metrics, /*lenient=*/true);
+  const analysis::OpenedSource& loaded = log.loaded;
+  metrics.count("inspect.records_recovered", log.rows());
   bool damaged = false;
   if (loaded.is_columnar()) {
     std::printf("columnar container: %s blocks, %s rows, %s dictionary "
@@ -909,27 +834,25 @@ int cmd_inspect(int argc, char** argv) {
                   loaded.recovery().damage.c_str());
     }
   } else {
-    obs::add(obs::counter(metrics.context(), "inspect.lines_skipped"),
-             loaded.read_stats().skipped_total());
+    metrics.count("inspect.lines_skipped",
+                  loaded.read_stats().skipped_total());
     std::fputs(loaded.read_stats().summary().c_str(), stdout);
     damaged = loaded.read_stats().skipped_total() > 0;
   }
-  if (record_count == 0) {
+  if (log.rows() == 0) {
     std::printf("no usable records — nothing to inspect\n");
-    if (!metrics.write("inspect")) return 1;
     return damaged ? 1 : 0;
   }
 
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  analysis::CoverageOptions cov_options{.bin = {bin},
-                                        .min_farm_bin_requests = 25};
-  if (loaded.is_columnar())
-    cov_options.recovery = &loaded.recovery();
-  else
-    cov_options.read_stats = &loaded.read_stats();
-  const analysis::CoverageReport coverage =
-      analysis::request_coverage(loaded.source(), cov_options, threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), record_count);
+  // The stats of the other backend are zeroed, so passing both is safe.
+  const analysis::CoverageReport coverage = metrics.analyze(log.rows(), [&] {
+    return analysis::request_coverage(log.source(),
+                                      {.bin = {bin},
+                                       .min_farm_bin_requests = 25,
+                                       .read_stats = &loaded.read_stats(),
+                                       .recovery = &loaded.recovery()},
+                                      log.threads);
+  });
   util::TextTable days{[&] {
     std::vector<std::string> header{"Day"};
     for (std::size_t p = 0; p < policy::kProxyCount; ++p)
@@ -947,8 +870,7 @@ int cmd_inspect(int argc, char** argv) {
     cells.push_back(util::with_commas(total));
     days.add_row(cells);
   }
-  std::fputs(util::titled_block("Per-proxy daily coverage", days).c_str(),
-             stdout);
+  print_table("Per-proxy daily coverage", days);
 
   if (coverage.truncated_tail) {
     std::printf(
@@ -956,40 +878,21 @@ int cmd_inspect(int argc, char** argv) {
         "an artifact boundary (torn write?), not a traffic boundary\n");
   }
   if (!coverage.gaps.empty()) {
-    util::TextTable gaps{{"Proxy", "Gap start", "Gap end", "Farm reqs"}};
-    for (const auto& gap : coverage.gaps) {
-      gaps.add_row({std::string(policy::proxy_name(gap.proxy_index)),
-                    util::format_datetime(gap.start),
-                    util::format_datetime(gap.end),
-                    util::with_commas(gap.farm_requests)});
-    }
-    std::fputs(util::titled_block("Coverage gaps (farm active, proxy silent)",
-                                  gaps)
-                   .c_str(),
-               stdout);
+    print_gaps("Coverage gaps (farm active, proxy silent)", "Farm reqs",
+               coverage.gaps);
   } else {
     std::printf("no coverage gaps at %lld-second bins\n",
                 static_cast<long long>(bin));
   }
-  return metrics.write("inspect") ? 0 : 1;
+  return 0;
 }
 
-int cmd_stats(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("stats", flags);
-  std::string path;
-  if (!single_input("stats", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto stats = analysis::traffic_stats(loaded.source(), threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), loaded.rows());
+/// Table 3-style traffic breakdown.
+int cmd_stats(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const LogInput log = load_log(flags, metrics);
+  const auto stats = metrics.analyze(log.rows(), [&] {
+    return analysis::traffic_stats(log.source(), log.threads);
+  });
   util::TextTable table{{"Class", "# Requests", "%"}};
   table.add_row({"allowed", util::with_commas(stats.observed),
                  util::percent(stats.share(stats.observed))});
@@ -1008,126 +911,73 @@ int cmd_stats(int argc, char** argv) {
                    util::with_commas(stats.at(id)),
                    util::percent(stats.share(stats.at(id)))});
   }
-  std::fputs(util::titled_block("Traffic breakdown — " + path + " (" +
-                                    util::with_commas(stats.total) +
-                                    " records)",
-                                table)
-                 .c_str(),
-             stdout);
-  return metrics.write("stats") ? 0 : 1;
+  print_table("Traffic breakdown — " + flags.positional().front() + " (" +
+                  util::with_commas(stats.total) + " records)",
+              table);
+  return 0;
 }
 
-int cmd_top(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--class");
-  flags.value_flag("--k");
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("top", flags);
-  std::string path;
-  if (!single_input("top", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
+/// Top domains of one traffic class (Table 4/5 style).
+int cmd_top(const util::CliFlags& flags, MetricsOutput& metrics) {
   analysis::TopDomainsOptions options{proxy::TrafficClass::kCensored, 10,
                                       std::nullopt};
-  if (const auto klass = flags.get("--class")) {
-    if (*klass == "allowed")
-      options.cls = proxy::TrafficClass::kAllowed;
-    else if (*klass == "error")
-      options.cls = proxy::TrafficClass::kError;
-    else if (*klass != "censored") {
-      std::fprintf(stderr,
-                   "syrwatchctl top: --class must be censored, allowed, or "
-                   "error (got \"%s\")\n",
-                   std::string(*klass).c_str());
-      return usage();
-    }
-  }
+  const std::string_view klass = flags.get("--class").value_or("censored");
+  if (klass == "allowed") options.cls = proxy::TrafficClass::kAllowed;
+  if (klass == "error") options.cls = proxy::TrafficClass::kError;
   options.k = flags.get_u64("--k", 10);
 
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto top = analysis::top_domains(loaded.source(), options, threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), loaded.rows());
+  const LogInput log = load_log(flags, metrics);
+  const auto top = metrics.analyze(log.rows(), [&] {
+    return analysis::top_domains(log.source(), options, log.threads);
+  });
   util::TextTable table{{"#", "Domain", "# Requests", "%"}};
   for (std::size_t i = 0; i < top.size(); ++i) {
     table.add_row({std::to_string(i + 1), top[i].domain,
                    util::with_commas(top[i].count),
                    util::percent(top[i].share)});
   }
-  std::fputs(util::titled_block(std::string("Top ") +
-                                    std::string(proxy::to_string(options.cls)) +
-                                    " domains",
-                                table)
-                 .c_str(),
-             stdout);
-  return metrics.write("top") ? 0 : 1;
+  print_table("Top " + std::string(proxy::to_string(options.cls)) + " domains",
+              table);
+  return 0;
 }
 
-int cmd_discover(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--min-count");
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("discover", flags);
-  std::string path;
-  if (!single_input("discover", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
+/// The §5.4 iterative censored-string discovery.
+int cmd_discover(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const LogInput log = load_log(flags, metrics);
   analysis::DiscoveryOptions options;
   options.min_count = flags.get_u64("--min-count", options.min_count);
-
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto result = analysis::discover_censored_strings(loaded.source(),
-                                                          options, threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), loaded.rows());
+  const auto result = metrics.analyze(log.rows(), [&] {
+    return analysis::discover_censored_strings(log.source(), options,
+                                               log.threads);
+  });
   util::TextTable keywords{{"Keyword", "Censored", "Proxied"}};
   for (const auto& kw : result.keywords) {
     keywords.add_row({kw.text, util::with_commas(kw.censored),
                       util::with_commas(kw.proxied)});
   }
-  std::fputs(util::titled_block("Censored keywords", keywords).c_str(),
-             stdout);
+  print_table("Censored keywords", keywords);
   util::TextTable domains{{"Domain", "Censored", "Proxied"}};
   for (const auto& domain : result.domains) {
     domains.add_row({domain.text, util::with_commas(domain.censored),
                      util::with_commas(domain.proxied)});
   }
-  std::fputs(util::titled_block("Suspected domains", domains).c_str(),
-             stdout);
+  print_table("Suspected domains", domains);
   std::printf("explained %s of %s censored requests\n",
               util::with_commas(result.censored_requests_explained).c_str(),
               util::with_commas(result.censored_requests_total).c_str());
-  return metrics.write("discover") ? 0 : 1;
+  return 0;
 }
 
-int cmd_users(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("users", flags);
-  std::string path;
-  if (!single_input("users", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto stats = analysis::user_stats(loaded.source(), threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), loaded.rows());
+/// User-based analysis (Fig. 4 style; needs hashed client ids).
+int cmd_users(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const LogInput log = load_log(flags, metrics);
+  const auto stats = metrics.analyze(log.rows(), [&] {
+    return analysis::user_stats(log.source(), log.threads);
+  });
   if (stats.total_users == 0) {
     std::printf("no attributable users (client hashes suppressed in this "
                 "log slice; Duser covers July 22-23 only)\n");
-    return metrics.write("users") ? 0 : 1;
+    return 0;
   }
   util::TextTable table{{"Metric", "Value"}};
   table.add_row({"users", util::with_commas(stats.total_users)});
@@ -1139,70 +989,41 @@ int cmd_users(int argc, char** argv) {
                  util::percent(stats.active_share_censored(100.0))});
   table.add_row({"clean users with >100 requests",
                  util::percent(stats.active_share_clean(100.0))});
-  std::fputs(util::titled_block("User analysis", table).c_str(), stdout);
-  return metrics.write("users") ? 0 : 1;
+  print_table("User analysis", table);
+  return 0;
 }
 
-int cmd_redirects(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("redirects", flags);
-  std::string path;
-  if (!single_input("redirects", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto hosts = analysis::redirect_hosts(loaded.source(), {.k = 0}, threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), loaded.rows());
+/// policy_redirect hosts (Table 7 style).
+int cmd_redirects(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const LogInput log = load_log(flags, metrics);
+  const auto hosts = metrics.analyze(log.rows(), [&] {
+    return analysis::redirect_hosts(log.source(), {.k = 0}, log.threads);
+  });
   util::TextTable table{{"Host", "# Redirects", "%"}};
   for (const auto& host : hosts) {
     table.add_row({host.host, util::with_commas(host.requests),
                    util::percent(host.share)});
   }
-  std::fputs(util::titled_block("policy_redirect hosts", table).c_str(),
-             stdout);
-  return metrics.write("redirects") ? 0 : 1;
+  print_table("policy_redirect hosts", table);
+  return 0;
 }
 
-int cmd_weather(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--keyword");
-  flags.value_flag("--bin-hours");
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("weather", flags);
-  std::string path;
-  if (!single_input("weather", flags, path)) return usage();
-  const auto keyword = flags.get("--keyword");
-  if (!keyword) {
-    std::fprintf(stderr, "syrwatchctl weather: --keyword WORD is required\n");
-    return usage();
-  }
-  const std::int64_t bin = 3600 * flags.get_i64("--bin-hours", 1);
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const analysis::LogSource source = loaded.source();
+/// Per-window enforcement intensity for one keyword.
+int cmd_weather(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::vector<std::string> keywords{std::string(*flags.get("--keyword"))};
+  const std::int64_t bin = 3600 * flags.get_i64(kBinHours.name, 1);
+  const LogInput log = load_log(flags, metrics);
+  const analysis::LogSource source = log.source();
   if (source.rows() == 0) {
     std::printf("empty log\n");
-    return metrics.write("weather") ? 0 : 1;
+    return 0;
   }
   const auto bounds = source.time_bounds();
-  const std::int64_t start = bounds.first;
-  const std::int64_t end = bounds.last + 1;
-  const std::vector<std::string> keywords{std::string(*keyword)};
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const auto reports = analysis::keyword_weather(
-      source, keywords, {{start, end}, {bin}}, threads);
-  metrics.add_phase("analyze", seconds_since(analyze_start), source.rows());
+  const analysis::TimeRange range{bounds.first, bounds.last + 1};
+  const auto reports = metrics.analyze(source.rows(), [&] {
+    return analysis::keyword_weather(source, keywords, {range, {bin}},
+                                     log.threads);
+  });
   const auto& report = reports.front();
 
   util::TextTable table{{"Window start", "Matched", "Censored", "Intensity"}};
@@ -1214,17 +1035,12 @@ int cmd_weather(int argc, char** argv) {
                    util::with_commas(report.censored[b]),
                    util::percent(report.intensity(b))});
   }
-  std::fputs(util::titled_block("Censorship weather — \"" +
-                                    std::string(*keyword) + "\" (" +
-                                    std::to_string(report.active_bins()) +
-                                    " active windows, " +
-                                    std::to_string(
-                                        report.fully_enforced_bins()) +
-                                    " fully enforced)",
-                                table)
-                 .c_str(),
-             stdout);
-  return metrics.write("weather") ? 0 : 1;
+  print_table("Censorship weather — \"" + keywords[0] + "\" (" +
+                  std::to_string(report.active_bins()) + " active windows, " +
+                  std::to_string(report.fully_enforced_bins()) +
+                  " fully enforced)",
+              table);
+  return 0;
 }
 
 /// Online mode (DESIGN.md §4.12): tail a run's WAL spool — or any CSV
@@ -1233,21 +1049,8 @@ int cmd_weather(int argc, char** argv) {
 /// as the stop signal: once the run leaves "in_progress" the watcher
 /// drains whatever the final commit appended and exits (unless --follow
 /// keeps it tailing, e.g. across a resume).
-int cmd_watch(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--interval");
-  flags.value_flag("--bin");
-  flags.value_flag("--window-bins");
-  flags.value_flag("--top");
-  flags.value_flag("--json");
-  flags.value_flag("--metrics");
-  flags.value_flag("--deadline");
-  flags.bool_flag("--once");
-  flags.bool_flag("--follow");
-  if (!flags.parse(argc, argv)) return flag_error("watch", flags);
-  std::string path;
-  if (!single_input("watch", flags, path)) return usage();
-
+int cmd_watch(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const std::string& path = flags.positional().front();
   namespace fs = std::filesystem;
   std::error_code ec;
   std::string spool_path = path;
@@ -1265,28 +1068,51 @@ int cmd_watch(int argc, char** argv) {
   options.top_k = static_cast<std::size_t>(flags.get_u64("--top", 10));
   const std::int64_t interval = flags.get_i64("--interval", 5);
   const std::string json_path{flags.get("--json").value_or("")};
-
-  if (const auto deadline = flags.get("--deadline"))
-    g_cancel.set_deadline_after(std::stod(std::string(*deadline)));
   util::install_stop_signals(g_cancel);
 
-  MetricsOutput metrics{flags};
-  analysis::StreamSource stream{spool_path};
+  auto stream = std::make_unique<analysis::StreamSource>(spool_path);
   analysis::StreamAnalyzer analyzer{options, metrics.context()};
+
+  // A finished run promotes its spool to its csv --out
+  // (durable::finalize_output) and lists that output in its manifest.
+  const auto promoted_spool = [&]() -> std::string {
+    if (manifest_path.empty() || fs::exists(stream->tail().path(), ec))
+      return "";
+    try {
+      const auto manifest = durable::RunManifest::load(manifest_path);
+      for (const auto& artifact : manifest.artifacts) {
+        const fs::path listed = fs::path{path} / artifact.path;
+        const std::string output =
+            fs::exists(listed, ec) ? listed.string() : artifact.path;
+        if (artifact.role == "output" && fs::exists(output, ec) &&
+            !colfmt::file_looks_like_container(output))
+          return output;
+      }
+    } catch (const std::exception&) {
+    }
+    return "";
+  };
 
   const std::uint64_t watch_start = obs::monotonic_nanos();
   std::uint64_t high_water = 0;
   bool finishing = flags.has("--once");
   while (true) {
-    stream.poll();
+    if (const std::string output = promoted_spool(); !output.empty()) {
+      // Carry on in the output from where the spool left off.
+      auto next = std::make_unique<analysis::StreamSource>(output);
+      next->tail().resume_at(stream->tail().offset());
+      stream = std::move(next);
+      high_water = 0;
+    }
+    stream->poll();
     high_water = analysis::scan_increment(
-        stream.source(), high_water,
+        stream->source(), high_water,
         [&](const analysis::Record& r) { analyzer.ingest(r); });
     auto report = analyzer.snapshot();
-    report.spool_offset = stream.tail().offset();
-    report.spool_pending_bytes = stream.tail().pending_bytes();
-    report.spool_skipped_lines = stream.tail().stats().skipped_total();
-    report.spool_gaps = stream.tail().gaps();
+    report.spool_offset = stream->tail().offset();
+    report.spool_pending_bytes = stream->tail().pending_bytes();
+    report.spool_skipped_lines = stream->tail().stats().skipped_total();
+    report.spool_gaps = stream->tail().gaps();
     std::fputs(analysis::render_stream_report(report).c_str(), stdout);
     std::fflush(stdout);
     if (!json_path.empty())
@@ -1316,43 +1142,32 @@ int cmd_watch(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   metrics.add_phase("watch", seconds_since(watch_start), analyzer.records());
-  return metrics.write("watch") ? 0 : 1;
+  return 0;
 }
 
-int cmd_report(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--seed");
-  flags.value_flag("--threads");
-  flags.value_flag("--format");
-  flags.value_flag("--metrics");
-  flags.bool_flag("--overview");
-  if (!flags.parse(argc, argv)) return flag_error("report", flags);
-  std::string path;
-  if (!single_input("report", flags, path)) return usage();
-  const auto threads =
-      static_cast<std::size_t>(flags.get_u64("--threads", 1));
-
-  MetricsOutput metrics{flags};
-  const auto loaded = load_source_phase(path, flags, metrics, threads);
-  const analysis::LogSource full = loaded.source();
+/// The paper-order report (or just the headline overview with
+/// --overview) straight from a log file. The Dsample/Duser/Ddenied views
+/// are carved out of the file-backed Dfull as scan-layer masks, and the
+/// GeoIP/relay/torrent lookups come from a fresh scenario environment
+/// built at --seed (pass the log's generate seed so they match the
+/// traffic).
+int cmd_report(const util::CliFlags& flags, MetricsOutput& metrics) {
+  const LogInput log = load_log(flags, metrics);
+  const analysis::LogSource full = log.source();
   if (full.rows() == 0) {
     std::printf("empty log\n");
-    return metrics.write("report") ? 0 : 1;
+    return 0;
   }
 
-  // The report's analyzers consult scenario resources (GeoIP ranges, the
-  // Tor relay directory, the torrent registry) that are deterministic in
-  // the seed — build a fresh environment at --seed, which must match the
-  // log's generate seed for the lookups to line up with the traffic.
   workload::ScenarioConfig config;
-  config.seed = flags.get_u64("--seed", config.seed);
+  config.seed = flags.get_u64(kSeed.name, config.seed);
   const std::uint64_t env_start = obs::monotonic_nanos();
   const workload::Environment environment{config};
   metrics.add_phase("environment", seconds_since(env_start), 0);
 
   const std::uint64_t derive_start = obs::monotonic_nanos();
   const analysis::DerivedSources derived =
-      analysis::derive_sources(full, config.seed, threads);
+      analysis::derive_sources(full, config.seed, log.threads);
   metrics.add_phase("derive", seconds_since(derive_start), full.rows());
 
   const core::ReportSources sources{derived.full,
@@ -1362,39 +1177,28 @@ int cmd_report(int argc, char** argv) {
                                     &environment.geoip(),
                                     &environment.relays(),
                                     &environment.torrents(),
-                                    threads,
+                                    log.threads,
                                     metrics.context()};
-  const std::uint64_t analyze_start = obs::monotonic_nanos();
-  const std::string report = flags.has("--overview")
-                                 ? core::render_overview(sources)
-                                 : core::render_full_report(sources);
-  metrics.add_phase("analyze", seconds_since(analyze_start), full.rows());
+  const std::string report = metrics.analyze(full.rows(), [&] {
+    return flags.has("--overview") ? core::render_overview(sources)
+                                   : core::render_full_report(sources);
+  });
   std::fputs(report.c_str(), stdout);
-  return metrics.write("report") ? 0 : 1;
+  return 0;
 }
 
-int cmd_profile(int argc, char** argv) {
-  util::CliFlags flags;
-  flags.value_flag("--requests");
-  flags.value_flag("--seed");
-  flags.value_flag("--threads");
-  flags.value_flag("--fault-profile");
-  flags.value_flag("--metrics");
-  if (!flags.parse(argc, argv)) return flag_error("profile", flags);
-  if (!flags.positional().empty()) {
-    std::fprintf(stderr, "syrwatchctl profile: unexpected argument \"%s\"\n",
-                 flags.positional().front().c_str());
-    return usage();
-  }
-
+/// Runs a reduced study end to end with the observability layer attached
+/// and prints where the time went: run phases, the per-stage wall-time
+/// breakdown, and the pipeline event counters.
+int cmd_profile(const util::CliFlags& flags, MetricsOutput& metrics) {
   workload::ScenarioConfig config;
-  config.total_requests = flags.get_u64("--requests", 200'000);
-  config.seed = flags.get_u64("--seed", config.seed);
-  config.threads = flags.get_u64("--threads", 0);
-  if (const auto profile = flags.get("--fault-profile"))
+  config.total_requests =
+      flags.get_u64(kRequests.name, 200'000);
+  config.seed = flags.get_u64(kSeed.name, config.seed);
+  config.threads = flags.get_u64(kThreads.name, 0);
+  if (const auto profile = flags.get(kFaultProfile.name))
     config.fault_profile = *profile;
 
-  MetricsOutput metrics{flags};
   core::Study study{config};
   study.set_obs(metrics.context());
   const auto result = study.run();
@@ -1418,28 +1222,94 @@ int cmd_profile(int argc, char** argv) {
              stdout);
   std::printf("report bytes rendered: %s\n",
               util::with_commas(report.size()).c_str());
-  return metrics.write("profile") ? 0 : 1;
+  return 0;
+}
+
+/// A log command's flags: its own, then --threads and --format.
+std::vector<Flag> log_flags(std::initializer_list<Flag> own) {
+  std::vector<Flag> flags{own};
+  flags.push_back(kThreads);
+  flags.push_back(format_flag("auto|csv|col"));
+  return flags;
+}
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table{
+      {"generate", "", 0,
+       {{"--out", "FILE", true}, kRequests, kSeed, kThreads,
+        format_flag("csv|col|both"), {"--no-leak-filter", ""}, kFaultProfile,
+        {"--checkpoint-dir", "DIR"}, {"--resume", ""},
+        {"--checkpoint-interval", "K"}, {"--abort-after-batches", "K"},
+        kDeadline, {"--storage-fault", "SCHEDULE[:N]"}, {"--workers", "N"},
+        {"--restart-budget", "K"}, {"--heartbeat-ms", "T"},
+        {"--backoff-ms", "B"}, {"--worker-chaos", "NAME"}},
+       cmd_generate},
+      {"verify", "DIR|MANIFEST|CONTAINER", 1, {}, cmd_verify},
+      {"convert", "IN OUT", 2, {{"--block-rows", "N"}}, cmd_convert},
+      {"inspect", "FILE", 1, log_flags({kBinHours}), cmd_inspect},
+      {"report", "FILE", 1, log_flags({{"--overview", ""}, kSeed}),
+       cmd_report},
+      {"stats", "FILE", 1, log_flags({}), cmd_stats},
+      {"top", "FILE", 1,
+       log_flags({{"--class", "censored|allowed|error"}, {"--k", "N"}}),
+       cmd_top},
+      {"discover", "FILE", 1, log_flags({{"--min-count", "N"}}),
+       cmd_discover},
+      {"users", "FILE", 1, log_flags({}), cmd_users},
+      {"redirects", "FILE", 1, log_flags({}), cmd_redirects},
+      {"weather", "FILE", 1,
+       log_flags({{"--keyword", "WORD", true}, kBinHours}), cmd_weather},
+      {"watch", "DIR|SPOOL", 1,
+       {{"--interval", "S"}, {"--bin", "S"}, {"--window-bins", "N"},
+        {"--top", "K"}, {"--json", "FILE"}, {"--once", ""}, {"--follow", ""},
+        kDeadline},
+       cmd_watch},
+      {"profile", "", 0, {kRequests, kSeed, kThreads, kFaultProfile},
+       cmd_profile},
+  };
+  return table;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string_view command{argv[1]};
+  if (argc < 2) {
+    print_usage();
+    return 2;
+  }
+  const std::string_view name{argv[1]};
+  const Command* command = nullptr;
+  for (const Command& candidate : commands())
+    if (candidate.name == name) command = &candidate;
+  if (command == nullptr) {
+    std::fprintf(stderr, "syrwatchctl: unknown subcommand \"%s\"\n", argv[1]);
+    print_usage();
+    return 2;
+  }
+
+  util::CliFlags flags;
+  flags.value_flag(std::string(kMetrics.name));
+  for (const Flag& flag : command->flags) {
+    if (flag.metavar.empty())
+      flags.bool_flag(std::string(flag.name));
+    else
+      flags.value_flag(std::string(flag.name));
+  }
+  if (!flags.parse(argc, argv)) return usage_error(name, flags.error());
+  if (const std::string problem = table_check(*command, flags);
+      !problem.empty())
+    return usage_error(name, problem);
+
   try {
-    if (command == "generate") return cmd_generate(argc, argv);
-    if (command == "verify") return cmd_verify(argc, argv);
-    if (command == "convert") return cmd_convert(argc, argv);
-    if (command == "inspect") return cmd_inspect(argc, argv);
-    if (command == "report") return cmd_report(argc, argv);
-    if (command == "stats") return cmd_stats(argc, argv);
-    if (command == "top") return cmd_top(argc, argv);
-    if (command == "discover") return cmd_discover(argc, argv);
-    if (command == "users") return cmd_users(argc, argv);
-    if (command == "redirects") return cmd_redirects(argc, argv);
-    if (command == "weather") return cmd_weather(argc, argv);
-    if (command == "watch") return cmd_watch(argc, argv);
-    if (command == "profile") return cmd_profile(argc, argv);
+    if (const auto deadline = flags.get(kDeadline.name))
+      g_cancel.set_deadline_after(deadline_seconds(*deadline));
+    MetricsOutput metrics;
+    int code = command->run(flags, metrics);
+    const auto metrics_path = flags.get(kMetrics.name);
+    if (code != 2 && metrics_path &&
+        !metrics.write(std::string(*metrics_path), name) && code == 0)
+      code = 1;
+    return code;
   } catch (const util::SimulatedPowerLoss& loss) {
     // --storage-fault power-cut/torn-tail: the FaultyVfs has already
     // applied the damage model; die like the power did — no unwinding
@@ -1450,6 +1320,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "syrwatchctl: %s\n", error.what());
     return 1;
   }
-  std::fprintf(stderr, "syrwatchctl: unknown subcommand \"%s\"\n", argv[1]);
-  return usage();
 }
