@@ -181,10 +181,11 @@ template <typename Bin>
 class WindowRing {
  public:
   WindowRing(std::int64_t bin_seconds, std::size_t bins)
-      : bin_seconds_(bin_seconds), ring_(bins) {
+      : bin_seconds_(bin_seconds) {
     if (bin_seconds <= 0 || bins == 0)
       throw std::invalid_argument(
           "WindowRing: bin width and bin count must be positive");
+    ring_.resize(bins);
   }
 
   /// The payload for time `t`, advancing (and evicting) as needed.

@@ -1,6 +1,7 @@
 #include "util/cli.h"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace syrwatch::util {
@@ -92,7 +93,8 @@ T parse_number(std::string_view name, std::string_view text, T fallback,
   T value{};
   const auto [rest, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || rest != text.data() + text.size()) {
+  if (ec != std::errc{} || rest != text.data() + text.size() ||
+      !std::isfinite(static_cast<double>(value))) {
     throw std::invalid_argument("flag " + std::string(name) +
                                 " expects a number, got \"" +
                                 std::string(text) + "\"");
@@ -114,6 +116,12 @@ std::int64_t CliFlags::get_i64(std::string_view name,
   const auto text = get(name);
   return parse_number<std::int64_t>(name, text.value_or(""), fallback,
                                     text.has_value());
+}
+
+double CliFlags::get_double(std::string_view name, double fallback) const {
+  const auto text = get(name);
+  return parse_number<double>(name, text.value_or(""), fallback,
+                              text.has_value());
 }
 
 }  // namespace syrwatch::util

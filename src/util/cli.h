@@ -45,6 +45,8 @@ class CliFlags {
   /// Throws std::invalid_argument (naming the flag) on non-numeric text.
   std::uint64_t get_u64(std::string_view name, std::uint64_t fallback) const;
   std::int64_t get_i64(std::string_view name, std::int64_t fallback) const;
+  /// Also refuses inf and nan.
+  double get_double(std::string_view name, double fallback) const;
 
   const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -7,6 +7,8 @@
 
 namespace syrwatch::util::json {
 
+namespace {
+
 void append_quoted(std::string& out, std::string_view text) {
   constexpr std::string_view kNamed = "\"\\\n\r\t";
   out += '"';
@@ -24,96 +26,6 @@ void append_quoted(std::string& out, std::string_view text) {
   }
   out += '"';
 }
-
-Writer::Writer(Layout layout, int significant_digits)
-    : pretty_(layout == Layout::kPretty), digits_(significant_digits) {}
-
-void Writer::next_item() {
-  if (after_key_) {
-    after_key_ = false;
-    return;
-  }
-  if (open_.empty()) return;
-  Container& container = open_.back();
-  if (!container.empty) out_ += ',';
-  if (container.lines) {
-    out_ += '\n';
-    out_.append(2 * open_.size(), ' ');
-  } else if (pretty_ && !container.empty) {
-    out_ += ' ';
-  }
-  container.empty = false;
-}
-
-Writer& Writer::open(char bracket, Wrap wrap) {
-  next_item();
-  // Only the top level and, unless asked inline, the level below it are
-  // written one member per line.
-  const bool lines = pretty_ && (open_.empty() ||
-                                 (open_.size() == 1 && wrap == Wrap::kLines));
-  open_.push_back({lines, true});
-  out_ += bracket;
-  return *this;
-}
-
-Writer& Writer::close(char bracket) {
-  const Container container = open_.back();
-  open_.pop_back();
-  if (container.lines && !container.empty) {
-    out_ += '\n';
-    out_.append(2 * open_.size(), ' ');
-  }
-  out_ += bracket;
-  return *this;
-}
-
-Writer& Writer::begin_object(Wrap wrap) { return open('{', wrap); }
-Writer& Writer::end_object() { return close('}'); }
-Writer& Writer::begin_array(Wrap wrap) { return open('[', wrap); }
-Writer& Writer::end_array() { return close(']'); }
-
-Writer& Writer::key(std::string_view name) {
-  next_item();
-  append_quoted(out_, name);
-  out_ += pretty_ ? ": " : ":";
-  after_key_ = true;
-  return *this;
-}
-
-Writer& Writer::value(std::string_view text) {
-  next_item();
-  append_quoted(out_, text);
-  return *this;
-}
-
-Writer& Writer::value(std::uint64_t number) {
-  return raw(std::to_string(number));
-}
-
-Writer& Writer::value(std::int64_t number) {
-  return raw(std::to_string(number));
-}
-
-Writer& Writer::value(double number) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.*g", digits_, number);
-  return raw(buffer);
-}
-
-Writer& Writer::value(bool flag) { return raw(flag ? "true" : "false"); }
-
-Writer& Writer::raw(std::string_view token) {
-  next_item();
-  out_ += token;
-  return *this;
-}
-
-std::string Writer::finish() {
-  if (pretty_) out_ += '\n';
-  return std::move(out_);
-}
-
-namespace {
 
 [[noreturn]] void fail(const std::string& message, std::size_t offset) {
   throw Error("json: " + message + " (offset " + std::to_string(offset) + ")",
@@ -296,6 +208,94 @@ const Value& typed(const Value& object, std::string_view key,
 }
 
 }  // namespace
+
+Writer::Writer(Layout layout, int significant_digits)
+    : pretty_(layout == Layout::kPretty), digits_(significant_digits) {}
+
+void Writer::next_item() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (open_.empty()) return;
+  Container& container = open_.back();
+  if (!container.empty) out_ += ',';
+  if (container.lines) {
+    out_ += '\n';
+    out_.append(2 * open_.size(), ' ');
+  } else if (pretty_ && !container.empty) {
+    out_ += ' ';
+  }
+  container.empty = false;
+}
+
+Writer& Writer::open(char bracket, Wrap wrap) {
+  next_item();
+  // Only the top level and, unless asked inline, the level below it are
+  // written one member per line.
+  const bool lines = pretty_ && (open_.empty() ||
+                                 (open_.size() == 1 && wrap == Wrap::kLines));
+  open_.push_back({lines, true});
+  out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::close(char bracket) {
+  const Container container = open_.back();
+  open_.pop_back();
+  if (container.lines && !container.empty) {
+    out_ += '\n';
+    out_.append(2 * open_.size(), ' ');
+  }
+  out_ += bracket;
+  return *this;
+}
+
+Writer& Writer::begin_object() { return open('{', Wrap::kLines); }
+Writer& Writer::end_object() { return close('}'); }
+Writer& Writer::begin_array(Wrap wrap) { return open('[', wrap); }
+Writer& Writer::end_array() { return close(']'); }
+
+Writer& Writer::key(std::string_view name) {
+  next_item();
+  append_quoted(out_, name);
+  out_ += pretty_ ? ": " : ":";
+  after_key_ = true;
+  return *this;
+}
+
+Writer& Writer::value(std::string_view text) {
+  next_item();
+  append_quoted(out_, text);
+  return *this;
+}
+
+Writer& Writer::value(std::uint64_t number) {
+  return raw(std::to_string(number));
+}
+
+Writer& Writer::value(std::int64_t number) {
+  return raw(std::to_string(number));
+}
+
+Writer& Writer::value(double number) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.*g", digits_, number);
+  return raw(buffer);
+}
+
+Writer& Writer::value(bool flag) { return raw(flag ? "true" : "false"); }
+
+Writer& Writer::raw(std::string_view token) {
+  next_item();
+  out_ += token;
+  return *this;
+}
+
+std::string Writer::finish() {
+  if (pretty_) out_ += '\n';
+  return std::move(out_);
+}
 
 const Value* Value::find(std::string_view key) const {
   const auto it = object.find(key);

@@ -16,11 +16,6 @@ namespace syrwatch::util::json {
 /// loads manifests back. Other tools read these documents with readers of
 /// their own, so the writer's bytes are a contract (tests/test_json.cpp).
 
-/// Appends `text` as a JSON string literal, quotes included. ", \, \n, \r
-/// and \t get their named escapes, other bytes below 0x20 become \u00xx,
-/// and bytes from 0x80 up pass through raw, so UTF-8 stays UTF-8.
-void append_quoted(std::string& out, std::string_view text);
-
 /// Builds one document in call order, adding only separators and
 /// whitespace. kPretty is the metrics and manifest layout: the top-level
 /// object has one member per line indented two spaces, ": " after each
@@ -28,6 +23,9 @@ void append_quoted(std::string& out, std::string_view text);
 /// per line too, indented four spaces (`{}` / `[]` when empty), unless
 /// opened with Wrap::kInline; deeper containers are inline with ", "
 /// between members. kCompact writes no whitespace and no final newline.
+/// In strings ", \, \n, \r and \t get their named escapes, other bytes
+/// below 0x20 become \u00xx, and bytes from 0x80 up pass through raw, so
+/// UTF-8 stays UTF-8.
 class Writer {
  public:
   enum class Layout { kPretty, kCompact };
@@ -36,7 +34,7 @@ class Writer {
   /// Doubles are printed with `%.<significant_digits>g`.
   Writer(Layout layout, int significant_digits);
 
-  Writer& begin_object(Wrap wrap = Wrap::kLines);
+  Writer& begin_object();
   Writer& end_object();
   Writer& begin_array(Wrap wrap = Wrap::kLines);
   Writer& end_array();

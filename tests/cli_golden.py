@@ -103,6 +103,8 @@ CASES = [
     ("inspect-bin-zero", ["inspect", "log.csv", "--bin-hours", "0"], [], None),
     ("inspect-bin-negative", ["inspect", "log.col", "--bin-hours", "-1"], [],
      None),
+    ("inspect-bin-overflow", ["inspect", "log.csv", "--bin-hours",
+                              "2562047788015216"], [], None),
     ("watch-bin-zero", ["watch", "log.csv", "--once", "--bin", "0"], [], None),
     ("watch-window-bins-zero", ["watch", "log.csv", "--once",
                                 "--window-bins", "0"], [], None),

@@ -149,5 +149,27 @@ TEST(CliFlags, NumericAccessorsNameTheFlagOnBadInput) {
   }
 }
 
+TEST(CliFlags, DoubleAccessorTakesWholeFiniteNumbersOnly) {
+  // --deadline used to go through std::stod, which read "5abc" as 5 and
+  // failed on "abc" with a bare "stod".
+  for (const char* text : {"abc", "5abc", "inf", "nan", ""}) {
+    util::CliFlags cli;
+    cli.value_flag("--deadline");
+    std::vector<std::string> tokens{"syrwatchctl", "watch", "--deadline",
+                                    text};
+    auto argv = argv_of(tokens);
+    ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    EXPECT_THROW(cli.get_double("--deadline", 0.0), std::invalid_argument)
+        << text;
+  }
+  util::CliFlags cli;
+  cli.value_flag("--deadline");
+  std::vector<std::string> tokens{"syrwatchctl", "watch", "--deadline=2.5"};
+  auto argv = argv_of(tokens);
+  ASSERT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+  EXPECT_EQ(cli.get_double("--deadline", 0.0), 2.5);
+  EXPECT_EQ(cli.get_double("--absent", 7.0), 7.0);
+}
+
 
 }  // namespace

@@ -15,14 +15,13 @@
 // parallel scan on either, so `--threads T` yields identical output.
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -126,7 +125,7 @@ class MetricsOutput {
 /// A required flag is printed without brackets in the usage.
 struct Flag {
   std::string_view name;
-  std::string_view metavar;
+  std::string_view metavar = {};
   bool required = false;
 };
 
@@ -237,19 +236,6 @@ std::string table_check(const Command& command, const util::CliFlags& flags) {
            "\")";
   }
   return "";
-}
-
-/// --deadline's seconds, a finite double.
-double deadline_seconds(std::string_view text) {
-  double seconds = 0.0;
-  const auto [rest, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), seconds);
-  if (ec != std::errc{} || rest != text.data() + text.size() ||
-      !std::isfinite(seconds))
-    throw std::invalid_argument("flag " + std::string(kDeadline.name) +
-                                " expects a number of seconds, got \"" +
-                                std::string(text) + "\"");
-  return seconds;
 }
 
 /// Process-wide cancellation token SIGINT/SIGTERM flip (via
@@ -807,11 +793,22 @@ LogInput load_log(const util::CliFlags& flags, MetricsOutput& metrics,
   return log;
 }
 
+/// --bin-hours (default 1) in seconds. A width past int64_t is refused;
+/// a non-positive one is the analyzer's to refuse.
+std::int64_t bin_hours_in_seconds(const util::CliFlags& flags) {
+  constexpr std::int64_t kMaxHours =
+      std::numeric_limits<std::int64_t>::max() / 3600;
+  const std::int64_t hours = flags.get_i64(kBinHours.name, 1);
+  if (hours > kMaxHours || hours < -kMaxHours)
+    throw std::invalid_argument("flag --bin-hours is out of range");
+  return 3600 * hours;
+}
+
 /// Damage-tolerant triage of an on-disk log: parse statistics (lines
 /// recovered or skipped by reason, or the blocks and rows recovered from a
 /// container) plus the per-proxy/per-day coverage table and gap windows.
 int cmd_inspect(const util::CliFlags& flags, MetricsOutput& metrics) {
-  const std::int64_t bin = 3600 * flags.get_i64(kBinHours.name, 1);
+  const std::int64_t bin = bin_hours_in_seconds(flags);
   const LogInput log = load_log(flags, metrics, /*lenient=*/true);
   const analysis::OpenedSource& loaded = log.loaded;
   metrics.count("inspect.records_recovered", log.rows());
@@ -1011,7 +1008,7 @@ int cmd_redirects(const util::CliFlags& flags, MetricsOutput& metrics) {
 /// Per-window enforcement intensity for one keyword.
 int cmd_weather(const util::CliFlags& flags, MetricsOutput& metrics) {
   const std::vector<std::string> keywords{std::string(*flags.get("--keyword"))};
-  const std::int64_t bin = 3600 * flags.get_i64(kBinHours.name, 1);
+  const std::int64_t bin = bin_hours_in_seconds(flags);
   const LogInput log = load_log(flags, metrics);
   const analysis::LogSource source = log.source();
   if (source.rows() == 0) {
@@ -1192,8 +1189,7 @@ int cmd_report(const util::CliFlags& flags, MetricsOutput& metrics) {
 /// breakdown, and the pipeline event counters.
 int cmd_profile(const util::CliFlags& flags, MetricsOutput& metrics) {
   workload::ScenarioConfig config;
-  config.total_requests =
-      flags.get_u64(kRequests.name, 200'000);
+  config.total_requests = flags.get_u64(kRequests.name, 200'000);
   config.seed = flags.get_u64(kSeed.name, config.seed);
   config.threads = flags.get_u64(kThreads.name, 0);
   if (const auto profile = flags.get(kFaultProfile.name))
@@ -1237,8 +1233,8 @@ const std::vector<Command>& commands() {
   static const std::vector<Command> table{
       {"generate", "", 0,
        {{"--out", "FILE", true}, kRequests, kSeed, kThreads,
-        format_flag("csv|col|both"), {"--no-leak-filter", ""}, kFaultProfile,
-        {"--checkpoint-dir", "DIR"}, {"--resume", ""},
+        format_flag("csv|col|both"), {"--no-leak-filter"}, kFaultProfile,
+        {"--checkpoint-dir", "DIR"}, {"--resume"},
         {"--checkpoint-interval", "K"}, {"--abort-after-batches", "K"},
         kDeadline, {"--storage-fault", "SCHEDULE[:N]"}, {"--workers", "N"},
         {"--restart-budget", "K"}, {"--heartbeat-ms", "T"},
@@ -1247,7 +1243,7 @@ const std::vector<Command>& commands() {
       {"verify", "DIR|MANIFEST|CONTAINER", 1, {}, cmd_verify},
       {"convert", "IN OUT", 2, {{"--block-rows", "N"}}, cmd_convert},
       {"inspect", "FILE", 1, log_flags({kBinHours}), cmd_inspect},
-      {"report", "FILE", 1, log_flags({{"--overview", ""}, kSeed}),
+      {"report", "FILE", 1, log_flags({{"--overview"}, kSeed}),
        cmd_report},
       {"stats", "FILE", 1, log_flags({}), cmd_stats},
       {"top", "FILE", 1,
@@ -1261,7 +1257,7 @@ const std::vector<Command>& commands() {
        log_flags({{"--keyword", "WORD", true}, kBinHours}), cmd_weather},
       {"watch", "DIR|SPOOL", 1,
        {{"--interval", "S"}, {"--bin", "S"}, {"--window-bins", "N"},
-        {"--top", "K"}, {"--json", "FILE"}, {"--once", ""}, {"--follow", ""},
+        {"--top", "K"}, {"--json", "FILE"}, {"--once"}, {"--follow"},
         kDeadline},
        cmd_watch},
       {"profile", "", 0, {kRequests, kSeed, kThreads, kFaultProfile},
@@ -1301,8 +1297,8 @@ int main(int argc, char** argv) {
     return usage_error(name, problem);
 
   try {
-    if (const auto deadline = flags.get(kDeadline.name))
-      g_cancel.set_deadline_after(deadline_seconds(*deadline));
+    if (flags.has(kDeadline.name))
+      g_cancel.set_deadline_after(flags.get_double(kDeadline.name, 0.0));
     MetricsOutput metrics;
     int code = command->run(flags, metrics);
     const auto metrics_path = flags.get(kMetrics.name);
